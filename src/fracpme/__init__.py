@@ -50,7 +50,6 @@ from .transport import (  # noqa: F401
     w2,
 )
 from .evolve import (  # noqa: F401
-    ChangeOfVariables,
     DecayFit,
     SolverConfig,
     Trajectory,

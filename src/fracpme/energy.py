@@ -10,16 +10,7 @@ import numpy as np
 
 from .errors import NegativeRemainder
 from .grid import GridDensity, moment, require_normalized
-from .riesz import (
-    FFT,
-    RieszConfig,
-    RieszWorkspace,
-    hessian_weights,
-    riesz_constant,
-    riesz_gradient,
-    riesz_potential,
-    toeplitz_apply,
-)
+from .riesz import workspace
 
 LOG_FLOOR = 1e-300
 EPS_TERM_FLOOR = 1e-12
@@ -37,44 +28,35 @@ class PotentialField:
     eps: float
 
 
-def _eps_log_gradient(rho: GridDensity, eps: float) -> np.ndarray:
-    """Centered difference of log rho on {rho > floor}, zero elsewhere."""
-    v = rho.values
-    h = rho.grid.h
+def _eps_log_terms(v: np.ndarray, h: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """eps log rho on {rho > floor} and its centered difference (zero where
+    a stencil leaves that set), for the grid values v of a density."""
     mask = v > EPS_TERM_FLOOR * float(np.max(v))
     logv = np.where(mask, np.log(np.maximum(v, LOG_FLOOR)), 0.0)
-    out = np.zeros_like(v)
+    grad = np.zeros_like(v)
     ok = mask[2:] & mask[:-2] & mask[1:-1]
-    inner = (logv[2:] - logv[:-2]) / (2 * h)
-    out[1:-1] = np.where(ok, inner, 0.0)
-    return eps * out
+    grad[1:-1] = np.where(ok, (logv[2:] - logv[:-2]) / (2 * h), 0.0)
+    return eps * logv, eps * grad
 
 
-def potential_xi(
-    rho: GridDensity,
-    s: float,
-    lam: float,
-    eps: float = 0.0,
-    workspace: RieszWorkspace | None = None,
-) -> PotentialField:
+def _entropy_density(v: np.ndarray) -> np.ndarray:
+    """rho log rho at the grid values v, with the 0 log 0 = 0 convention."""
+    return np.where(v > 0.0, v * np.log(np.maximum(v, LOG_FLOOR)), 0.0)
+
+
+def potential_xi(rho: GridDensity, s: float, lam: float, eps: float = 0.0) -> PotentialField:
     """Assemble the driving potential and the velocity field of the flow."""
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     require_normalized(rho)
     x = rho.x
-    if workspace is not None:
-        pot, grad = workspace.potential_and_gradient(rho.values)
-    else:
-        cfg = RieszConfig(s, method=FFT)
-        pot = riesz_potential(rho, cfg)
-        grad = riesz_gradient(rho, cfg)
-    xi = pot + lam * x**2 / 2
-    dxi = grad + lam * x
+    ws = workspace(rho.grid, s)
+    xi = ws.potential(rho.values) + lam * x**2 / 2
+    dxi = ws.gradient(rho.values) + lam * x
     if eps > 0:
-        v = rho.values
-        mask = v > EPS_TERM_FLOOR * float(np.max(v))
-        xi = xi + np.where(mask, eps * np.log(np.maximum(v, LOG_FLOOR)), 0.0)
-        dxi = dxi + _eps_log_gradient(rho, eps)
+        log_term, log_gradient = _eps_log_terms(rho.values, rho.grid.h, eps)
+        xi = xi + log_term
+        dxi = dxi + log_gradient
     return PotentialField(xi=xi, dxi=dxi, s=s, lam=lam, eps=eps)
 
 
@@ -94,15 +76,12 @@ class EnergyBreakdown:
 
 def boltzmann_entropy(rho: GridDensity) -> float:
     """h * sum rho log rho with the 0 log 0 = 0 convention."""
-    v = rho.values
-    terms = np.where(v > 0.0, v * np.log(np.maximum(v, LOG_FLOOR)), 0.0)
-    return rho.grid.h * float(np.sum(terms))
+    return rho.grid.h * float(np.sum(_entropy_density(rho.values)))
 
 
-def interaction_energy(rho: GridDensity, s: float, potential: np.ndarray | None = None) -> float:
+def interaction_energy(rho: GridDensity, s: float) -> float:
     """(1/2) h sum rho * (-Dxx)^{-s} rho, with exact cell kernel weights."""
-    if potential is None:
-        potential = riesz_potential(rho, RieszConfig(s, method=FFT))
+    potential = workspace(rho.grid, s).potential(rho.values)
     return 0.5 * rho.grid.h * float(np.sum(rho.values * potential))
 
 
@@ -111,7 +90,6 @@ def energy(
     s: float,
     lam: float,
     eps: float = 0.0,
-    potential: np.ndarray | None = None,
     check_mass: bool = True,
 ) -> EnergyBreakdown:
     """Free energy breakdown; total = interaction + confinement + eps*entropy.
@@ -121,31 +99,19 @@ def energy(
     """
     if check_mass:
         require_normalized(rho)
-    inter = interaction_energy(rho, s, potential)
+    inter = interaction_energy(rho, s)
     conf = lam / 2 * moment(rho, 2)
     boltz = boltzmann_entropy(rho)
     return EnergyBreakdown(interaction=inter, confinement=conf, boltzmann=boltz, eps=eps)
 
 
-def dissipation(
-    rho: GridDensity,
-    s: float,
-    lam: float,
-    eps: float = 0.0,
-    field: PotentialField | None = None,
-) -> float:
+def dissipation(rho: GridDensity, s: float, lam: float, eps: float = 0.0) -> float:
     """Entropy production h sum rho * dxi^2; nonnegative by construction."""
-    if field is None:
-        field = potential_xi(rho, s, lam, eps)
+    field = potential_xi(rho, s, lam, eps)
     return rho.grid.h * float(np.sum(rho.values * field.dxi**2))
 
 
-def remainder_R(
-    rho: GridDensity,
-    s: float,
-    lam: float,
-    field: PotentialField | None = None,
-) -> float:
+def remainder_R(rho: GridDensity, s: float, lam: float) -> float:
     """Quadratic remainder in the dissipation-rate identity
     dI/dt = -2 lam I - 2 R; nonnegative in 1D because the scalar kernel
     (2-2s)|x|^{2s-3} is positive and c_plus > 0 on both sides of s = 1/2.
@@ -153,15 +119,13 @@ def remainder_R(
     The squared velocity difference vanishes quadratically at the diagonal,
     which tames the kernel singularity; the diagonal cell pair is excluded.
     """
-    if field is None:
-        field = potential_xi(rho, s, lam, 0.0)
     g = rho.grid
-    v, d = rho.values, field.dxi
-    c_plus = riesz_constant(s).c_plus
-    uw = hessian_weights(g.n, g.h, s)
-    conv_v = toeplitz_apply(uw, v)
-    conv_vd = toeplitz_apply(uw, v * d)
-    conv_vd2 = toeplitz_apply(uw, v * d * d)
+    v, d = rho.values, potential_xi(rho, s, lam, 0.0).dxi
+    ws = workspace(g, s)
+    c_plus = ws.kernel.c_plus
+    conv_v = ws.apply("hessian", v)
+    conv_vd = ws.apply("hessian", v * d)
+    conv_vd2 = ws.apply("hessian", v * d * d)
     t1 = float(np.sum(v * d * d * conv_v))
     t2 = float(np.sum(v * d * conv_vd))
     t3 = float(np.sum(v * conv_vd2))
@@ -174,10 +138,10 @@ def remainder_R(
 
 def virial_check(rho: GridDensity, s: float) -> tuple[float, float]:
     """Both sides of -2 int rho x d/dx (-Dxx)^{-s} rho = (1-2s) int rho (-Dxx)^{-s} rho."""
-    cfg = RieszConfig(s, method=FFT)
+    ws = workspace(rho.grid, s)
     h = rho.grid.h
-    grad = riesz_gradient(rho, cfg)
-    pot = riesz_potential(rho, cfg)
+    grad = ws.gradient(rho.values)
+    pot = ws.potential(rho.values)
     lhs = -2.0 * h * float(np.sum(rho.values * rho.x * grad))
     rhs = (1 - 2 * s) * h * float(np.sum(rho.values * pot))
     return lhs, rhs

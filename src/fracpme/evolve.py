@@ -20,8 +20,7 @@ from .errors import (
     PositivityLoss,
 )
 from .grid import Grid, GridDensity, normalize
-from .riesz import DIRECT as DIRECT_METHOD
-from .riesz import RieszWorkspace, toeplitz_apply
+from .riesz import DIRECT, workspace
 from .transport import w2
 
 LYAPUNOV_SLACK = 1e-10
@@ -73,11 +72,11 @@ class SolverConfig:
 
 
 class _Stepper:
-    """Workspace holding the kernel FFTs and the per-step update."""
+    """Per-step update of one run, on the shared Riesz operator of (grid, s)."""
 
     def __init__(self, cfg: SolverConfig):
         self.cfg = cfg
-        self.ws = RieszWorkspace(cfg.grid, cfg.s)
+        self.ws = workspace(cfg.grid, cfg.s)
         self.x = cfg.grid.centers
         self.h = cfg.grid.h
 
@@ -87,11 +86,8 @@ class _Stepper:
         pot, grad = self.ws.potential_and_gradient(v)
         dxi0 = grad + cfg.lam * self.x
         if cfg.eps > 0:
-            rho = GridDensity(cfg.grid, np.maximum(v, 0.0))
-            dxi = dxi0 + energy_mod._eps_log_gradient(rho, cfg.eps)
-        else:
-            dxi = dxi0
-        return pot, dxi0, dxi
+            return pot, dxi0, dxi0 + energy_mod._eps_log_terms(v, self.h, cfg.eps)[1]
+        return pot, dxi0, dxi0
 
     def energy_eps(self, v: np.ndarray, pot: np.ndarray) -> float:
         cfg, h, x = self.cfg, self.h, self.x
@@ -99,8 +95,7 @@ class _Stepper:
         conf = cfg.lam / 2 * h * float(np.sum(x * x * v))
         if cfg.eps == 0:
             return inter + conf
-        terms = np.where(v > 0.0, v * np.log(np.maximum(v, energy_mod.LOG_FLOOR)), 0.0)
-        return inter + conf + cfg.eps * h * float(np.sum(terms))
+        return inter + conf + cfg.eps * h * float(np.sum(energy_mod._entropy_density(v)))
 
     def max_velocity(self, dxi: np.ndarray) -> float:
         return float(np.max(np.abs(dxi)))
@@ -242,7 +237,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         if t >= next_snap - 1e-12 or t >= cfg.t_end - 1e-12:
             # the direct pair sum is the reference for the convolution fast
             # path; validate it at every checkpoint
-            direct = toeplitz_apply(stepper.ws.w_pot, v, DIRECT_METHOD)
+            direct = stepper.ws.potential(v, DIRECT)
             scale = max(1.0, float(np.max(np.abs(direct))))
             if float(np.max(np.abs(direct - pot))) > 1e-10 * scale:
                 raise Inconsistent(f"fast-path potential drifted from the direct sum at t={t}")
@@ -366,22 +361,6 @@ def fit_decay(
 
 TO_SELF_SIMILAR = "to_self_similar"
 TO_PHYSICAL = "to_physical"
-
-
-@dataclass(frozen=True)
-class ChangeOfVariables:
-    """Exponents and direction of the self-similar rescaling."""
-
-    s: float
-    direction: str
-
-    @property
-    def alpha(self) -> float:
-        return self_similar_exponent(self.s)
-
-    @property
-    def beta(self) -> float:
-        return self_similar_exponent(self.s)
 
 
 def change_of_variables(

@@ -30,7 +30,7 @@ from .grid import (
     random_density,
     save_density_csv,
 )
-from .riesz import FFT, RieszConfig, riesz_potential
+from .riesz import workspace
 
 SCHEMA_VERSION = 1
 GAP_TOL = 1e-8
@@ -224,7 +224,8 @@ def _suite_remainder(samples, s, lam):
         rows.append({"seed": spec.seed, "remainder": val})
         if val < -REMAINDER_TOL:
             ok = False
-            offender = offender or spec.seed
+            if offender is None:
+                offender = spec.seed
     worst = min(r["remainder"] for r in rows)
     return {"pass": ok, "worst_margin": worst, "violating_seed": offender, "samples": rows}
 
@@ -239,7 +240,8 @@ def _suite_virial(samples, s):
         rows.append({"seed": spec.seed, "lhs": lhs, "rhs": rhs, "rel_err": rel})
         if rel > VIRIAL_TOL:
             ok = False
-            offender = offender or spec.seed
+            if offender is None:
+                offender = spec.seed
     worst = max(r["rel_err"] for r in rows)
     return {"pass": ok, "worst_margin": VIRIAL_TOL - worst, "violating_seed": offender, "samples": rows}
 
@@ -271,7 +273,8 @@ def _suite_gns(samples, s, lam):
         rows.append({"seed": spec.seed, "ratio": ratio, "margin": margin})
         if margin < 0:
             ok = False
-            offender = offender or spec.seed
+            if offender is None:
+                offender = spec.seed
     return {
         "pass": ok,
         "family_spread": spread,
@@ -296,7 +299,8 @@ def _suite_interp(samples, target, s):
         rows.append({"seed": spec.seed, "lhs": lhs, "rhs_unnormalized": rhs, "ratio": ratio})
         if not np.isfinite(ratio):
             ok = False
-            offender = offender or spec.seed
+            if offender is None:
+                offender = spec.seed
     return {
         "pass": ok,
         "sigmas": list(transport.interp_sigmas(s, alpha, r)),
@@ -396,7 +400,7 @@ def cmd_riesz_convergence(args) -> int:
         n = 256 * 2**level
         grid = Grid.symmetric(2.0, n)
         dens = prof.sample(grid)
-        pot = riesz_potential(dens, RieszConfig(args.s, method=FFT))
+        pot = workspace(grid, args.s).potential(dens.values)
         mask = np.abs(grid.centers) <= 0.9 * prof.R
         ref = reference_potential(args.s, prof, grid.centers[mask])
         err = pot[mask] - ref

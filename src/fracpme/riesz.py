@@ -11,13 +11,18 @@ with that convention the difference and plain forms of the first derivative
 coincide, and a single implementation covers all three s-regimes. The
 fractional Laplacian of a plain grid function instead extends it by its
 boundary values, so constants map to zero.
+
+All sums of one (grid, s) go through one operator, `workspace(grid, s)`: it
+builds each weight family and its FFT spectrum the first time it is used,
+keeps them read-only, and is shared by every module. The free functions below
+delegate to it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
@@ -66,58 +71,59 @@ class RieszConfig:
     """Order and evaluation strategy for the nonlocal operators.
 
     direct_quadrature is the O(n^2) reference path; truncated_convolution is
-    the FFT path exploiting the Toeplitz structure. Exact antiderivative
-    weights make a local expansion radius of one cell sufficient; larger radii
-    are accepted and behave identically.
+    the FFT path exploiting the Toeplitz structure.
     """
 
     s: float
     method: str = FFT
-    singularity_radius: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise OutOfRange(f"s must be in (0, 1), got {self.s}")
         if self.method not in (DIRECT, FFT):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.singularity_radius < 1:
-            raise ValueError("singularity_radius must be >= 1")
 
-    @cached_property
-    def kernel(self) -> KernelCase:
-        return riesz_constant(self.s)
+
+def _cell_ends(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed offsets m, |m| < n, and the ends m h +- h/2 of the offset cell.
+
+    The ends are odd multiples of h/2, so no primitive is evaluated at 0.
+    """
+    m = np.arange(-(n - 1), n, dtype=float)
+    return m, m * h + h / 2, m * h - h / 2
+
+
+def _power(z: np.ndarray, p: float) -> np.ndarray:
+    """|z|^p, or log|z| at p = 0: the primitive behind every kernel weight."""
+    return np.log(np.abs(z)) if p == 0 else np.abs(z) ** p
 
 
 def _kernel_primitive(z: np.ndarray, s: float, c: float) -> np.ndarray:
     """Antiderivative of the potential kernel W (constants included)."""
     if s == 0.5:
-        out = np.zeros_like(z)
-        nz = z != 0.0
-        zn = z[nz]
-        out[nz] = -(zn * np.log(np.abs(zn)) - zn) / np.pi
-        return out
-    return c * np.sign(z) * np.abs(z) ** (2 * s) / (2 * s)
+        return -(z * _power(z, 0) - z) / np.pi
+    return c * np.sign(z) * _power(z, 2 * s) / (2 * s)
 
 
 def _kernel_values(z: np.ndarray, s: float, c: float) -> np.ndarray:
     """Pointwise potential kernel W(z) (constants included)."""
     if s == 0.5:
-        return -np.log(np.abs(z)) / np.pi
-    return c * np.abs(z) ** (2 * s - 1)
+        return -_power(z, 0) / np.pi
+    return c * _power(z, 2 * s - 1)
 
 
 def potential_weights(n: int, h: float, s: float) -> np.ndarray:
     """w[m+n-1] = integral of W over a cell at signed offset m, |m| < n."""
     c = riesz_constant(s).c
-    m = np.arange(-(n - 1), n, dtype=float)
-    return _kernel_primitive(m * h + h / 2, s, c) - _kernel_primitive(m * h - h / 2, s, c)
+    _, z_hi, z_lo = _cell_ends(n, h)
+    return _kernel_primitive(z_hi, s, c) - _kernel_primitive(z_lo, s, c)
 
 
 def gradient_weights(n: int, h: float, s: float) -> np.ndarray:
     """Cell integrals of W'; the central weight vanishes by symmetry."""
     c = riesz_constant(s).c
-    m = np.arange(-(n - 1), n, dtype=float)
-    v = _kernel_values(m * h + h / 2, s, c) - _kernel_values(m * h - h / 2, s, c)
+    _, z_hi, z_lo = _cell_ends(n, h)
+    v = _kernel_values(z_hi, s, c) - _kernel_values(z_lo, s, c)
     v[n - 1] = 0.0
     return v
 
@@ -126,7 +132,7 @@ def _moment_primitive(z: np.ndarray, s: float, c: float) -> np.ndarray:
     """Antiderivative of z * W'(z) (constants included)."""
     if s == 0.5:
         return -z / np.pi
-    return c * np.sign(z) * np.abs(z) ** (2 * s) * (2 * s - 1) / (2 * s)
+    return c * np.sign(z) * _power(z, 2 * s) * (2 * s - 1) / (2 * s)
 
 
 def gradient_slope_weights(n: int, h: float, s: float) -> np.ndarray:
@@ -139,30 +145,36 @@ def gradient_slope_weights(n: int, h: float, s: float) -> np.ndarray:
     (h/pi in the log regime).
     """
     c = riesz_constant(s).c
-    m = np.arange(-(n - 1), n, dtype=float)
-    z_hi, z_lo = m * h + h / 2, m * h - h / 2
+    m, z_hi, z_lo = _cell_ends(n, h)
     v = _kernel_values(z_hi, s, c) - _kernel_values(z_lo, s, c)
     v[n - 1] = 0.0
     dp = _moment_primitive(z_hi, s, c) - _moment_primitive(z_lo, s, c)
     return m * h * v - dp
 
 
-def hessian_weights(n: int, h: float, s: float) -> np.ndarray:
-    """Cell integrals of (2-2s)|z|^{2s-3} (no c_plus factor); central = 0."""
-    m = np.arange(-(n - 1), n, dtype=float)
-    z_hi = m * h + h / 2
-    z_lo = m * h - h / 2
+def _hessian_cells(n: int, h: float, s: float):
+    """Offsets, cell ends and the cell integrals of (2-2s)|z|^{2s-3} (no
+    c_plus factor, central weight 0)."""
+    m, z_hi, z_lo = _cell_ends(n, h)
 
     def primitive(z):
-        out = np.zeros_like(z)
-        nz = z != 0.0
-        zn = z[nz]
-        out[nz] = -np.sign(zn) * np.abs(zn) ** (2 * s - 2)
-        return out
+        return -np.sign(z) * _power(z, 2 * s - 2)
 
     u = primitive(z_hi) - primitive(z_lo)
     u[n - 1] = 0.0
-    return u
+    return m, z_hi, z_lo, u
+
+
+def _hessian_moment(z: np.ndarray, s: float) -> np.ndarray:
+    """Antiderivative of z (2-2s)|z|^{2s-3}: (2-2s)|z|^{2s-1}/(2s-1), or
+    log|z| at s = 1/2."""
+    q = 2 * s - 1
+    return _power(z, 0) if q == 0 else (2 - 2 * s) * _power(z, q) / q
+
+
+def hessian_weights(n: int, h: float, s: float) -> np.ndarray:
+    """Cell integrals of (2-2s)|z|^{2s-3} (no c_plus factor); central = 0."""
+    return _hessian_cells(n, h, s)[3]
 
 
 def hessian_slope_weights(n: int, h: float, s: float) -> np.ndarray:
@@ -171,22 +183,8 @@ def hessian_slope_weights(n: int, h: float, s: float) -> np.ndarray:
     Same role as gradient_slope_weights: makes the pair sum exact on
     piecewise-linear data. The central moment vanishes by symmetry.
     """
-    m = np.arange(-(n - 1), n, dtype=float)
-    z_hi, z_lo = m * h + h / 2, m * h - h / 2
-
-    def primitive(z):
-        out = np.zeros_like(z)
-        nz = z != 0.0
-        zn = z[nz]
-        if s == 0.5:
-            out[nz] = np.log(np.abs(zn))
-        else:
-            out[nz] = (2 - 2 * s) * np.abs(zn) ** (2 * s - 1) / (2 * s - 1)
-        return out
-
-    u = hessian_weights(n, h, s)
-    mh = primitive(z_hi) - primitive(z_lo)
-    out = m * h * u - mh
+    m, z_hi, z_lo, u = _hessian_cells(n, h, s)
+    out = m * h * u - (_hessian_moment(z_hi, s) - _hessian_moment(z_lo, s))
     out[n - 1] = 0.0
     return out
 
@@ -197,25 +195,13 @@ def hessian_quad_weights(n: int, h: float, s: float) -> np.ndarray:
     Includes the singular cell, where it reduces to the classical Taylor
     coefficient 2(1-s)(h/2)^{2s}/s of -u''/2.
     """
-    m = np.arange(-(n - 1), n, dtype=float)
-    z_hi, z_lo = m * h + h / 2, m * h - h / 2
+    m, z_hi, z_lo, u = _hessian_cells(n, h, s)
+    p1 = _hessian_moment(z_hi, s) - _hessian_moment(z_lo, s)
 
     def primitive(z):
         # antiderivative of z^2 (2-2s)|z|^{2s-3} = (2-2s)|z|^{2s-1}
-        return (2 - 2 * s) * np.sign(z) * np.abs(z) ** (2 * s) / (2 * s)
+        return (2 - 2 * s) * np.sign(z) * _power(z, 2 * s) / (2 * s)
 
-    def primitive1(z):
-        out = np.zeros_like(z)
-        nz = z != 0.0
-        zn = z[nz]
-        if s == 0.5:
-            out[nz] = np.log(np.abs(zn))
-        else:
-            out[nz] = (2 - 2 * s) * np.abs(zn) ** (2 * s - 1) / (2 * s - 1)
-        return out
-
-    u = hessian_weights(n, h, s)
-    p1 = primitive1(z_hi) - primitive1(z_lo)
     p2 = primitive(z_hi) - primitive(z_lo)
     out = (m * h) ** 2 * u - 2 * m * h * p1 + p2
     out[n - 1] = p2[n - 1]
@@ -224,10 +210,7 @@ def hessian_quad_weights(n: int, h: float, s: float) -> np.ndarray:
 
 def _convolve_direct(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
     n = v.size
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = np.dot(weights[i : i + n][::-1], v)
-    return out
+    return np.convolve(weights, v)[n - 1 : 2 * n - 1]
 
 
 def _convolve_fft(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -244,47 +227,74 @@ def toeplitz_apply(weights: np.ndarray, v: np.ndarray, method: str = FFT) -> np.
     return _convolve_fft(weights, v)
 
 
-class RieszWorkspace:
-    """Per-(grid, s) kernel cache with a shared-FFT fast path.
+FAMILIES = ("potential", "gradient", "gradient_slope", "hessian", "hessian_slope", "hessian_quad")
 
-    Used by the time stepper, which needs the potential and its derivative of
-    the same density every step.
+
+class RieszWorkspace:
+    """The nonlocal operator of one (grid, s).
+
+    Holds the six kernel weight families (FAMILIES), their FFT spectra and
+    the hessian row sum T·1, each built the first time it is used and kept
+    read-only. Obtain it through workspace(grid, s), which shares one
+    instance per (grid, s) between all modules.
     """
 
     def __init__(self, grid: Grid, s: float):
         self.grid = grid
         self.s = s
         self.kernel = riesz_constant(s)
-        n, h = grid.n, grid.h
-        self.w_pot = potential_weights(n, h, s)
-        self.w_grad = gradient_weights(n, h, s)
-        self.w_slope = gradient_slope_weights(n, h, s)
-        self._nfft = next_fast_len(3 * n - 2)
-        self._w_pot_f = rfft(self.w_pot, self._nfft)
-        self._w_grad_f = rfft(self.w_grad, self._nfft)
-        self._w_slope_f = rfft(self.w_slope, self._nfft)
+        self._nfft = next_fast_len(3 * grid.n - 2)
+        self._cache: dict = {}
 
-    def _apply(self, wf: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def _cached(self, key, build) -> np.ndarray:
+        value = self._cache.get(key)
+        if value is None:
+            value = build()
+            value.setflags(write=False)
+            self._cache[key] = value
+        return value
+
+    def weights(self, family: str) -> np.ndarray:
+        # the builder is looked up in the module namespace at call time, so a
+        # rebound builder (a profiler's wrapper, say) sees every build
+        builder = globals()[f"{family}_weights"]
+        return self._cached(family, lambda: builder(self.grid.n, self.grid.h, self.s))
+
+    def spectrum(self, family: str) -> np.ndarray:
+        return self._cached(("rfft", family), lambda: rfft(self.weights(family), self._nfft))
+
+    def row_sum(self, method: str = FFT) -> np.ndarray:
+        """Row sums T·1 of the hessian weights."""
+        return self._cached(("row_sum", method), lambda: self.apply("hessian", np.ones(self.grid.n), method))
+
+    def apply(self, family: str, values: np.ndarray, method: str = FFT) -> np.ndarray:
+        """Toeplitz sum of one weight family; DIRECT is the O(n^2) reference."""
+        if method == DIRECT:
+            return toeplitz_apply(self.weights(family), values, DIRECT)
         n = self.grid.n
-        full = irfft(wf * rfft(values, self._nfft), self._nfft)
+        full = irfft(self.spectrum(family) * rfft(values, self._nfft), self._nfft)
         return full[n - 1 : 2 * n - 1]
 
-    def potential(self, values: np.ndarray) -> np.ndarray:
-        return self._apply(self._w_pot_f, values)
+    def potential(self, values: np.ndarray, method: str = FFT) -> np.ndarray:
+        return self.apply("potential", values, method)
 
-    def gradient(self, values: np.ndarray) -> np.ndarray:
+    def gradient(self, values: np.ndarray, method: str = FFT) -> np.ndarray:
         slope = np.gradient(values, self.grid.h)
-        return self._apply(self._w_grad_f, values) + self._apply(self._w_slope_f, slope)
+        return self.apply("gradient", values, method) + self.apply("gradient_slope", slope, method)
 
     def potential_and_gradient(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = self.grid.n
-        vf = rfft(values, self._nfft)
-        pot = irfft(self._w_pot_f * vf, self._nfft)[n - 1 : 2 * n - 1]
-        conv = irfft(self._w_grad_f * vf, self._nfft)[n - 1 : 2 * n - 1]
-        slope = np.gradient(values, self.grid.h)
-        sf = rfft(slope, self._nfft)
-        grad = conv + irfft(self._w_slope_f * sf, self._nfft)[n - 1 : 2 * n - 1]
-        return pot, grad
+        """Both FFT fields of one density, sharing the transform of the values."""
+        n, nfft = self.grid.n, self._nfft
+        vf = rfft(values, nfft)
+        pot = irfft(self.spectrum("potential") * vf, nfft)[n - 1 : 2 * n - 1]
+        conv = irfft(self.spectrum("gradient") * vf, nfft)[n - 1 : 2 * n - 1]
+        return pot, conv + self.apply("gradient_slope", np.gradient(values, self.grid.h))
+
+
+@lru_cache(maxsize=32)
+def workspace(grid: Grid, s: float) -> RieszWorkspace:
+    """The shared operator of (grid, s); the 32 most recently used are kept."""
+    return RieszWorkspace(grid, s)
 
 
 def riesz_potential(rho: GridDensity, cfg: RieszConfig) -> np.ndarray:
@@ -294,14 +304,7 @@ def riesz_potential(rho: GridDensity, cfg: RieszConfig) -> np.ndarray:
     truncation; differences and derivatives remain truncation-robust because
     the density itself is tail-checked.
     """
-    w = potential_weights(rho.grid.n, rho.grid.h, cfg.s)
-    return toeplitz_apply(w, rho.values, cfg.method)
-
-
-def riesz_potential_of(values: np.ndarray, grid: Grid, s: float, method: str = FFT) -> np.ndarray:
-    """Same operator on a signed grid function (linearity makes this valid)."""
-    w = potential_weights(grid.n, grid.h, s)
-    return toeplitz_apply(w, np.asarray(values, dtype=float), method)
+    return workspace(rho.grid, cfg.s).potential(rho.values, cfg.method)
 
 
 def riesz_gradient(rho: GridDensity, cfg: RieszConfig) -> np.ndarray:
@@ -312,10 +315,7 @@ def riesz_gradient(rho: GridDensity, cfg: RieszConfig) -> np.ndarray:
     variation enters through a first-order derivative term whose coefficient
     is continuous across s = 1/2.
     """
-    n, h = rho.grid.n, rho.grid.h
-    conv = toeplitz_apply(gradient_weights(n, h, cfg.s), rho.values, cfg.method)
-    slope = np.gradient(rho.values, h)
-    return conv + toeplitz_apply(gradient_slope_weights(n, h, cfg.s), slope, cfg.method)
+    return workspace(rho.grid, cfg.s).gradient(rho.values, cfg.method)
 
 
 def regularity_warning(rho: GridDensity, s: float, where: str = "riesz_gradient") -> None:
@@ -357,21 +357,16 @@ def frac_laplacian(u: np.ndarray, grid: Grid, s: float, method: str = FFT) -> np
     (the latter covers the singular cell). Beyond the grid the function is
     extended by its boundary-cell values, so constants map to zero exactly.
     """
-    if not 0.0 < s < 1.0:
-        raise OutOfRange(f"s must be in (0, 1), got {s}")
     u = np.asarray(u, dtype=float)
-    n, h = grid.n, grid.h
-    c_plus = riesz_constant(s).c_plus
-    uw = hessian_weights(n, h, s)
-    conv = toeplitz_apply(uw, u, method)
-    row_sum = toeplitz_apply(uw, np.ones(n), method)
-    slope = np.gradient(u, h)
-    d2 = np.gradient(slope, h)
-    moment1 = toeplitz_apply(hessian_slope_weights(n, h, s), slope, method)
-    moment2 = toeplitz_apply(hessian_quad_weights(n, h, s), 0.5 * d2, method)
+    ws = workspace(grid, s)
+    slope = np.gradient(u, grid.h)
+    d2 = np.gradient(slope, grid.h)
+    conv = ws.apply("hessian", u, method)
+    moment1 = ws.apply("hessian_slope", slope, method)
+    moment2 = ws.apply("hessian_quad", 0.5 * d2, method)
     tail_l, tail_r = _exterior_hessian_tails(grid, s)
     exterior = (u - u[0]) * tail_l + (u - u[-1]) * tail_r
-    return c_plus * (u * row_sum - conv - moment1 - moment2 + exterior)
+    return ws.kernel.c_plus * (u * ws.row_sum(method) - conv - moment1 - moment2 + exterior)
 
 
 def riesz_second_derivative(rho: GridDensity, cfg: RieszConfig) -> np.ndarray:
@@ -400,10 +395,10 @@ def neg_sobolev_norm(u: np.ndarray, grid: Grid, s: float, method: str = FFT) -> 
         mean_free = abs(h * float(np.sum(u)))
         if mean_free > 1e-8 * (1.0 + h * float(np.sum(np.abs(u)))):
             warnings.warn("neg_sobolev_norm at s >= 1/2 expects a zero-mass input", stacklevel=2)
-    q = riesz_potential_of(u, grid, s, method)
-    val = h * float(np.sum(u * q))
+    ws = workspace(grid, s)
+    val = h * float(np.sum(u * ws.potential(u, method)))
     norm1 = h * float(np.sum(np.abs(u)))
-    kscale = max(1.0, abs(riesz_constant(s).c))
+    kscale = max(1.0, abs(ws.kernel.c))
     if val < -1e-8 * norm1**2 * kscale:
         raise NegativeBeyondTolerance(
             f"Riesz quadratic form came out {val!r} (scale {norm1**2 * kscale!r})"
@@ -427,15 +422,10 @@ def hdot_seminorm(u: np.ndarray, grid: Grid, r: float, method: str = FFT) -> flo
         raise OutOfRange(f"r must be in (0, 1/2), got {r}")
     u = np.asarray(u, dtype=float)
     n, h = grid.n, grid.h
-    m = np.arange(-(n - 1), n, dtype=float)
-    z_hi, z_lo = m * h + h / 2, m * h - h / 2
+    _, z_hi, z_lo = _cell_ends(n, h)
 
     def primitive(z):
-        out = np.zeros_like(z)
-        nz = z != 0.0
-        zn = z[nz]
-        out[nz] = -np.sign(zn) * np.abs(zn) ** (-2 * r) / (2 * r)
-        return out
+        return -np.sign(z) * _power(z, -2 * r) / (2 * r)
 
     w = primitive(z_hi) - primitive(z_lo)
     w[n - 1] = 0.0

@@ -22,7 +22,7 @@ from .errors import (
     OutsideSupport,
 )
 from .grid import Grid, GridDensity
-from .riesz import FFT, RieszConfig, potential_weights, riesz_potential
+from .riesz import FFT, RieszConfig, riesz_potential, workspace
 
 SUPPORT_THRESHOLD = 1e-6
 
@@ -59,6 +59,10 @@ def mass_of_radius(s: float, lam: float, R: float) -> float:
 
 def radius_of_mass(s: float, lam: float, M: float) -> float:
     """Invert the strictly increasing mass-radius relation."""
+    if lam <= 0:
+        raise NonPositive(f"lam must be > 0, got {lam}")
+    if M <= 0:
+        raise NonPositive(f"mass must be > 0, got {M}")
     coef = mass_of_radius(s, lam, 1.0)
     return float((M / coef) ** (1.0 / (3 - 2 * s)))
 
@@ -84,8 +88,6 @@ def barenblatt(
     if (mass is None) == (radius is None):
         raise ValueError("specify exactly one of mass= or radius=")
     if mass is not None:
-        if mass <= 0:
-            raise NonPositive(f"mass must be > 0, got {mass}")
         R = radius_of_mass(s, lam, mass)
         M = float(mass)
     else:
@@ -180,8 +182,8 @@ def discrete_minimizer(
     if not 0.0 < s < 0.5:
         raise OutOfRange(f"discrete minimizer implemented for s in (0, 1/2), got {s}")
     n, h, x = grid.n, grid.h, grid.centers
-    w = potential_weights(n, h, s)
     radius = radius_of_mass(s, lam, mass)
+    w = workspace(grid, s).weights("potential")
     active = np.abs(x) <= radius
     confinement = lam * x**2 / 2
     for _ in range(max_iter):

@@ -19,16 +19,7 @@ from .grid import (
     holder_seminorm,
     require_normalized,
 )
-from .riesz import (
-    FFT,
-    RieszConfig,
-    gradient_weights,
-    neg_sobolev_norm,
-    potential_weights,
-    regularity_warning,
-    riesz_gradient,
-    toeplitz_apply,
-)
+from .riesz import neg_sobolev_norm, regularity_warning, workspace
 
 W2_NODES_PER_CELL = 10
 
@@ -108,14 +99,12 @@ def _pv_map_term(rho: GridDensity, theta: np.ndarray, s: float) -> float:
     keeps the term accurate down to small s where the kernel is barely
     integrable.
     """
-    g = rho.grid
-    n, h = g.n, g.h
-    weights = gradient_weights(n, h, s)
+    ws = workspace(rho.grid, s)
     v = rho.values
     phi = theta - rho.x
-    conv_v = toeplitz_apply(weights, v)
-    conv_phiv = toeplitz_apply(weights, phi * v)
-    return 0.5 * h * float(np.sum(phi * v * conv_v) - np.sum(v * conv_phiv))
+    conv_v = ws.apply("gradient", v)
+    conv_phiv = ws.apply("gradient", phi * v)
+    return 0.5 * rho.grid.h * float(np.sum(phi * v * conv_v) - np.sum(v * conv_phiv))
 
 
 def hwi_terms(
@@ -151,7 +140,7 @@ def hwi_terms(
         integrand = lam * (x * (x - theta) - x**2 / 2 + theta**2 / 2 - (x - theta) ** 2 / 2)
         t2 = h * float(np.sum(v * integrand))
     else:
-        dlog = energy_mod._eps_log_gradient(rho, eps)
+        _, dlog = energy_mod._eps_log_terms(v, h, eps)
         vt = rho_target.values
         log_rho = np.where(v > 0, np.log(np.maximum(v, energy_mod.LOG_FLOOR)), 0.0)
         log_t = np.where(vt > 0, np.log(np.maximum(vt, energy_mod.LOG_FLOOR)), 0.0)
@@ -232,13 +221,12 @@ def gns_ratio(rho: GridDensity, s: float) -> float:
     """
     if not s < 0.5:
         raise ParameterOrder(f"gns ratio requires s < 1/2, got {s}")
-    cfg = RieszConfig(s, method=FFT)
+    ws = workspace(rho.grid, s)
     h = rho.grid.h
-    pot = toeplitz_apply(potential_weights(rho.grid.n, h, s), rho.values)
-    lhs = h * float(np.sum(rho.values * pot))
+    lhs = h * float(np.sum(rho.values * ws.potential(rho.values)))
     if lhs <= 0:
         raise DegenerateDenominator(f"interaction integral {lhs!r} <= 0 at s < 1/2")
-    grad = riesz_gradient(rho, cfg)
+    grad = ws.gradient(rho.values)
     grad_term = h * float(np.sum(rho.values * grad**2))
     theta = gns_theta(s)
     return float(rho.mass ** (2 - 3 * theta) * grad_term**theta / lhs)

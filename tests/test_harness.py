@@ -5,6 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from fracpme import energy as energy_mod
+from fracpme import harness
+from fracpme.grid import Grid
 from fracpme.harness import main
 
 RUN = [sys.executable, "-m", "fracpme.harness"]
@@ -30,6 +33,19 @@ class TestExitCodes:
 
     def test_bad_flag_is_config_error(self):
         assert main(["simulate", "--no-such-flag", "1"]) == 2
+
+    @pytest.mark.parametrize("lam", ["--lambda=-0.4", "--lambda=0"])
+    def test_nonpositive_lambda_is_config_error(self, tmp_path, lam):
+        assert main(["verify", lam, "--samples", "1", "--out", str(tmp_path / "report.json")]) == 2
+
+
+def test_first_violating_seed_is_reported_even_if_zero(monkeypatch):
+    samples = list(harness.fuzz_corpus(0, 3, Grid.symmetric(4.0, 256)))
+    remainders = {id(rho): -1.0 if spec.seed in (0, 1) else 1.0 for spec, rho in samples}
+    monkeypatch.setattr(energy_mod, "remainder_R", lambda rho, s, lam: remainders[id(rho)])
+    result = harness._suite_remainder(samples, 0.25, 0.4)
+    assert result["pass"] is False
+    assert result["violating_seed"] == 0
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
+from scipy.linalg import toeplitz
 
 from fracpme.errors import OutOfRange
 from fracpme.grid import DensitySpec, Grid, GridDensity, holder_seminorm, normalize, random_density
 from fracpme.riesz import (
     DIRECT,
+    FAMILIES,
     FFT,
     LOGARITHMIC,
     POWER_NEGATIVE,
@@ -17,8 +19,9 @@ from fracpme.riesz import (
     riesz_constant,
     riesz_gradient,
     riesz_potential,
-    riesz_potential_of,
     riesz_second_derivative,
+    toeplitz_apply,
+    workspace,
 )
 from fracpme.steady import barenblatt, steady_potential
 
@@ -105,7 +108,7 @@ class TestPotential:
         r1 = random_density(DensitySpec(seed=1), grid1024)
         r2 = random_density(DensitySpec(seed=2), grid1024)
         cfg = RieszConfig(S)
-        combo = riesz_potential_of(2.0 * r1.values + 3.0 * r2.values, grid1024, S)
+        combo = riesz_potential(GridDensity(grid1024, 2.0 * r1.values + 3.0 * r2.values), cfg)
         parts = 2.0 * riesz_potential(r1, cfg) + 3.0 * riesz_potential(r2, cfg)
         assert np.max(np.abs(combo - parts)) <= 1e-12 * np.max(np.abs(parts))
 
@@ -121,6 +124,18 @@ class TestPotential:
             pd = riesz_potential(rho, RieszConfig(s, method=DIRECT))
             pf = riesz_potential(rho, RieszConfig(s, method=FFT))
             assert np.max(np.abs(pd - pf)) <= 1e-13 * max(1.0, np.max(np.abs(pd)))
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_direct_matches_dense_toeplitz_product(self, s):
+        g = Grid.symmetric(3.0, 64)
+        n = g.n
+        v = random_density(DensitySpec(seed=7), g).values
+        for family in FAMILIES:
+            w = workspace(g, s).weights(family)
+            matrix = toeplitz(w[n - 1 :], w[n - 1 :: -1])
+            scale = np.max(np.abs(matrix) @ np.abs(v))
+            direct = toeplitz_apply(w, v, DIRECT)
+            assert np.max(np.abs(direct - matrix @ v)) <= 1e-14 * scale, family
 
     def test_grid_convergence_order(self):
         prof, _ = barenblatt(S, LAM, radius=1.0)

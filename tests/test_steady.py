@@ -200,6 +200,13 @@ class TestDiscreteMinimizer:
         sol = np.linalg.solve(system, np.concatenate([-LAM * x[idx] ** 2 / 2, [1.0]]))
         assert np.max(np.abs(v[idx] - sol[:m])) <= 1e-12 * np.max(np.abs(sol[:m]))
 
+    @pytest.mark.parametrize("lam, mass", [(-0.4, 1.0), (0.0, 1.0), (LAM, -1.0), (LAM, 0.0)])
+    def test_nonpositive_lam_or_mass_rejected(self, grid1024, lam, mass):
+        with pytest.raises(NonPositive):
+            radius_of_mass(S, lam, mass)
+        with pytest.raises(NonPositive):
+            discrete_minimizer(S, lam, grid1024, mass=mass)
+
     def test_split_active_set_raises(self, grid1024, monkeypatch):
         # a deep potential dip at the leftmost cell joins a detached cell to the active set
         true_potential = steady.riesz_potential
