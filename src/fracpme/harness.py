@@ -316,8 +316,14 @@ VERIFY_SUITES = ("hwi", "lsi", "talagrand", "gns", "lemmaE", "interp", "remainde
 
 
 def cmd_verify(args) -> int:
-    t0 = time.time()
-    suites = [s.strip() for s in args.suite.split(",") if s.strip()]
+    if args.samples < 1:
+        print(f"--samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.suite is None:
+        # lemmaE needs the sharp minimizer, so the eps default leaves it out
+        suites = [s for s in VERIFY_SUITES if not (args.eps and s == "lemmaE")]
+    else:
+        suites = [s.strip() for s in args.suite.split(",") if s.strip()]
     unknown = [s for s in suites if s not in VERIFY_SUITES]
     if unknown:
         print(f"unknown suite(s): {unknown}; choose from {VERIFY_SUITES}", file=sys.stderr)
@@ -511,10 +517,16 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise ValueError("--config needs a file path")
     path = Path(argv[i + 1])
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read --config file {str(path)!r}: {exc.strerror}") from exc
     rest = argv[:i] + argv[i + 2 :]
     extra: list[str] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -544,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     ver = sub.add_parser("verify", help="randomized inequality verification")
-    ver.add_argument("--suite", default=",".join(VERIFY_SUITES))
+    ver.add_argument("--suite", default=None, help="comma-separated; default all (without lemmaE at eps > 0)")
     ver.add_argument("--samples", type=int, default=200)
     ver.add_argument("--seed", type=int, default=42)
     ver.add_argument("--s", type=float, default=0.25)
@@ -583,10 +595,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_config_file(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config_file(argv))
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:

@@ -153,6 +153,50 @@ class TestHolderSeminorm:
         with pytest.raises(ValueError):
             holder_seminorm(np.ones(grid1024.n), grid1024, 1.5)
 
+    # The lag scan stops early; these compare it bitwise with every pair.
+
+    def test_exact_on_corpus_differences(self, grid1024, corpus40, minimizer_target):
+        for _, rho in corpus40[:20]:
+            u = rho.values - minimizer_target.values
+            assert holder_seminorm(u, grid1024, 0.75) == _all_pairs_holder(u, grid1024, 0.75)
+
+    def test_exact_on_linear_ramp(self, grid1024):
+        # the quotient is flat in the lag, so the scan cannot stop early
+        u = grid1024.centers
+        assert holder_seminorm(u, grid1024, 1.0) == _all_pairs_holder(u, grid1024, 1.0)
+
+    def test_exact_on_spike_and_constant(self, grid1024):
+        spike = np.zeros(grid1024.n)
+        spike[300] = 2.5
+        for u in (spike, -spike):
+            assert holder_seminorm(u, grid1024, 0.6) == _all_pairs_holder(u, grid1024, 0.6)
+        flat = np.full(grid1024.n, 0.3)
+        assert holder_seminorm(flat, grid1024, 0.6) == _all_pairs_holder(flat, grid1024, 0.6) == 0.0
+
+    def test_exact_on_barenblatt_edge(self, grid1024):
+        s = 0.25
+        prof, _ = barenblatt(s, 0.4, radius=1.0)
+        u = prof.evaluate(grid1024.centers)
+        assert holder_seminorm(u, grid1024, 1.0 - s) == _all_pairs_holder(u, grid1024, 1.0 - s)
+
+    def test_exact_on_stride_path(self):
+        g = Grid.symmetric(4.0, 8192)
+        u = random_density(DensitySpec(seed=7, n_bumps=4), g).values
+        assert holder_seminorm(u, g, 0.75) == _all_pairs_holder(u, g, 0.75)
+
+
+def _all_pairs_holder(u, grid, alpha):
+    """Brute-force max over every pair i < j of the (strided) samples, with the
+    denominators (lag * step)**alpha written as in `holder_seminorm`."""
+    stride = 1 if u.size <= 4096 else math.ceil(u.size / 4096)
+    us = np.asarray(u, dtype=float)[::stride]
+    step = grid.h * stride
+    scale = np.array([(m * step) ** alpha for m in range(1, us.size)])
+    best = 0.0
+    for i in range(us.size - 1):
+        best = max(best, float(np.max(np.abs(us[i + 1 :] - us[i]) / scale[: us.size - 1 - i])))
+    return best
+
 
 class TestRandomDensity:
     def test_deterministic_bitwise(self, grid1024):

@@ -1,14 +1,16 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fracpme import energy as energy_mod
-from fracpme import harness
-from fracpme.grid import Grid
+from fracpme import evolve, harness
+from fracpme.grid import Grid, normalize
 from fracpme.harness import main
+from fracpme.steady import discrete_minimizer
 
 RUN = [sys.executable, "-m", "fracpme.harness"]
 
@@ -37,6 +39,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("lam", ["--lambda=-0.4", "--lambda=0"])
     def test_nonpositive_lambda_is_config_error(self, tmp_path, lam):
         assert main(["verify", lam, "--samples", "1", "--out", str(tmp_path / "report.json")]) == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_unusable_samples_is_config_error(self, tmp_path, capsys, samples):
+        assert main(["verify", "--samples", samples, "--out", str(tmp_path / "report.json")]) == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 def test_first_violating_seed_is_reported_even_if_zero(monkeypatch):
@@ -296,6 +304,20 @@ class TestVerifyCli:
         assert code == 0
         assert json.loads(out.read_text())["pass"] is True
 
+    def test_eps_default_suites_leave_out_lemmaE(self, tmp_path, monkeypatch):
+        # stub the ~20 s eps march with the sharp minimizer; only the suite list is under test
+        calls = []
+
+        def fake_steady_state_eps(cfg):
+            calls.append(cfg.eps)
+            return SimpleNamespace(density=normalize(discrete_minimizer(cfg.s, cfg.lam, cfg.grid)))
+
+        monkeypatch.setattr(evolve, "steady_state_eps", fake_steady_state_eps)
+        out = tmp_path / "eps.json"
+        assert main(["verify", "--eps", "0.01", "--samples", "3", "--out", str(out)]) == 0
+        assert calls == [0.01]
+        assert set(json.loads(out.read_text())["suites"]) == set(harness.VERIFY_SUITES) - {"lemmaE"}
+
     def test_report_names_corpus(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["verify", "--suite", "virial", "--samples", "3", "--out", str(out)]) == 0
@@ -378,6 +400,15 @@ class TestConfigFile:
         report = json.loads(out.read_text())
         assert report["corpus"]["samples"] == 2  # flag beats file
         assert report["corpus"]["seed"] == 7  # file fills the gap
+
+    def test_missing_path_is_config_error(self, capsys):
+        assert main(["verify", "--config"]) == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_unreadable_file_is_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert main(["verify", "--config", str(missing)]) == 2
+        assert "missing.cfg" in capsys.readouterr().err
 
 
 class TestDeterminism:
