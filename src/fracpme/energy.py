@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeRemainder
-from .grid import GridDensity, moment, require_normalized
+from .grid import Grid, GridDensity, moment, require_normalized
 from .riesz import workspace
 
 LOG_FLOOR = 1e-300
@@ -23,9 +23,6 @@ class PotentialField:
 
     xi: np.ndarray
     dxi: np.ndarray
-    s: float
-    lam: float
-    eps: float
 
 
 def _eps_log_terms(v: np.ndarray, h: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -44,20 +41,29 @@ def _entropy_density(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0.0, v * np.log(np.maximum(v, LOG_FLOOR)), 0.0)
 
 
+def _velocity_fields(grid: Grid, v: np.ndarray, grad: np.ndarray, lam: float, eps: float):
+    """Gradients of the driving potential at the grid values v, from the
+    gradient grad of their Riesz potential: the diffusion-free part
+    dxi0 = grad + lam x, the full dxi (dxi0 plus the eps log-term gradient),
+    and eps log rho (None at eps = 0). The flow velocity is -dxi."""
+    dxi0 = grad + lam * grid.centers
+    if eps > 0:
+        log_term, log_gradient = _eps_log_terms(v, grid.h, eps)
+        return dxi0, dxi0 + log_gradient, log_term
+    return dxi0, dxi0, None
+
+
 def potential_xi(rho: GridDensity, s: float, lam: float, eps: float = 0.0) -> PotentialField:
     """Assemble the driving potential and the velocity field of the flow."""
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     require_normalized(rho)
-    x = rho.x
     ws = workspace(rho.grid, s)
-    xi = ws.potential(rho.values) + lam * x**2 / 2
-    dxi = ws.gradient(rho.values) + lam * x
-    if eps > 0:
-        log_term, log_gradient = _eps_log_terms(rho.values, rho.grid.h, eps)
+    _, dxi, log_term = _velocity_fields(rho.grid, rho.values, ws.gradient(rho.values), lam, eps)
+    xi = ws.potential(rho.values) + lam * rho.x**2 / 2
+    if log_term is not None:
         xi = xi + log_term
-        dxi = dxi + log_gradient
-    return PotentialField(xi=xi, dxi=dxi, s=s, lam=lam, eps=eps)
+    return PotentialField(xi=xi, dxi=dxi)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,14 @@ class SolverConfig:
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
         if self.snapshot_every <= 0:
             raise ValueError(f"snapshot_every must be > 0, got {self.snapshot_every}")
+        if self.init is not None:
+            # compare centers, not Grid fields: a CSV round trip can move x_max by an ulp
+            on = self.init.grid
+            if on.n != self.grid.n or np.max(np.abs(on.centers - self.grid.centers)) > 1e-9 * self.grid.h:
+                raise ValueError(
+                    f"init density is on {on.n} cells over [{on.x_min}, {on.x_max}], "
+                    f"not the run's {self.grid.n} over [{self.grid.x_min}, {self.grid.x_max}]"
+                )
 
 
 class _Stepper:
@@ -81,41 +89,40 @@ class _Stepper:
         self.h = cfg.grid.h
 
     def fields(self, v: np.ndarray):
-        """Potential, velocity parts and scalar diagnostics for a state."""
-        cfg = self.cfg
+        """Riesz potential, diffusion-free and full potential gradients of a state."""
         pot, grad = self.ws.potential_and_gradient(v)
-        dxi0 = grad + cfg.lam * self.x
-        if cfg.eps > 0:
-            return pot, dxi0, dxi0 + energy_mod._eps_log_terms(v, self.h, cfg.eps)[1]
-        return pot, dxi0, dxi0
+        dxi0, dxi, _ = energy_mod._velocity_fields(self.cfg.grid, v, grad, self.cfg.lam, self.cfg.eps)
+        return pot, dxi0, dxi
 
-    def energy_eps(self, v: np.ndarray, pot: np.ndarray) -> float:
+    def energies(self, v: np.ndarray, pot: np.ndarray) -> tuple[float, float]:
+        """Free energy without and with the eps entropy term."""
         cfg, h, x = self.cfg, self.h, self.x
         inter = 0.5 * h * float(np.sum(v * pot))
         conf = cfg.lam / 2 * h * float(np.sum(x * x * v))
+        e = inter + conf
         if cfg.eps == 0:
-            return inter + conf
-        return inter + conf + cfg.eps * h * float(np.sum(energy_mod._entropy_density(v)))
+            return e, e
+        return e, e + cfg.eps * h * float(np.sum(energy_mod._entropy_density(v)))
 
-    def max_velocity(self, dxi: np.ndarray) -> float:
-        return float(np.max(np.abs(dxi)))
+    def _rate(self, dxi0: np.ndarray) -> float:
+        """Advective plus linear-diffusive rate of one explicit step."""
+        return float(np.max(np.abs(dxi0))) / self.h + 2 * self.cfg.eps / self.h**2
 
-    def cfl_dt(self, dxi: np.ndarray, v: np.ndarray | None = None, stiff: bool = False) -> float:
-        """Stable step from the advective and linear-diffusive rates.
+    def step_size(self, v: np.ndarray, dxi0: np.ndarray, t: float) -> float:
+        """The step taken from time t: the fixed dt if one is set, else cfl
+        over the advective, linear-diffusive and nonlinear fractional-diffusion
+        rates, cut so the run ends at t_end.
 
-        With stiff=True the nonlinear fractional-diffusion rate
-        rho_max (pi/h)^{2-2s} / 2 is included as well; face-averaged
-        velocities damp the worst grid modes, so the plain advective bound
-        is adequate for finite-horizon runs, but near a steady state (where
-        upwind damping vanishes) the stiff bound is needed.
+        The fractional-diffusion rate rho_max (pi/h)^{2-2s} / 2 matters near a
+        steady state, where upwind damping vanishes and the advective bound
+        alone lets grid oscillations grow.
         """
-        cfg, h = self.cfg, self.h
-        rate = self.max_velocity(dxi) / h + 2 * cfg.eps / h**2
-        if stiff and v is not None:
-            rate += 0.5 * float(np.max(v)) * (np.pi / h) ** (2 - 2 * cfg.s)
-        if rate == 0.0:
-            return cfg.t_end
-        return cfg.cfl / rate
+        cfg = self.cfg
+        dt = cfg.dt
+        if dt is None:
+            rate = self._rate(dxi0) + 0.5 * float(np.max(v)) * (np.pi / self.h) ** (2 - 2 * cfg.s)
+            dt = cfg.cfl / rate
+        return min(dt, cfg.t_end - t)
 
     def advance(self, v: np.ndarray, dxi0: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
         """One conservative upwind step; returns new state and clamped mass.
@@ -124,7 +131,7 @@ class _Stepper:
         term enters through the centered diffusive flux, not the velocity.
         """
         cfg, h = self.cfg, self.h
-        bound = self.cfl_dt(dxi0)
+        bound = cfg.cfl / self._rate(dxi0)
         if dt > bound * (1 + 1e-9):
             raise CflViolation(f"dt={dt} exceeds stability bound {bound}")
         vel = -0.5 * (dxi0[:-1] + dxi0[1:])  # interior faces
@@ -144,7 +151,7 @@ class _Stepper:
         return out, clamped
 
 
-def fv_step(rho: GridDensity, cfg: SolverConfig, dt: float | None = None) -> GridDensity:
+def fv_step(rho: GridDensity, cfg: SolverConfig, dt: float) -> GridDensity:
     """Single explicit conservative step of the flow.
 
     Upwind advective flux with face velocities averaged from cell centers,
@@ -153,8 +160,6 @@ def fv_step(rho: GridDensity, cfg: SolverConfig, dt: float | None = None) -> Gri
     """
     stepper = _Stepper(cfg)
     _, dxi0, _ = stepper.fields(rho.values)
-    if dt is None:
-        dt = cfg.dt if cfg.dt is not None else stepper.cfl_dt(dxi0, rho.values, stiff=True)
     out, _ = stepper.advance(rho.values, dxi0, dt)
     return GridDensity(cfg.grid, out)
 
@@ -221,7 +226,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
 
     while True:
         pot, dxi0, dxi = stepper.fields(v)
-        e_eps = stepper.energy_eps(v, pot)
+        e, e_eps = stepper.energies(v, pot)
         i0 = h * float(np.sum(v * dxi0 * dxi0))
         i_eps = i0 if cfg.eps == 0 else h * float(np.sum(v * dxi * dxi))
         if e_prev is not None and e_eps > e_prev + LYAPUNOV_SLACK:
@@ -242,11 +247,9 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
             if float(np.max(np.abs(direct - pot))) > 1e-10 * scale:
                 raise Inconsistent(f"fast-path potential drifted from the direct sum at t={t}")
             snap = GridDensity(cfg.grid, v)
-            e_conf = cfg.lam / 2 * h * float(np.sum(x * x * v))
-            e_inter = 0.5 * h * float(np.sum(v * pot))
             times.append(t)
             snapshots.append(snap)
-            diag["E"].append(e_inter + e_conf)
+            diag["E"].append(e)
             diag["E_eps"].append(e_eps)
             diag["I"].append(i0)
             diag["I_eps"].append(i_eps)
@@ -262,8 +265,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         if t >= cfg.t_end - 1e-12:
             break
 
-        dt = cfg.dt if cfg.dt is not None else stepper.cfl_dt(dxi0, v, stiff=True)
-        dt = min(dt, cfg.t_end - t)
+        dt = stepper.step_size(v, dxi0, t)
         v, clamped = stepper.advance(v, dxi0, dt)
         max_clamped = max(max_clamped, clamped)
         t += dt
@@ -325,7 +327,6 @@ def fit_decay(
     quantity: str,
     window: tuple[float, float],
     prefactor: float | None = None,
-    bound_rate: float | None = None,
 ) -> DecayFit:
     """Least-squares slope of log(quantity) over the window, plus the check
     quantity(t) <= 1.05 * prefactor * exp(-bound_rate t) at every sample.
@@ -343,8 +344,7 @@ def fit_decay(
     if np.any(q <= 0):
         raise NonpositiveQuantity(f"{quantity} is not positive on the window")
     slope = float(np.polyfit(t[sel], np.log(q), 1)[0])
-    if bound_rate is None:
-        bound_rate = BOUND_RATES[quantity](traj.config.lam, traj.config.s)
+    bound_rate = BOUND_RATES[quantity](traj.config.lam, traj.config.s)
     if prefactor is None:
         prefactor = float(series[0])
     envelope = (1 + BOUND_TOL) * prefactor * np.exp(-bound_rate * t[sel])
@@ -406,7 +406,7 @@ class EpsSteadyResult:
     dissipation: float
 
 
-def steady_state_eps(cfg: SolverConfig, raise_on_fail: bool = True) -> EpsSteadyResult:
+def steady_state_eps(cfg: SolverConfig) -> EpsSteadyResult:
     """Minimizer of the eps-regularized energy by long-time integration.
 
     Starts from the sampled sharp steady profile and marches until the
@@ -416,7 +416,8 @@ def steady_state_eps(cfg: SolverConfig, raise_on_fail: bool = True) -> EpsSteady
     so the genuine fixed point is detected by stationarity: the scheme
     reaches flux balance to machine precision long before the dissipation
     threshold could be met. The result is strictly positive everywhere,
-    unlike the compactly supported eps = 0 profile.
+    unlike the compactly supported eps = 0 profile. Raises NotConverged when
+    neither happens by t_end.
     """
     if not 0.0 < cfg.eps < cfg.lam / (2 * np.pi):
         raise EpsilonOutOfRange(
@@ -438,10 +439,7 @@ def steady_state_eps(cfg: SolverConfig, raise_on_fail: bool = True) -> EpsSteady
         i_eps = h * float(np.sum(v * dxi * dxi))
         if i_eps < EPS_STEADY_TOL:
             return EpsSteadyResult(GridDensity(cfg.grid, v), True, t, i_eps)
-        # near the fixed point upwind damping vanishes; the nonlocal
-        # diffusion stiffness must cap the step to avoid grid oscillation
-        dt = cfg.dt if cfg.dt is not None else stepper.cfl_dt(dxi0, v, stiff=True)
-        dt = min(dt, cfg.t_end - t)
+        dt = stepper.step_size(v, dxi0, t)
         v_new, _ = stepper.advance(v, dxi0, dt)
         moved = float(np.max(np.abs(v_new - v))) / dt
         v = v_new
@@ -450,6 +448,4 @@ def steady_state_eps(cfg: SolverConfig, raise_on_fail: bool = True) -> EpsSteady
             _, _, dxi = stepper.fields(v)
             i_eps = h * float(np.sum(v * dxi * dxi))
             return EpsSteadyResult(GridDensity(cfg.grid, v), True, t, i_eps)
-    if raise_on_fail:
-        raise NotConverged(f"I_eps = {i_eps} > {EPS_STEADY_TOL} at t_max = {cfg.t_end}")
-    return EpsSteadyResult(GridDensity(cfg.grid, v), False, t, i_eps)
+    raise NotConverged(f"I_eps = {i_eps} > {EPS_STEADY_TOL} at t_max = {cfg.t_end}")

@@ -81,13 +81,13 @@ class GridDensity:
     def x(self) -> np.ndarray:
         return self.grid.centers
 
-    def is_normalized(self, tol: float = NORMALIZED_TOL) -> bool:
-        return abs(self.mass - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.mass - 1.0) <= NORMALIZED_TOL
 
 
-def require_normalized(rho: GridDensity, what: str = "density") -> None:
+def require_normalized(rho: GridDensity) -> None:
     if not rho.is_normalized():
-        raise NotNormalized(f"{what} has mass {rho.mass!r}, expected 1 within {NORMALIZED_TOL}")
+        raise NotNormalized(f"density has mass {rho.mass!r}, expected 1 within {NORMALIZED_TOL}")
 
 
 def normalize(rho: GridDensity) -> GridDensity:
@@ -231,12 +231,10 @@ class DensitySpec:
 ENVELOPE_RATE = 2.0
 
 
-def random_density(spec: DensitySpec, grid: Grid | None = None) -> GridDensity:
+def random_density(spec: DensitySpec, grid: Grid) -> GridDensity:
     """Deterministic unit-mass density for a spec: Gaussian bumps times
     exp(-2|x|). The first bump is centered, so single-bump specs are even.
     """
-    if grid is None:
-        grid = Grid.symmetric(4.0, 1024)
     rng = np.random.default_rng(spec.seed)
     x = grid.centers
     scale = spec.support_scale

@@ -246,7 +246,7 @@ def _suite_virial(samples, s):
     return {"pass": ok, "worst_margin": VIRIAL_TOL - worst, "violating_seed": offender, "samples": rows}
 
 
-def barenblatt_family(s: float, lam: float, grid: Grid):
+def barenblatt_family(s: float, grid: Grid):
     """Twelve-member amplitude/radius/center sweep of the profile shape."""
     members = [(a, r, 0.0) for a in (0.5, 1.0, 2.0) for r in (0.5, 1.0, 2.0)]
     members += [(1.0, 1.0, 0.3), (0.5, 2.0, 0.3), (2.0, 0.5, 0.3)]
@@ -256,10 +256,10 @@ def barenblatt_family(s: float, lam: float, grid: Grid):
         yield (amp, rad, x0), GridDensity(grid, vals)
 
 
-def _suite_gns(samples, s, lam):
+def _suite_gns(samples, s):
     fam_grid = Grid.symmetric(4.0, 4096)
     fam = []
-    for (amp, rad, x0), dens in barenblatt_family(s, lam, fam_grid):
+    for (amp, rad, x0), dens in barenblatt_family(s, fam_grid):
         fam.append({"A": amp, "R": rad, "x0": x0, "ratio": transport.gns_ratio(dens, s)})
     ratios = np.array([f["ratio"] for f in fam])
     spread = float((ratios.max() - ratios.min()) / ratios.mean())
@@ -364,7 +364,7 @@ def cmd_verify(args) -> int:
     if "virial" in suites:
         report["suites"]["virial"] = _suite_virial(corpus, args.s)
     if "gns" in suites:
-        report["suites"]["gns"] = _suite_gns(corpus, args.s, lam)
+        report["suites"]["gns"] = _suite_gns(corpus, args.s)
     if "interp" in suites:
         report["suites"]["interp"] = _suite_interp(corpus, target, args.s)
 
@@ -397,6 +397,9 @@ def reference_potential(s: float, prof: steady.BarenblattProfile, xs: np.ndarray
 
 
 def cmd_riesz_convergence(args) -> int:
+    if args.levels < 2:
+        print(f"--levels must be at least 2 to observe an order, got {args.levels}", file=sys.stderr)
+        return EXIT_CONFIG
     lam = 0.4
     prof, _ = steady.barenblatt(args.s, lam, radius=1.0)
     rows = []
@@ -446,14 +449,14 @@ def cmd_decay_fit(args) -> int:
         return EXIT_CONFIG
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     cfgd = manifest["config"]
-    s, lam = cfgd["s"], cfgd["lambda"]
+    s, lam, eps = cfgd["s"], cfgd["lambda"], cfgd["eps"]
     grid = Grid.symmetric(cfgd["xmax"], cfgd["grid_n"])
     _, dens = steady.barenblatt(s, lam, mass=1.0, grid=grid)
     target = normalize(dens)
     e_target = energy_mod.energy(target, s, lam, 0.0).total
 
     times, cols = _load_trajectory_csv(traj_path)
-    cfg = evolve.SolverConfig(s=s, grid=grid, lam=lam, t_end=float(times[-1]) or 1.0)
+    cfg = evolve.SolverConfig(s=s, grid=grid, lam=lam, eps=eps, t_end=float(times[-1]) or 1.0)
     traj = evolve.Trajectory(
         config=cfg,
         times=times,
@@ -461,7 +464,7 @@ def cmd_decay_fit(args) -> int:
         diagnostics=cols,
         target=target,
         e_target=e_target,
-        e_eps_target=e_target,
+        e_eps_target=energy_mod.energy(target, s, lam, eps).total,
     )
     lo, hi = (float(v) for v in args.window.split(":"))
     prefactor = None
@@ -573,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     df = sub.add_parser("decay-fit", help="exponential-rate fit of a trajectory diagnostic")
     df.add_argument("--traj", required=True)
-    df.add_argument("--quantity", default="E_gap")
+    df.add_argument("--quantity", default="E_gap", choices=list(evolve.BOUND_RATES))
     df.add_argument("--window", default="0.5:5.0")
     df.add_argument("--manifest", default=None)
     df.add_argument("--out", default=None)

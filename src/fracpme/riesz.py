@@ -318,8 +318,9 @@ def riesz_gradient(rho: GridDensity, cfg: RieszConfig) -> np.ndarray:
     return workspace(rho.grid, cfg.s).gradient(rho.values, cfg.method)
 
 
-def regularity_warning(rho: GridDensity, s: float, where: str = "riesz_gradient") -> None:
-    """Heuristic check of the Holder hypothesis behind the derivative formulas.
+def regularity_warning(rho: GridDensity, s: float) -> None:
+    """Heuristic check of the Holder hypothesis behind the derivative formulas
+    used by hwi_terms.
 
     A grid function cannot certify Holder continuity; we warn when the finest
     available alpha-quotient is within a factor two of a one-cell jump of the
@@ -335,7 +336,7 @@ def regularity_warning(rho: GridDensity, s: float, where: str = "riesz_gradient"
     jump = rng / h**alpha
     if quotient >= 0.5 * jump:
         warnings.warn(
-            f"{where}: density looks rough at the grid scale "
+            f"hwi_terms: density looks rough at the grid scale "
             f"(alpha-quotient {quotient:.3g} vs jump scale {jump:.3g})",
             stacklevel=3,
         )
@@ -383,7 +384,7 @@ def riesz_second_derivative(rho: GridDensity, cfg: RieszConfig) -> np.ndarray:
     return -frac_laplacian(rho.values, rho.grid, cfg.s, cfg.method)
 
 
-def neg_sobolev_norm(u: np.ndarray, grid: Grid, s: float, method: str = FFT) -> float:
+def neg_sobolev_norm(u: np.ndarray, grid: Grid, s: float) -> float:
     """Negative-order Sobolev norm: sqrt of the Riesz quadratic form of u.
 
     For s >= 1/2 the double integral is truncation-sensitive unless u has
@@ -396,7 +397,7 @@ def neg_sobolev_norm(u: np.ndarray, grid: Grid, s: float, method: str = FFT) -> 
         if mean_free > 1e-8 * (1.0 + h * float(np.sum(np.abs(u)))):
             warnings.warn("neg_sobolev_norm at s >= 1/2 expects a zero-mass input", stacklevel=2)
     ws = workspace(grid, s)
-    val = h * float(np.sum(u * ws.potential(u, method)))
+    val = h * float(np.sum(u * ws.potential(u)))
     norm1 = h * float(np.sum(np.abs(u)))
     kscale = max(1.0, abs(ws.kernel.c))
     if val < -1e-8 * norm1**2 * kscale:
@@ -412,32 +413,26 @@ def hdot_normalization(r: float) -> float:
     return float(4.0**r * r * gamma(0.5 + r) / (2.0 * np.sqrt(np.pi) * gamma(1.0 - r)))
 
 
-def hdot_seminorm(u: np.ndarray, grid: Grid, r: float, method: str = FFT) -> float:
+def hdot_seminorm(u: np.ndarray, grid: Grid, r: float) -> float:
     """Homogeneous Sobolev seminorm of positive order r in (0, 1/2).
 
     Double-sum over cell pairs with exact inner-cell kernel integrals; each
-    diagonal cell contributes its piecewise-linear model exactly.
+    diagonal cell contributes its piecewise-linear model exactly. The pair
+    kernel |z|^{-1-2r} is 1/(2r) times the hessian kernel of order 1 - r, so
+    the sums run on the shared operator of (grid, 1 - r).
     """
     if not 0.0 < r < 0.5:
         raise OutOfRange(f"r must be in (0, 1/2), got {r}")
     u = np.asarray(u, dtype=float)
-    n, h = grid.n, grid.h
-    _, z_hi, z_lo = _cell_ends(n, h)
-
-    def primitive(z):
-        return -np.sign(z) * _power(z, -2 * r) / (2 * r)
-
-    w = primitive(z_hi) - primitive(z_lo)
-    w[n - 1] = 0.0
-    row_sum = toeplitz_apply(w, np.ones(n), method)
-    conv_u = toeplitz_apply(w, u, method)
-    conv_u2 = toeplitz_apply(w, u * u, method)
-    pair = h * float(np.sum(u * u * row_sum - 2.0 * u * conv_u + conv_u2))
+    h = grid.h
+    ws = workspace(grid, 1 - r)
+    conv_u = ws.apply("hessian", u)
+    conv_u2 = ws.apply("hessian", u * u)
+    pair = h * float(np.sum(u * u * ws.row_sum() - 2.0 * u * conv_u + conv_u2)) / (2 * r)
     slope = np.gradient(u, h)
     diag = float(np.sum(slope**2)) * 2.0 * h ** (3 - 2 * r) / ((2 - 2 * r) * (3 - 2 * r))
     # pairs with one point beyond the grid (both orderings), u zero outside
-    x = grid.centers
-    ext = (np.abs(x - grid.x_max) ** (-2 * r) + np.abs(x - grid.x_min) ** (-2 * r)) / (2 * r)
-    exterior = 2.0 * h * float(np.sum(u * u * ext))
+    tail_l, tail_r = _exterior_hessian_tails(grid, 1 - r)
+    exterior = 2.0 * h * float(np.sum(u * u * (tail_l + tail_r))) / (2 * r)
     total = hdot_normalization(r) * (pair + diag + exterior)
     return float(np.sqrt(max(total, 0.0)))

@@ -25,6 +25,7 @@ from .grid import Grid, GridDensity
 from .riesz import FFT, RieszConfig, riesz_potential, workspace
 
 SUPPORT_THRESHOLD = 1e-6
+MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,6 @@ def discrete_minimizer(
     lam: float,
     grid: Grid,
     mass: float = 1.0,
-    max_iter: int = 60,
 ) -> GridDensity:
     """Minimizer of the grid energy itself, via the obstacle-problem KKT
     system: potential + confinement equals a constant on the active cells
@@ -186,7 +186,7 @@ def discrete_minimizer(
     w = workspace(grid, s).weights("potential")
     active = np.abs(x) <= radius
     confinement = lam * x**2 / 2
-    for _ in range(max_iter):
+    for _ in range(MAX_SWEEPS):
         idx = np.flatnonzero(active)
         m = idx.size
         if m == 0:
@@ -215,7 +215,7 @@ def discrete_minimizer(
                 active[violated] = True
                 continue
         return GridDensity(grid, values)
-    raise NotConverged(f"obstacle active-set iteration did not settle in {max_iter} sweeps")
+    raise NotConverged(f"obstacle active-set iteration did not settle in {MAX_SWEEPS} sweeps")
 
 
 @dataclass(frozen=True)

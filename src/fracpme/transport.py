@@ -42,11 +42,10 @@ def w2(rho1: GridDensity, rho2: GridDensity) -> float:
 
 @dataclass(frozen=True)
 class TransportPlan1D:
-    """Monotone map theta with theta#source = target and its quadratic cost."""
+    """Monotone map theta pushing the source density onto the target, and
+    its quadratic cost."""
 
     theta: np.ndarray
-    source: GridDensity
-    target: GridDensity
     cost: float
 
 
@@ -61,7 +60,7 @@ def monotone_map(rho1: GridDensity, rho2: GridDensity) -> TransportPlan1D:
     f2 = cdf_quantile(rho2)
     theta = f2(np.clip(f1.cdf(rho1.x), 0.0, 1.0))
     cost = rho1.grid.h * float(np.sum(rho1.values * (rho1.x - theta) ** 2))
-    return TransportPlan1D(theta=theta, source=rho1, target=rho2, cost=cost)
+    return TransportPlan1D(theta=theta, cost=cost)
 
 
 @dataclass
@@ -79,7 +78,6 @@ class InequalityReport:
     T1: float | None = None
     T2: float | None = None
     T3: float | None = None
-    gns_ratio: float | None = None
     scale: float = 1.0
     extras: dict = field(default_factory=dict)
 
@@ -112,7 +110,7 @@ def hwi_terms(
     rho_target: GridDensity,
     s: float,
     lam: float,
-    eps: float = 0.0,
+    eps: float,
 ) -> InequalityReport:
     """Three-term anatomy of the entropy/distance/dissipation inequality.
 
@@ -124,7 +122,7 @@ def hwi_terms(
     _check_eps(eps, lam)
     require_normalized(rho)
     require_normalized(rho_target)
-    regularity_warning(rho, s, where="hwi_terms")
+    regularity_warning(rho, s)
     plan = monotone_map(rho, rho_target)
     theta = plan.theta
     g = rho.grid
@@ -163,8 +161,8 @@ def inequality_report(
     rho: GridDensity,
     s: float,
     lam: float,
-    eps: float = 0.0,
-    target: GridDensity | None = None,
+    eps: float,
+    target: GridDensity,
 ) -> InequalityReport:
     """Signed margins of the four inequalities against the given target.
 
@@ -174,8 +172,6 @@ def inequality_report(
     """
     _check_eps(eps, lam)
     require_normalized(rho)
-    if target is None:
-        raise ValueError("inequality_report needs the steady target density")
     require_normalized(target)
 
     e_rho = energy_mod.energy(rho, s, lam, eps).total

@@ -1,11 +1,42 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fracpme
 from fracpme.grid import Grid, normalize
 from fracpme.harness import fuzz_corpus
 from fracpme.steady import barenblatt
 
 S_DEFAULT = 0.25
 LAM_DEFAULT = 0.4
+
+
+def run_cli(args, threads: str | None = None, cwd=None) -> subprocess.CompletedProcess:
+    """Run `python -m fracpme.harness ARGS` in a child process, optionally at
+    a fixed BLAS/OpenMP thread count.
+
+    The child gets the absolute root of the imported package first on its
+    PYTHONPATH: a relative entry (pytest's `pythonpath = ["src"]`, or
+    `PYTHONPATH=src`) does not reach a child, or stops resolving once the
+    child runs in another directory.
+    """
+    env = os.environ.copy()
+    if threads is not None:
+        # OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS
+        env["OMP_NUM_THREADS"] = threads
+        env["OPENBLAS_NUM_THREADS"] = threads
+    package_root = str(Path(fracpme.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fracpme.harness", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -2,16 +2,12 @@
 pass/fail line per criterion. Heavy runs are shared through session fixtures.
 """
 
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_cli
 
-import fracpme
 from fracpme.energy import energy, remainder_R, virial_check
 from fracpme.evolve import SolverConfig, fit_decay, integrate, steady_state_eps
 from fracpme.grid import Grid, GridDensity, moment, normalize
@@ -254,7 +250,7 @@ def test_criterion_6_eps_suite(corpus200, eps):
 def test_criterion_7_gns_product_form(corpus200):
     _, corpus = corpus200
     fam_grid = Grid.symmetric(4.0, 4096)
-    ratios = np.array([gns_ratio(dens, 0.25) for _, dens in barenblatt_family(0.25, LAM, fam_grid)])
+    ratios = np.array([gns_ratio(dens, 0.25) for _, dens in barenblatt_family(0.25, fam_grid)])
     spread = float((ratios.max() - ratios.min()) / ratios.mean())
     fam_const = float(ratios.max())
     worst = min(gns_ratio(rho, 0.25) - fam_const * (1 - 1e-3) for _, rho in corpus)
@@ -356,19 +352,7 @@ def test_criterion_9_transport_kernel(corpus200):
 
 
 def _run_cli(args, threads: str, out_dir):
-    env = os.environ.copy()
-    env["OMP_NUM_THREADS"] = threads
-    env["OPENBLAS_NUM_THREADS"] = threads
-    # the child runs in out_dir, so a relative PYTHONPATH entry would not find the package
-    package_root = str(Path(fracpme.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, "-m", "fracpme.harness"] + args,
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=out_dir,
-    )
+    res = run_cli(args, threads, cwd=out_dir)
     assert res.returncode == 0, res.stderr
     return res
 

@@ -46,6 +46,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(s=0.25, grid=grid1024, cfl=1.5)
 
+    def test_init_must_sit_on_the_run_grid(self, grid1024):
+        rho = normalize(GridDensity(grid1024, np.exp(-grid1024.centers**2)))
+        ulp_grid = Grid(grid1024.x_min, float(np.nextafter(grid1024.x_max, 5.0)), grid1024.n)
+        SolverConfig(s=S, grid=ulp_grid, init=rho)  # a CSV round trip can move x_max by one ulp
+        for other in (Grid.symmetric(4.0, 512), Grid.symmetric(2.0, 1024)):
+            with pytest.raises(ValueError, match="init density"):
+                SolverConfig(s=S, grid=other, init=rho)
+
 
 class TestFvStep:
     def test_mass_preserved_exactly(self, grid1024, corpus40):

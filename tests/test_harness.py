@@ -1,27 +1,15 @@
 import json
-import subprocess
-import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import run_cli
 
 from fracpme import energy as energy_mod
 from fracpme import evolve, harness
 from fracpme.grid import Grid, normalize
 from fracpme.harness import main
 from fracpme.steady import discrete_minimizer
-
-RUN = [sys.executable, "-m", "fracpme.harness"]
-
-
-def run_cli(args, env_extra=None):
-    import os
-
-    env = os.environ.copy()
-    env.update(env_extra or {})
-    return subprocess.run(RUN + args, capture_output=True, text=True, env=env)
-
 
 class TestExitCodes:
     def test_invalid_s_is_config_error(self, tmp_path):
@@ -199,6 +187,23 @@ class TestSimulate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("grid_n, xmax", [(128, 4.0), (256, 2.0)])
+    def test_csv_init_on_another_grid_is_config_error(self, tmp_path, capsys, grid_n, xmax):
+        from fracpme.grid import DensitySpec, random_density, save_density_csv
+
+        init_path = tmp_path / "init.csv"
+        save_density_csv(init_path, random_density(DensitySpec(seed=4), Grid.symmetric(4.0, 256)))
+        out = tmp_path / "run"
+        code = main(
+            [
+                "simulate", "--s", "0.25", "--grid-n", str(grid_n), "--xmax", str(xmax),
+                "--t-end", "0.2", "--init", str(init_path), "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        assert "init density" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
     def test_lemmaE_suite_needs_sharp_minimizer(self, tmp_path):
         code = main(
             ["verify", "--suite", "lemmaE", "--samples", "2", "--eps", "0.01",
@@ -227,6 +232,45 @@ class TestSimulate:
         data = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
         e = data[:, 1]
         assert np.max(np.abs(e - e[0])) <= 1e-5
+
+
+class TestDecayFitCli:
+    @pytest.mark.parametrize("quantity", ["foo", "mass"])
+    def test_unknown_quantity_is_config_error(self, sim_dir, tmp_path, capsys, quantity):
+        out = tmp_path / "fit.json"
+        code = main(
+            ["decay-fit", "--traj", str(sim_dir / "trajectory.csv"), "--quantity", quantity, "--out", str(out)]
+        )
+        assert code == 2
+        assert "--quantity" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eps_gap_is_measured_against_the_eps_energy(self, tmp_path):
+        from fracpme.steady import barenblatt
+
+        s, lam, eps = 0.25, 0.4, 1e-2
+        run = tmp_path / "eps"
+        code = main(
+            [
+                "simulate", "--s", str(s), "--lambda", str(lam), "--eps", str(eps), "--grid-n", "128",
+                "--t-end", "0.6", "--out-dir", str(run),
+            ]
+        )
+        assert code == 0
+        out = tmp_path / "fit.json"
+        code = main(
+            [
+                "decay-fit", "--traj", str(run / "trajectory.csv"), "--quantity", "E_eps_gap",
+                "--window", "0.0:0.5", "--out", str(out),
+            ]
+        )
+        assert code in (0, 3)
+        _, dens = barenblatt(s, lam, mass=1.0, grid=Grid.symmetric(4.0, 128))
+        target = normalize(dens)
+        e_eps0 = np.loadtxt(run / "trajectory.csv", delimiter=",", skiprows=1)[0, 2]
+        prefactor = json.loads(out.read_text())["prefactor"]
+        assert prefactor == e_eps0 - energy_mod.energy(target, s, lam, eps).total
+        assert prefactor != e_eps0 - energy_mod.energy(target, s, lam, 0.0).total
 
 
 class TestVerifyCli:
@@ -345,6 +389,13 @@ class TestRieszConvergenceCli:
         rows = out.read_text().splitlines()[1:]
         assert float(rows[-1].split(",")[3]) >= 1.0
 
+    @pytest.mark.parametrize("levels", ["0", "1"])
+    def test_too_few_levels_is_config_error(self, tmp_path, capsys, levels):
+        out = tmp_path / "conv.csv"
+        assert main(["riesz-convergence", "--s", "0.25", "--levels", levels, "--out", str(out)]) == 2
+        assert "--levels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_log_kernel_reference(self, tmp_path):
         out = tmp_path / "conv_half.csv"
         code = main(["riesz-convergence", "--s", "0.5", "--levels", "2", "--out", str(out)])
@@ -429,9 +480,7 @@ class TestDeterminism:
         outs = []
         for threads, name in (("1", "a.json"), ("4", "b.json")):
             out = tmp_path / name
-            # OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS
-            env = {"OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
-            res = run_cli(args + ["--out", str(out)], env)
+            res = run_cli(args + ["--out", str(out)], threads)
             assert res.returncode == 0, res.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
