@@ -27,6 +27,7 @@ LYAPUNOV_SLACK = 1e-10
 CLAMP_BUDGET = 1e-12
 EPS_STEADY_TOL = 1e-10
 STALL_TOL = 1e-10
+MAX_HALVINGS = 20
 
 DIAGNOSTIC_KEYS = ("E", "E_eps", "I", "I_eps", "W2", "L2", "L1", "mass", "m2", "min_rho")
 
@@ -87,6 +88,11 @@ class _Stepper:
         self.ws = workspace(cfg.grid, cfg.s)
         self.x = cfg.grid.centers
         self.h = cfg.grid.h
+        # largest modulus of the symbol of delta -> (1/h) D_face(avg_face(G delta)),
+        # the nonlocal diffusion of one step with the density frozen at 1: face
+        # average then face difference has the symbol i sin(theta) / h
+        theta, symbol = self.ws.gradient_symbol()
+        self.sigma = float(np.max(np.abs(np.sin(theta) / self.h * symbol)))
 
     def fields(self, v: np.ndarray):
         """Riesz potential, diffusion-free and full potential gradients of a state."""
@@ -110,18 +116,21 @@ class _Stepper:
 
     def step_size(self, v: np.ndarray, dxi0: np.ndarray, t: float) -> float:
         """The step taken from time t: the fixed dt if one is set, else cfl
-        over the advective, linear-diffusive and nonlinear fractional-diffusion
-        rates, cut so the run ends at t_end.
+        over the advective, linear-diffusive and nonlocal-diffusive rates, cut
+        so the run ends at t_end.
 
-        The fractional-diffusion rate rho_max (pi/h)^{2-2s} / 2 matters near a
-        steady state, where upwind damping vanishes and the advective bound
-        alone lets grid oscillations grow.
+        The nonlocal-diffusive rate rho_max sigma / 2 bounds the stiff part of
+        the step: frozen at density rho_max, the linearised nonlocal diffusion
+        has eigenvalues of modulus at most rho_max sigma (sigma from the
+        Fourier symbol, see __init__), and explicit Euler is stable for
+        dt rho_max sigma <= 2, which is cfl = 1. It matters near a steady
+        state, where upwind damping vanishes and the advective bound alone
+        lets grid oscillations grow.
         """
         cfg = self.cfg
         dt = cfg.dt
         if dt is None:
-            rate = self._rate(dxi0) + 0.5 * float(np.max(v)) * (np.pi / self.h) ** (2 - 2 * cfg.s)
-            dt = cfg.cfl / rate
+            dt = cfg.cfl / (self._rate(dxi0) + 0.5 * float(np.max(v)) * self.sigma)
         return min(dt, cfg.t_end - t)
 
     def advance(self, v: np.ndarray, dxi0: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
@@ -170,7 +179,8 @@ class Trajectory:
 
     step_times / step_energy / step_dissipation sample every solver step
     (used for the discrete energy-dissipation consistency check); the
-    diagnostics dict is sampled at the snapshot cadence.
+    diagnostics dict is sampled at the snapshot cadence. steps counts the
+    accepted steps and retries the trial steps discarded on the way.
     """
 
     config: SolverConfig
@@ -185,6 +195,8 @@ class Trajectory:
     step_dissipation: np.ndarray = field(default_factory=lambda: np.empty(0))
     max_mass_drift: float = 0.0
     max_clamped: float = 0.0
+    steps: int = 0
+    retries: int = 0
 
     def series(self, quantity: str) -> np.ndarray:
         if quantity == "E_gap":
@@ -198,7 +210,12 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
     """March the flow to t_end, recording diagnostics against the target.
 
     Enforces the Lyapunov property step by step: the (eps-)free energy may
-    not increase by more than 1e-10 per step.
+    not increase by more than 1e-10 per step, and a step may clamp at most
+    1e-12 of mass. On a CFL-adaptive run a trial step that fails either gate
+    is discarded and retaken from the last accepted state at half the dt, at
+    most MAX_HALVINGS times; the step after it is at most twice the last
+    accepted dt. A fixed-dt run raises on the first failure. An adaptive
+    step is never longer than snapshot_every, so no snapshot is skipped.
     """
     if cfg.init is None:
         raise ValueError("cfg.init must hold the initial density")
@@ -212,7 +229,10 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
     v = rho0.values.copy()
     mass0 = h * float(np.sum(v))
     t = 0.0
-    e_prev = None
+    pot, dxi0, dxi = stepper.fields(v)
+    e, e_eps = stepper.energies(v, pot)
+    retries = 0
+    dt_accepted = float("inf")
 
     times: list[float] = []
     snapshots: list[GridDensity] = []
@@ -225,13 +245,8 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
     next_snap = 0.0
 
     while True:
-        pot, dxi0, dxi = stepper.fields(v)
-        e, e_eps = stepper.energies(v, pot)
         i0 = h * float(np.sum(v * dxi0 * dxi0))
         i_eps = i0 if cfg.eps == 0 else h * float(np.sum(v * dxi * dxi))
-        if e_prev is not None and e_eps > e_prev + LYAPUNOV_SLACK:
-            raise EnergyIncrease(f"E_eps rose by {e_eps - e_prev} at t={t}")
-        e_prev = e_eps
         step_t.append(t)
         step_e.append(e_eps)
         step_i.append(i_eps)
@@ -266,9 +281,26 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
             break
 
         dt = stepper.step_size(v, dxi0, t)
-        v, clamped = stepper.advance(v, dxi0, dt)
+        if cfg.dt is None:
+            # a step longer than the snapshot spacing would skip a snapshot
+            dt = min(dt, 2 * dt_accepted, cfg.snapshot_every)
+        for halvings in range(MAX_HALVINGS + 1):
+            try:
+                trial, clamped = stepper.advance(v, dxi0, dt)
+                trial_fields = stepper.fields(trial)
+                trial_e = stepper.energies(trial, trial_fields[0])
+                if trial_e[1] > e_eps + LYAPUNOV_SLACK:
+                    raise EnergyIncrease(f"E_eps rose by {trial_e[1] - e_eps} at t={t + dt}")
+                break
+            except (EnergyIncrease, PositivityLoss):
+                if cfg.dt is not None or halvings == MAX_HALVINGS:
+                    raise
+                dt *= 0.5
+                retries += 1
+        v, (pot, dxi0, dxi), (e, e_eps) = trial, trial_fields, trial_e
         max_clamped = max(max_clamped, clamped)
         t += dt
+        dt_accepted = dt
 
     return Trajectory(
         config=cfg,
@@ -283,6 +315,8 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         step_dissipation=np.asarray(step_i),
         max_mass_drift=max_drift,
         max_clamped=max_clamped,
+        steps=len(step_t) - 1,
+        retries=retries,
     )
 
 
@@ -398,10 +432,10 @@ def change_of_variables(
 
 @dataclass(frozen=True)
 class EpsSteadyResult:
-    """Terminal state of the regularized flow and its convergence record."""
+    """Terminal state of the regularized flow, the time it was reached and
+    its eps-dissipation."""
 
     density: GridDensity
-    converged: bool
     t: float
     dissipation: float
 
@@ -438,7 +472,7 @@ def steady_state_eps(cfg: SolverConfig) -> EpsSteadyResult:
         _, dxi0, dxi = stepper.fields(v)
         i_eps = h * float(np.sum(v * dxi * dxi))
         if i_eps < EPS_STEADY_TOL:
-            return EpsSteadyResult(GridDensity(cfg.grid, v), True, t, i_eps)
+            return EpsSteadyResult(GridDensity(cfg.grid, v), t, i_eps)
         dt = stepper.step_size(v, dxi0, t)
         v_new, _ = stepper.advance(v, dxi0, dt)
         moved = float(np.max(np.abs(v_new - v))) / dt
@@ -447,5 +481,5 @@ def steady_state_eps(cfg: SolverConfig) -> EpsSteadyResult:
         if moved <= STALL_TOL * float(np.max(v)):
             _, _, dxi = stepper.fields(v)
             i_eps = h * float(np.sum(v * dxi * dxi))
-            return EpsSteadyResult(GridDensity(cfg.grid, v), True, t, i_eps)
+            return EpsSteadyResult(GridDensity(cfg.grid, v), t, i_eps)
     raise NotConverged(f"I_eps = {i_eps} > {EPS_STEADY_TOL} at t_max = {cfg.t_end}")

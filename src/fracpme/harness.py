@@ -147,6 +147,22 @@ def cmd_simulate(args) -> int:
         save_density_csv(p, snap)
         outputs.append(str(p))
 
+    stats_path = out_dir / "stats.json"
+    dts = np.diff(traj.step_times)
+    _write_json(
+        stats_path,
+        {
+            "schema_version": SCHEMA_VERSION,
+            "steps": traj.steps,
+            "retries": traj.retries,
+            "dt_min": float(np.min(dts)),
+            "dt_max": float(np.max(dts)),
+            "max_clamped": traj.max_clamped,
+            "max_mass_drift": traj.max_mass_drift,
+        },
+    )
+    outputs.append(str(stats_path))
+
     if traj.max_mass_drift > 1e-12:
         print(f"solver invariant failure (mass drift {traj.max_mass_drift})", file=sys.stderr)
         return EXIT_INVARIANT

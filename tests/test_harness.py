@@ -9,7 +9,7 @@ from fracpme import energy as energy_mod
 from fracpme import evolve, harness
 from fracpme.grid import Grid, normalize
 from fracpme.harness import main
-from fracpme.steady import discrete_minimizer
+from fracpme.steady import barenblatt, discrete_minimizer
 
 class TestExitCodes:
     def test_invalid_s_is_config_error(self, tmp_path):
@@ -91,6 +91,16 @@ class TestSimulate:
         for key in ("s", "lambda", "eps", "grid_n", "xmax", "dt", "t_end", "init"):
             assert key in cfg
         assert str(sim_dir / "trajectory.csv") in manifest["outputs"]
+        assert str(sim_dir / "stats.json") in manifest["outputs"]
+
+    def test_stats_record_the_run(self, sim_dir):
+        stats = json.loads((sim_dir / "stats.json").read_text())
+        assert set(stats) == {"schema_version", "steps", "retries", "dt_min", "dt_max", "max_clamped", "max_mass_drift"}
+        assert stats["steps"] > 0
+        assert stats["retries"] == 0
+        assert 0 < stats["dt_min"] <= stats["dt_max"]
+        assert stats["max_clamped"] <= 1e-12
+        assert stats["max_mass_drift"] <= 1e-12
 
     def test_manifest_replay_reproduces_outputs_bitwise(self, sim_dir, tmp_path):
         cfg = json.loads((sim_dir / "manifest.json").read_text())["config"]
@@ -210,6 +220,23 @@ class TestSimulate:
              "--out", str(tmp_path / "x.json")]
         )
         assert code == 2
+
+    def test_steady_init_retries_rejected_steps(self, tmp_path):
+        # the step-size rule overshoots the Lyapunov gate on this run; each
+        # rejected trial step is retaken at half the dt instead of aborting
+        out = tmp_path / "retry"
+        args = ["simulate", "--s", "0.25", "--grid-n", "256", "--init", "barenblatt", "--t-end", "0.1"]
+        assert main(args + ["--out-dir", str(out)]) == 0
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["retries"] > 0
+        grid = Grid.symmetric(4.0, 256)
+        lam = evolve.self_similar_exponent(0.25)
+        _, dens = barenblatt(0.25, lam, mass=1.0, grid=grid)
+        target = normalize(dens)
+        cfg = evolve.SolverConfig(s=0.25, grid=grid, lam=lam, t_end=0.1, init=dens)
+        traj = evolve.integrate(cfg, target)
+        assert (traj.steps, traj.retries) == (stats["steps"], stats["retries"])
+        assert np.max(np.diff(traj.step_energy)) <= 1e-10
 
     def test_steady_init_keeps_diagnostics_flat(self, tmp_path):
         out = tmp_path / "flat"
