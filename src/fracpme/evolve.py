@@ -181,6 +181,9 @@ class Trajectory:
     (used for the discrete energy-dissipation consistency check); the
     diagnostics dict is sampled at the snapshot cadence. steps counts the
     accepted steps and retries the trial steps discarded on the way.
+    chosen_dt holds the accepted step sizes the step rule chose: every step
+    but a last one cut short to land on t_end. max_fft_drift is the largest
+    checkpoint |direct - fft| / scale of the potential (gated at 1e-10).
     """
 
     config: SolverConfig
@@ -195,8 +198,10 @@ class Trajectory:
     step_dissipation: np.ndarray = field(default_factory=lambda: np.empty(0))
     max_mass_drift: float = 0.0
     max_clamped: float = 0.0
+    max_fft_drift: float = 0.0
     steps: int = 0
     retries: int = 0
+    chosen_dt: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def series(self, quantity: str) -> np.ndarray:
         if quantity == "E_gap":
@@ -240,8 +245,10 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
     step_t: list[float] = []
     step_e: list[float] = []
     step_i: list[float] = []
+    chosen_dt: list[float] = []
     max_drift = 0.0
     max_clamped = 0.0
+    max_fft_drift = 0.0
     next_snap = 0.0
 
     while True:
@@ -259,8 +266,10 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
             # path; validate it at every checkpoint
             direct = stepper.ws.potential(v, DIRECT)
             scale = max(1.0, float(np.max(np.abs(direct))))
-            if float(np.max(np.abs(direct - pot))) > 1e-10 * scale:
+            fft_err = float(np.max(np.abs(direct - pot)))
+            if fft_err > 1e-10 * scale:
                 raise Inconsistent(f"fast-path potential drifted from the direct sum at t={t}")
+            max_fft_drift = max(max_fft_drift, fft_err / scale)
             snap = GridDensity(cfg.grid, v)
             times.append(t)
             snapshots.append(snap)
@@ -299,6 +308,8 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
                 retries += 1
         v, (pot, dxi0, dxi), (e, e_eps) = trial, trial_fields, trial_e
         max_clamped = max(max_clamped, clamped)
+        if dt < cfg.t_end - t:
+            chosen_dt.append(dt)  # not cut short to land on t_end
         t += dt
         dt_accepted = dt
 
@@ -315,8 +326,10 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         step_dissipation=np.asarray(step_i),
         max_mass_drift=max_drift,
         max_clamped=max_clamped,
+        max_fft_drift=max_fft_drift,
         steps=len(step_t) - 1,
         retries=retries,
+        chosen_dt=np.asarray(chosen_dt),
     )
 
 

@@ -8,7 +8,7 @@ moments computed here are the single source of truth for that convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -250,12 +250,17 @@ def random_density(spec: DensitySpec, grid: Grid) -> GridDensity:
     return normalize(GridDensity(grid, total))
 
 
+@lru_cache(maxsize=8)
+def _x_column(grid: Grid) -> tuple[str, ...]:
+    """The `x,` field of every row of a density file on this grid."""
+    return tuple(f"{xi:.17g}," for xi in grid.centers.tolist())
+
+
 def save_density_csv(path, rho: GridDensity) -> None:
     """Write `x,rho` rows (UTF-8, '.' decimal, round-trip precision)."""
+    rows = "".join([f"{xi}{vi:.17g}\n" for xi, vi in zip(_x_column(rho.grid), rho.values.tolist())])
     with open(path, "w", encoding="utf-8") as f:
-        f.write("x,rho\n")
-        for xi, vi in zip(rho.x, rho.values):
-            f.write(f"{xi:.17g},{vi:.17g}\n")
+        f.write("x,rho\n" + rows)
 
 
 def load_density_csv(path) -> GridDensity:

@@ -148,17 +148,19 @@ def cmd_simulate(args) -> int:
         outputs.append(str(p))
 
     stats_path = out_dir / "stats.json"
-    dts = np.diff(traj.step_times)
+    dts = traj.chosen_dt  # null when the only step was cut short to land on t_end
     _write_json(
         stats_path,
         {
             "schema_version": SCHEMA_VERSION,
             "steps": traj.steps,
             "retries": traj.retries,
-            "dt_min": float(np.min(dts)),
-            "dt_max": float(np.max(dts)),
+            "dt_min": float(np.min(dts)) if dts.size else None,
+            "dt_median": float(np.median(dts)) if dts.size else None,
+            "dt_max": float(np.max(dts)) if dts.size else None,
             "max_clamped": traj.max_clamped,
             "max_mass_drift": traj.max_mass_drift,
+            "max_fft_drift": traj.max_fft_drift,
         },
     )
     outputs.append(str(stats_path))

@@ -16,6 +16,18 @@ All sums of one (grid, s) go through one operator, `workspace(grid, s)`: it
 builds each weight family and its FFT spectrum the first time it is used,
 keeps them read-only, and is shared by every module. The free functions below
 delegate to it.
+
+The FFT path pads every sum to one length, next_fast_len(2n): any length of
+at least 2n - 1 keeps the kept window [n-1, 2n-1) of a length-(2n-1) weight
+family free of aliasing, and 2n also keeps the gradient's boundary columns
+(below) from wrapping round. A family sum costs one rfft and one irfft. The
+gradient applies one combined spectrum, W_grad + (i sin theta / h) W_slope,
+to the transform of the values and adds an O(n) correction from four columns
+of the slope weights, where np.gradient and the periodic central difference
+of the padded values differ: 2 transforms, and 3 for the potential and the
+gradient together. The stepper takes its step size from the same cached
+spectrum (`gradient_symbol`), so the step bound and the field it bounds are
+one operator.
 """
 
 from __future__ import annotations
@@ -213,9 +225,14 @@ def _convolve_direct(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.convolve(weights, v)[n - 1 : 2 * n - 1]
 
 
+def _padded_length(n: int) -> int:
+    """FFT length of every Toeplitz sum on n cells (see the module docstring)."""
+    return next_fast_len(2 * n)
+
+
 def _convolve_fft(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
     n = v.size
-    nfft = next_fast_len(3 * n - 2)
+    nfft = _padded_length(n)
     full = irfft(rfft(weights, nfft) * rfft(v, nfft), nfft)
     return full[n - 1 : 2 * n - 1]
 
@@ -243,7 +260,7 @@ class RieszWorkspace:
         self.grid = grid
         self.s = s
         self.kernel = riesz_constant(s)
-        self._nfft = next_fast_len(3 * grid.n - 2)
+        self._nfft = _padded_length(grid.n)
         self._cache: dict = {}
 
     def _cached(self, key, build) -> np.ndarray:
@@ -267,42 +284,91 @@ class RieszWorkspace:
         """Row sums T·1 of the hessian weights."""
         return self._cached(("row_sum", method), lambda: self.apply("hessian", np.ones(self.grid.n), method))
 
+    def _window(self, spectrum: np.ndarray, values_hat: np.ndarray) -> np.ndarray:
+        """Rows [0, n) of the inverse transform of spectrum * values_hat."""
+        n = self.grid.n
+        return irfft(spectrum * values_hat, self._nfft)[n - 1 : 2 * n - 1]
+
     def apply(self, family: str, values: np.ndarray, method: str = FFT) -> np.ndarray:
         """Toeplitz sum of one weight family; DIRECT is the O(n^2) reference."""
         if method == DIRECT:
             return toeplitz_apply(self.weights(family), values, DIRECT)
-        n = self.grid.n
-        full = irfft(self.spectrum(family) * rfft(values, self._nfft), self._nfft)
-        return full[n - 1 : 2 * n - 1]
+        return self._window(self.spectrum(family), rfft(values, self._nfft))
 
     def potential(self, values: np.ndarray, method: str = FFT) -> np.ndarray:
         return self.apply("potential", values, method)
 
     def gradient(self, values: np.ndarray, method: str = FFT) -> np.ndarray:
-        slope = np.gradient(values, self.grid.h)
-        return self.apply("gradient", values, method) + self.apply("gradient_slope", slope, method)
+        """W_grad * values + W_slope * np.gradient(values); DIRECT sums both
+        terms directly, the FFT path takes 2 transforms (see
+        potential_and_gradient)."""
+        if method == DIRECT:
+            slope = np.gradient(values, self.grid.h)
+            return self.apply("gradient", values, DIRECT) + self.apply("gradient_slope", slope, DIRECT)
+        return self._gradient_from(values, rfft(values, self._nfft))
+
+    def _theta(self) -> np.ndarray:
+        """The rfft bins theta_k = 2 pi k / nfft."""
+        return 2 * np.pi * np.arange(self._nfft // 2 + 1) / self._nfft
+
+    def _gradient_spectrum(self) -> np.ndarray:
+        """W_grad + (i sin theta / h) W_slope on the rfft bins theta_k = 2 pi k / nfft.
+
+        i sin(theta) / h is the symbol of the periodic central difference, so
+        this spectrum applied to the transform of the zero-padded values is
+        the gradient with np.gradient replaced by that difference.
+        """
+
+        def build():
+            slope = 1j * np.sin(self._theta()) / self.grid.h
+            return self.spectrum("gradient") + slope * self.spectrum("gradient_slope")
+
+        return self._cached(("rfft", "gradient_combined"), build)
+
+    def _edge_columns(self) -> np.ndarray:
+        """Columns -1, 0, n-1 and n of the gradient_slope Toeplitz matrix.
+
+        They carry the difference between np.gradient and the periodic central
+        difference of the zero-padded values: the one-sided rows 0 and n-1,
+        and the entries at -1 and n that the central difference puts outside
+        the grid. Offsets beyond n-1 have weight 0.
+        """
+
+        def build():
+            n = self.grid.n
+            # w[m + n] is the weight at offset m, |m| <= n; column j is w[n - j : 2n - j]
+            w = np.concatenate(([0.0], self.weights("gradient_slope"), [0.0]))
+            return np.stack([w[n + 1 : 2 * n + 1], w[n : 2 * n], w[1 : n + 1], w[:n]])
+
+        return self._cached("gradient_edges", build)
+
+    def _gradient_from(self, values: np.ndarray, values_hat: np.ndarray) -> np.ndarray:
+        """FFT-path gradient from the values and their padded transform."""
+        v = values
+        # np.gradient minus the periodic central difference at entries -1, 0, n-1 and n
+        coef = np.array([-v[0] / 2, v[1] / 2 - v[0], v[-1] - v[-2] / 2, v[-1] / 2]) / self.grid.h
+        edges = np.einsum("k,ki->i", coef, self._edge_columns())
+        return self._window(self._gradient_spectrum(), values_hat) + edges
 
     def gradient_symbol(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fourier symbol of `gradient` on the rfft bins theta_k = 2 pi k / nfft.
+        """Fourier symbol of `gradient` on the rfft bins theta_k = 2 pi k / nfft,
+        nfft = next_fast_len(2n).
 
         Returns theta and sum_m w_grad[m] e^{-i m theta} + (i sin(theta) / h)
-        sum_m w_slope[m] e^{-i m theta}, read off the cached spectra; i sin(theta)/h
-        is the symbol of np.gradient away from its one-sided boundary rows.
+        sum_m w_slope[m] e^{-i m theta}: the one cached spectrum that the FFT
+        path of `gradient` applies, phase-shifted to sum over the signed
+        offsets m. i sin(theta)/h is the symbol of np.gradient away from its
+        one-sided boundary rows.
         """
-        n, h, nfft = self.grid.n, self.grid.h, self._nfft
-        theta = 2 * np.pi * np.arange(nfft // 2 + 1) / nfft
+        theta = self._theta()
         # the spectra index the weights from offset -(n-1)
-        shift = np.exp(1j * (n - 1) * theta)
-        symbol = self.spectrum("gradient") + 1j * np.sin(theta) / h * self.spectrum("gradient_slope")
-        return theta, shift * symbol
+        return theta, np.exp(1j * (self.grid.n - 1) * theta) * self._gradient_spectrum()
 
     def potential_and_gradient(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both FFT fields of one density, sharing the transform of the values."""
-        n, nfft = self.grid.n, self._nfft
-        vf = rfft(values, nfft)
-        pot = irfft(self.spectrum("potential") * vf, nfft)[n - 1 : 2 * n - 1]
-        conv = irfft(self.spectrum("gradient") * vf, nfft)[n - 1 : 2 * n - 1]
-        return pot, conv + self.apply("gradient_slope", np.gradient(values, self.grid.h))
+        """Both FFT fields of one density: 1 rfft of the values and 2 irfft,
+        the gradient through the spectrum gradient_symbol reads."""
+        values_hat = rfft(values, self._nfft)
+        return self._window(self.spectrum("potential"), values_hat), self._gradient_from(values, values_hat)
 
 
 @lru_cache(maxsize=32)

@@ -107,6 +107,15 @@ class TestIntegrate:
         traj = integrate(cfg, normalize(target))
         assert traj.times.size == 101
 
+    def test_chosen_dt_leaves_out_the_step_cut_to_land_on_t_end(self):
+        g = Grid.symmetric(4.0, 256)
+        _, target = barenblatt(S, LAM, mass=1.0, grid=g)
+        _, shifted = barenblatt(S, LAM, mass=1.0, x0=0.5, grid=g)
+        cfg = SolverConfig(s=S, grid=g, lam=LAM, dt=5e-4, t_end=0.0052, init=shifted)
+        traj = integrate(cfg, normalize(target))
+        assert traj.steps == 11
+        assert traj.chosen_dt.tolist() == [5e-4] * 10
+
     def test_energy_monotone_and_dissipation_matches(self, short_run):
         traj = short_run
         steps = np.diff(traj.step_energy)
@@ -119,6 +128,7 @@ class TestIntegrate:
     def test_mass_and_positivity_invariants(self, short_run):
         assert short_run.max_mass_drift <= 1e-12
         assert short_run.max_clamped <= 1e-12
+        assert 0.0 < short_run.max_fft_drift <= 1e-10
         assert np.min(short_run.diagnostics["min_rho"]) >= 0.0
 
     def test_snapshot_schema(self, short_run):

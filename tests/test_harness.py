@@ -95,12 +95,23 @@ class TestSimulate:
 
     def test_stats_record_the_run(self, sim_dir):
         stats = json.loads((sim_dir / "stats.json").read_text())
-        assert set(stats) == {"schema_version", "steps", "retries", "dt_min", "dt_max", "max_clamped", "max_mass_drift"}
+        assert set(stats) == {
+            "schema_version", "steps", "retries", "dt_min", "dt_median", "dt_max",
+            "max_clamped", "max_mass_drift", "max_fft_drift",
+        }
         assert stats["steps"] > 0
         assert stats["retries"] == 0
-        assert 0 < stats["dt_min"] <= stats["dt_max"]
+        assert 0 < stats["dt_min"] <= stats["dt_median"] <= stats["dt_max"]
         assert stats["max_clamped"] <= 1e-12
         assert stats["max_mass_drift"] <= 1e-12
+        assert stats["max_fft_drift"] <= 1e-10
+
+    def test_stats_of_a_run_whose_only_step_lands_on_t_end(self, tmp_path):
+        out = tmp_path / "one_step"
+        assert main(["simulate", "--s", "0.25", "--grid-n", "128", "--t-end", "1e-6", "--out-dir", str(out)]) == 0
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["steps"] == 1
+        assert stats["dt_min"] is stats["dt_median"] is stats["dt_max"] is None
 
     def test_manifest_replay_reproduces_outputs_bitwise(self, sim_dir, tmp_path):
         cfg = json.loads((sim_dir / "manifest.json").read_text())["config"]

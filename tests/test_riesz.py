@@ -181,6 +181,48 @@ class TestGradient:
         assert rel <= 5.0 * g.h
 
 
+class TestFftFields:
+    """The FFT path of the potential and the gradient against the direct sums.
+
+    Uniform random values keep the end values away from zero, so the
+    boundary-column correction of the FFT gradient is exercised; a profile
+    vanishing at the grid ends would hide it.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 1023, 1024])
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.5, 0.7])
+    def test_match_direct_reference(self, n, s):
+        g = Grid.symmetric(4.0, n)
+        v = np.random.default_rng(n).uniform(0.5, 2.0, n)
+        ws = workspace(g, s)
+        pot, grad = ws.potential_and_gradient(v)
+        pot_ref, grad_ref = ws.potential(v, DIRECT), ws.gradient(v, DIRECT)
+        for got, ref in ((pot, pot_ref), (grad, grad_ref), (ws.gradient(v), grad_ref)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_transform_counts(self, monkeypatch):
+        import fracpme.riesz as riesz
+
+        g = Grid.symmetric(4.0, 64)
+        v = random_density(DensitySpec(seed=3), g).values
+        ws = workspace(g, S)
+        ws.potential_and_gradient(v)  # warm: builds the weights and spectra
+        calls = []
+        for name in ("rfft", "irfft"):
+            original = getattr(riesz, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(riesz, name, counted)
+        ws.potential_and_gradient(v)
+        assert calls == ["rfft", "irfft", "irfft"]
+        calls.clear()
+        ws.gradient(v)
+        assert calls == ["rfft", "irfft"]
+
+
 class TestSecondDerivativeAndFracLaplacian:
     def test_second_difference_oracle(self):
         g = Grid.symmetric(6.0, 2048)
