@@ -86,7 +86,8 @@ class _Stepper:
     def __init__(self, cfg: SolverConfig):
         self.cfg = cfg
         self.ws = workspace(cfg.grid, cfg.s)
-        self.x = cfg.grid.centers
+        x = cfg.grid.centers
+        self.xx = x * x  # the confinement weight of the energy and the second moment
         self.h = cfg.grid.h
         # largest modulus of the symbol of delta -> (1/h) D_face(avg_face(G delta)),
         # the nonlocal diffusion of one step with the density frozen at 1: face
@@ -102,17 +103,17 @@ class _Stepper:
 
     def energies(self, v: np.ndarray, pot: np.ndarray) -> tuple[float, float]:
         """Free energy without and with the eps entropy term."""
-        cfg, h, x = self.cfg, self.h, self.x
-        inter = 0.5 * h * float(np.sum(v * pot))
-        conf = cfg.lam / 2 * h * float(np.sum(x * x * v))
+        cfg, h = self.cfg, self.h
+        inter = 0.5 * h * float((v * pot).sum())
+        conf = cfg.lam / 2 * h * float((self.xx * v).sum())
         e = inter + conf
         if cfg.eps == 0:
             return e, e
-        return e, e + cfg.eps * h * float(np.sum(energy_mod._entropy_density(v)))
+        return e, e + cfg.eps * h * float(energy_mod._entropy_density(v).sum())
 
     def _rate(self, dxi0: np.ndarray) -> float:
         """Advective plus linear-diffusive rate of one explicit step."""
-        return float(np.max(np.abs(dxi0))) / self.h + 2 * self.cfg.eps / self.h**2
+        return float(np.abs(dxi0).max()) / self.h + 2 * self.cfg.eps / self.h**2
 
     def step_size(self, v: np.ndarray, dxi0: np.ndarray, t: float) -> float:
         """The step taken from time t: the fixed dt if one is set, else cfl
@@ -130,7 +131,7 @@ class _Stepper:
         cfg = self.cfg
         dt = cfg.dt
         if dt is None:
-            dt = cfg.cfl / (self._rate(dxi0) + 0.5 * float(np.max(v)) * self.sigma)
+            dt = cfg.cfl / (self._rate(dxi0) + 0.5 * float(v.max()) * self.sigma)
         return min(dt, cfg.t_end - t)
 
     def advance(self, v: np.ndarray, dxi0: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
@@ -148,11 +149,14 @@ class _Stepper:
         flux = vel * upwind
         if cfg.eps > 0:
             flux = flux - cfg.eps * (v[1:] - v[:-1]) / h
+        flux *= dt / h
         out = v.copy()
-        out[:-1] -= (dt / h) * flux
-        out[1:] += (dt / h) * flux
+        out[:-1] -= flux
+        out[1:] += flux
+        if out.min() >= 0.0:  # False on NaN, which the mask and the gate below see
+            return out, 0.0
         neg = out < 0.0
-        clamped = -h * float(np.sum(out[neg])) if np.any(neg) else 0.0
+        clamped = -h * float(out[neg].sum()) if neg.any() else 0.0
         if clamped > CLAMP_BUDGET:
             raise PositivityLoss(f"clamped {clamped} mass in one step (budget {CLAMP_BUDGET})")
         if clamped:
@@ -184,6 +188,8 @@ class Trajectory:
     chosen_dt holds the accepted step sizes the step rule chose: every step
     but a last one cut short to land on t_end. max_fft_drift is the largest
     checkpoint |direct - fft| / scale of the potential (gated at 1e-10).
+    min_lyapunov_margin is the smallest E_eps(before) + 1e-10 - E_eps(after)
+    over the accepted steps: how close the run came to the Lyapunov gate.
     """
 
     config: SolverConfig
@@ -199,6 +205,7 @@ class Trajectory:
     max_mass_drift: float = 0.0
     max_clamped: float = 0.0
     max_fft_drift: float = 0.0
+    min_lyapunov_margin: float = float("inf")
     steps: int = 0
     retries: int = 0
     chosen_dt: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -226,13 +233,13 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         raise ValueError("cfg.init must hold the initial density")
     rho0 = normalize(cfg.init)
     stepper = _Stepper(cfg)
-    h, x = cfg.grid.h, cfg.grid.centers
+    h = cfg.grid.h
 
     e_target = energy_mod.energy(target, cfg.s, cfg.lam, 0.0).total
     e_eps_target = energy_mod.energy(target, cfg.s, cfg.lam, cfg.eps).total
 
     v = rho0.values.copy()
-    mass0 = h * float(np.sum(v))
+    mass0 = h * float(v.sum())
     t = 0.0
     pot, dxi0, dxi = stepper.fields(v)
     e, e_eps = stepper.energies(v, pot)
@@ -249,24 +256,25 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
     max_drift = 0.0
     max_clamped = 0.0
     max_fft_drift = 0.0
+    min_margin = float("inf")
     next_snap = 0.0
 
     while True:
-        i0 = h * float(np.sum(v * dxi0 * dxi0))
-        i_eps = i0 if cfg.eps == 0 else h * float(np.sum(v * dxi * dxi))
+        i0 = h * float((v * dxi0 * dxi0).sum())
+        i_eps = i0 if cfg.eps == 0 else h * float((v * dxi * dxi).sum())
         step_t.append(t)
         step_e.append(e_eps)
         step_i.append(i_eps)
 
-        mass = h * float(np.sum(v))
+        mass = h * float(v.sum())
         max_drift = max(max_drift, abs(mass - mass0))
 
         if t >= next_snap - 1e-12 or t >= cfg.t_end - 1e-12:
             # the direct pair sum is the reference for the convolution fast
             # path; validate it at every checkpoint
             direct = stepper.ws.potential(v, DIRECT)
-            scale = max(1.0, float(np.max(np.abs(direct))))
-            fft_err = float(np.max(np.abs(direct - pot)))
+            scale = max(1.0, float(np.abs(direct).max()))
+            fft_err = float(np.abs(direct - pot).max())
             if fft_err > 1e-10 * scale:
                 raise Inconsistent(f"fast-path potential drifted from the direct sum at t={t}")
             max_fft_drift = max(max_fft_drift, fft_err / scale)
@@ -278,11 +286,12 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
             diag["I"].append(i0)
             diag["I_eps"].append(i_eps)
             diag["W2"].append(w2(normalize(snap), target) if mass > 0 else float("nan"))
-            diag["L2"].append(float(np.sqrt(h * np.sum((v - target.values) ** 2))))
-            diag["L1"].append(h * float(np.sum(np.abs(v - target.values))))
+            diff = v - target.values
+            diag["L2"].append(float(np.sqrt(h * (diff**2).sum())))
+            diag["L1"].append(h * float(np.abs(diff).sum()))
             diag["mass"].append(mass)
-            diag["m2"].append(h * float(np.sum(x * x * v)))
-            diag["min_rho"].append(float(np.min(v)))
+            diag["m2"].append(h * float((stepper.xx * v).sum()))
+            diag["min_rho"].append(float(v.min()))
             while next_snap <= t + 1e-12:
                 next_snap += cfg.snapshot_every
 
@@ -298,7 +307,8 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
                 trial, clamped = stepper.advance(v, dxi0, dt)
                 trial_fields = stepper.fields(trial)
                 trial_e = stepper.energies(trial, trial_fields[0])
-                if trial_e[1] > e_eps + LYAPUNOV_SLACK:
+                margin = e_eps + LYAPUNOV_SLACK - trial_e[1]
+                if margin < 0:
                     raise EnergyIncrease(f"E_eps rose by {trial_e[1] - e_eps} at t={t + dt}")
                 break
             except (EnergyIncrease, PositivityLoss):
@@ -308,6 +318,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
                 retries += 1
         v, (pot, dxi0, dxi), (e, e_eps) = trial, trial_fields, trial_e
         max_clamped = max(max_clamped, clamped)
+        min_margin = min(min_margin, margin)
         if dt < cfg.t_end - t:
             chosen_dt.append(dt)  # not cut short to land on t_end
         t += dt
@@ -327,6 +338,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         max_mass_drift=max_drift,
         max_clamped=max_clamped,
         max_fft_drift=max_fft_drift,
+        min_lyapunov_margin=min_margin,
         steps=len(step_t) - 1,
         retries=retries,
         chosen_dt=np.asarray(chosen_dt),
@@ -483,16 +495,16 @@ def steady_state_eps(cfg: SolverConfig) -> EpsSteadyResult:
     i_eps = float("inf")
     while t < cfg.t_end:
         _, dxi0, dxi = stepper.fields(v)
-        i_eps = h * float(np.sum(v * dxi * dxi))
+        i_eps = h * float((v * dxi * dxi).sum())
         if i_eps < EPS_STEADY_TOL:
             return EpsSteadyResult(GridDensity(cfg.grid, v), t, i_eps)
         dt = stepper.step_size(v, dxi0, t)
         v_new, _ = stepper.advance(v, dxi0, dt)
-        moved = float(np.max(np.abs(v_new - v))) / dt
+        moved = float(np.abs(v_new - v).max()) / dt
         v = v_new
         t += dt
-        if moved <= STALL_TOL * float(np.max(v)):
+        if moved <= STALL_TOL * float(v.max()):
             _, _, dxi = stepper.fields(v)
-            i_eps = h * float(np.sum(v * dxi * dxi))
+            i_eps = h * float((v * dxi * dxi).sum())
             return EpsSteadyResult(GridDensity(cfg.grid, v), t, i_eps)
     raise NotConverged(f"I_eps = {i_eps} > {EPS_STEADY_TOL} at t_max = {cfg.t_end}")

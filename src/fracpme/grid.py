@@ -251,16 +251,16 @@ def random_density(spec: DensitySpec, grid: Grid) -> GridDensity:
 
 
 @lru_cache(maxsize=8)
-def _x_column(grid: Grid) -> tuple[str, ...]:
-    """The `x,` field of every row of a density file on this grid."""
-    return tuple(f"{xi:.17g}," for xi in grid.centers.tolist())
+def _csv_template(grid: Grid) -> str:
+    """A density file on this grid with a `%.17g` slot for every value."""
+    return "x,rho\n" + "".join(f"{xi:.17g},%.17g\n" for xi in grid.centers.tolist())
 
 
 def save_density_csv(path, rho: GridDensity) -> None:
     """Write `x,rho` rows (UTF-8, '.' decimal, round-trip precision)."""
-    rows = "".join([f"{xi}{vi:.17g}\n" for xi, vi in zip(_x_column(rho.grid), rho.values.tolist())])
+    text = _csv_template(rho.grid) % tuple(rho.values.tolist())
     with open(path, "w", encoding="utf-8") as f:
-        f.write("x,rho\n" + rows)
+        f.write(text)
 
 
 def load_density_csv(path) -> GridDensity:

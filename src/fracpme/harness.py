@@ -161,6 +161,7 @@ def cmd_simulate(args) -> int:
             "max_clamped": traj.max_clamped,
             "max_mass_drift": traj.max_mass_drift,
             "max_fft_drift": traj.max_fft_drift,
+            "min_lyapunov_margin": traj.min_lyapunov_margin,
         },
     )
     outputs.append(str(stats_path))

@@ -24,8 +24,9 @@ family free of aliasing, and 2n also keeps the gradient's boundary columns
 gradient applies one combined spectrum, W_grad + (i sin theta / h) W_slope,
 to the transform of the values and adds an O(n) correction from four columns
 of the slope weights, where np.gradient and the periodic central difference
-of the padded values differ: 2 transforms, and 3 for the potential and the
-gradient together. The stepper takes its step size from the same cached
+of the padded values differ (a zero vector, skipped, when the two end values
+on each side are 0): 2 transforms, and 3 for the potential and the gradient
+together. The stepper takes its step size from the same cached
 spectrum (`gradient_symbol`), so the step bound and the field it bounds are
 one operator.
 """
@@ -287,7 +288,8 @@ class RieszWorkspace:
     def _window(self, spectrum: np.ndarray, values_hat: np.ndarray) -> np.ndarray:
         """Rows [0, n) of the inverse transform of spectrum * values_hat."""
         n = self.grid.n
-        return irfft(spectrum * values_hat, self._nfft)[n - 1 : 2 * n - 1]
+        # the product is a private temporary, so the inverse may overwrite it
+        return irfft(spectrum * values_hat, self._nfft, overwrite_x=True)[n - 1 : 2 * n - 1]
 
     def apply(self, family: str, values: np.ndarray, method: str = FFT) -> np.ndarray:
         """Toeplitz sum of one weight family; DIRECT is the O(n^2) reference."""
@@ -345,10 +347,12 @@ class RieszWorkspace:
     def _gradient_from(self, values: np.ndarray, values_hat: np.ndarray) -> np.ndarray:
         """FFT-path gradient from the values and their padded transform."""
         v = values
+        grad = self._window(self._gradient_spectrum(), values_hat)
+        if v[0] == v[1] == v[-2] == v[-1] == 0.0:
+            return grad  # the correction below is a zero vector
         # np.gradient minus the periodic central difference at entries -1, 0, n-1 and n
         coef = np.array([-v[0] / 2, v[1] / 2 - v[0], v[-1] - v[-2] / 2, v[-1] / 2]) / self.grid.h
-        edges = np.einsum("k,ki->i", coef, self._edge_columns())
-        return self._window(self._gradient_spectrum(), values_hat) + edges
+        return grad + np.einsum("k,ki->i", coef, self._edge_columns())
 
     def gradient_symbol(self) -> tuple[np.ndarray, np.ndarray]:
         """Fourier symbol of `gradient` on the rfft bins theta_k = 2 pi k / nfft,

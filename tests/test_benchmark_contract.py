@@ -38,3 +38,46 @@ def test_traced_child_run(tmp_path, name):
     assert layers["riesz.weights.builds"] > 0
     if name == "simulate":
         assert layers["riesz.potential_and_gradient.calls"] > 0
+
+
+def test_field_evaluations_per_step_and_transforms_per_evaluation(monkeypatch):
+    """The tracer counts steps as potential_and_gradient calls inside
+    integrate, less one for the final state: every accepted or discarded
+    trial step evaluates the fields once, and each evaluation takes 3
+    transforms."""
+    from fracpme import riesz
+    from fracpme.evolve import SolverConfig, integrate
+    from fracpme.grid import Grid, normalize
+    from fracpme.steady import barenblatt
+
+    grid = Grid.symmetric(4.0, 128)
+    _, target = barenblatt(0.25, 0.4, mass=1.0, grid=grid)
+    _, shifted = barenblatt(0.25, 0.4, mass=1.0, x0=0.5, grid=grid)
+    transforms = []
+    inside = []
+    for name in ("rfft", "irfft"):
+        original = getattr(riesz, name)
+
+        def counted(*args, _original=original, **kwargs):
+            if inside:
+                transforms.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(riesz, name, counted)
+    fields = riesz.RieszWorkspace.potential_and_gradient
+    calls = []
+
+    def spy(self, values):
+        calls.append(1)
+        inside.append(1)
+        try:
+            return fields(self, values)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(riesz.RieszWorkspace, "potential_and_gradient", spy)
+    traj = integrate(SolverConfig(s=0.25, grid=grid, t_end=0.05, init=shifted), normalize(target))
+    assert traj.steps > 0
+    assert len(calls) == traj.steps + traj.retries + 1
+    # the spectra are built before the first call: the target's energy and the step-size symbol
+    assert len(transforms) == 3 * len(calls)

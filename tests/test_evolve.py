@@ -7,8 +7,10 @@ from fracpme.errors import (
     EpsilonOutOfRange,
     InsufficientSamples,
     NonpositiveQuantity,
+    PositivityLoss,
 )
 from fracpme.evolve import (
+    LYAPUNOV_SLACK,
     TO_PHYSICAL,
     TO_SELF_SIMILAR,
     SolverConfig,
@@ -88,6 +90,43 @@ class TestFvStep:
             fv_step(normalize(shifted), cfg, 1.0)
 
 
+class TestClamp:
+    """The clamp path of _Stepper.advance, behind its positivity fast path.
+
+    At cfl = 1 a cell whose two faces both flow out can lose all its mass in
+    one step; a dt 5e-10 over the bound (inside the 1e-9 slack of the CFL
+    check) drives it to -5e-10 times its value.
+    """
+
+    OVERSHOOT = 5e-10
+
+    def step(self, peak):
+        g = Grid.symmetric(4.0, 64)
+        stepper = _Stepper(SolverConfig(s=S, grid=g, lam=LAM, cfl=1.0))
+        k = g.n // 2
+        dxi0 = np.zeros(g.n)
+        dxi0[:k] = 1.0  # faces left of cell k flow left, faces right of it flow right
+        dxi0[k + 1 :] = -1.0
+        v = np.zeros(g.n)
+        v[k] = peak
+        dt = g.h * (1 + self.OVERSHOOT)  # the bound is cfl h / max|dxi0| = h
+        return g, k, v, stepper.advance(v, dxi0, dt)
+
+    def test_small_undershoot_is_zeroed_and_reported(self):
+        peak = 1e-3
+        g, k, v, (out, clamped) = self.step(peak)
+        assert out[k] == 0.0
+        assert np.all(out >= 0.0)
+        assert clamped == pytest.approx(g.h * self.OVERSHOOT * peak, rel=1e-6)
+        assert 0.0 < clamped <= 1e-12
+        # the clamp adds exactly the mass it reports
+        assert g.h * out.sum() - g.h * v.sum() == pytest.approx(clamped, rel=1e-3)
+
+    def test_undershoot_over_the_budget_raises(self):
+        with pytest.raises(PositivityLoss):
+            self.step(1.0)
+
+
 class TestIntegrate:
     def test_steady_init_stays_flat(self, grid1024, steady_pair):
         _, target = steady_pair
@@ -124,6 +163,12 @@ class TestIntegrate:
         dts = np.diff(traj.step_times)
         resid = np.abs(steps / dts + traj.step_dissipation[:-1]) / traj.step_dissipation[:-1]
         assert np.median(resid) <= 0.05
+
+    def test_min_lyapunov_margin_is_the_closest_step_to_the_gate(self, short_run):
+        assert short_run.retries == 0
+        e = short_run.step_energy
+        assert short_run.min_lyapunov_margin == np.min(e[:-1] + LYAPUNOV_SLACK - e[1:])
+        assert short_run.min_lyapunov_margin >= 0.0
 
     def test_mass_and_positivity_invariants(self, short_run):
         assert short_run.max_mass_drift <= 1e-12

@@ -248,6 +248,14 @@ class TestTailCheck:
 
 
 class TestCsvRoundTrip:
+    def test_bytes_match_row_by_row_format(self, tmp_path):
+        g = Grid.symmetric(1.0, 6)
+        values = np.array([0.0, 5e-324, 1 / 3, 1.0, 2.5e-7, 1e300])
+        path = tmp_path / "density.csv"
+        save_density_csv(path, GridDensity(g, values))
+        rows = "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(g.centers.tolist(), values.tolist()))
+        assert path.read_bytes() == ("x,rho\n" + rows).encode("utf-8")
+
     def test_round_trip(self, tmp_path, grid1024):
         rho = random_density(DensitySpec(seed=2), grid1024)
         path = tmp_path / "density.csv"

@@ -97,7 +97,7 @@ class TestSimulate:
         stats = json.loads((sim_dir / "stats.json").read_text())
         assert set(stats) == {
             "schema_version", "steps", "retries", "dt_min", "dt_median", "dt_max",
-            "max_clamped", "max_mass_drift", "max_fft_drift",
+            "max_clamped", "max_mass_drift", "max_fft_drift", "min_lyapunov_margin",
         }
         assert stats["steps"] > 0
         assert stats["retries"] == 0
@@ -105,6 +105,7 @@ class TestSimulate:
         assert stats["max_clamped"] <= 1e-12
         assert stats["max_mass_drift"] <= 1e-12
         assert stats["max_fft_drift"] <= 1e-10
+        assert stats["min_lyapunov_margin"] >= 0.0
 
     def test_stats_of_a_run_whose_only_step_lands_on_t_end(self, tmp_path):
         out = tmp_path / "one_step"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fracpme.errors import EpsilonOutOfRange, NotNormalized, ParameterOrder
-from fracpme.grid import DensitySpec, Grid, GridDensity, moment, normalize, random_density
+from fracpme.grid import DensitySpec, Grid, GridDensity, cdf_quantile, moment, normalize, random_density
 from fracpme.steady import barenblatt
 from fracpme.transport import (
     gns_ratio,
@@ -66,6 +66,26 @@ class TestW2:
         heavy = GridDensity(grid1024, 2 * target.values)
         with pytest.raises(NotNormalized):
             w2(heavy, target)
+
+    def test_target_reuse_returns_the_uncached_float(self):
+        def uncached(rho1, rho2):
+            m = 10 * max(rho1.grid.n, rho2.grid.n)
+            q = (np.arange(m) + 0.5) / m
+            diff = cdf_quantile(rho1)(q) - cdf_quantile(rho2)(q)
+            return float(np.sqrt(np.sum(diff * diff) / m))
+
+        g = Grid.symmetric(4.0, 128)
+        a, b, t = (random_density(DensitySpec(seed=k), g) for k in (1, 2, 3))
+        fine = random_density(DensitySpec(seed=1), Grid.symmetric(4.0, 256))
+        copy = GridDensity(g, t.values.copy())
+        expect = uncached(a, t)
+        assert w2(a, t) == expect
+        assert w2(a, t) == expect
+        assert w2(b, t) == uncached(b, t)
+        assert w2(fine, t) == uncached(fine, t)  # more quantile nodes
+        assert w2(a, copy) == expect
+        assert w2(a, t) == expect
+        assert w2(t, a) == uncached(t, a)
 
     def test_triangle_inequality_on_corpus(self, grid1024, corpus40):
         rng = np.random.default_rng(0)
