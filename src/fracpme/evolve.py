@@ -111,14 +111,29 @@ class _Stepper:
             return e, e
         return e, e + cfg.eps * h * float(energy_mod._entropy_density(v).sum())
 
-    def _rate(self, dxi0: np.ndarray) -> float:
-        """Advective plus linear-diffusive rate of one explicit step."""
-        return float(np.abs(dxi0).max()) / self.h + 2 * self.cfg.eps / self.h**2
+    def rates(self, v: np.ndarray, dxi0: np.ndarray) -> tuple[float, float]:
+        """The local and the nonlocal rate of one explicit step from v.
 
-    def step_size(self, v: np.ndarray, dxi0: np.ndarray, t: float) -> float:
+        The local rate is the advective rate max|dxi0| / h plus the
+        linear-diffusive rate 2 eps / h^2. The advective maximum runs over
+        the hull of the mass only, from one cell before the first nonzero
+        cell to one after the last: a face between two empty cells carries
+        no flux, vel * 0 = 0, whatever its velocity, so the empty far field
+        (where lam x is largest) bounds nothing. A state with no mass takes
+        the whole grid. The nonlocal rate is rho_max sigma / 2 (see
+        step_size).
+        """
+        h = self.h
+        occupied = v != 0.0
+        # the first and one past the last nonzero cell; the whole grid when all are 0
+        first, end = occupied.argmax(), v.size - occupied[::-1].argmax()
+        advective = float(np.abs(dxi0[max(first - 1, 0) : end + 1]).max())
+        return advective / h + 2 * self.cfg.eps / h**2, 0.5 * float(v.max()) * self.sigma
+
+    def step_size(self, rates: tuple[float, float], t: float) -> float:
         """The step taken from time t: the fixed dt if one is set, else cfl
-        over the advective, linear-diffusive and nonlocal-diffusive rates, cut
-        so the run ends at t_end.
+        over the sum of the two rates of the state (see rates), cut so the
+        run ends at t_end.
 
         The nonlocal-diffusive rate rho_max sigma / 2 bounds the stiff part of
         the step: frozen at density rho_max, the linearised nonlocal diffusion
@@ -131,17 +146,21 @@ class _Stepper:
         cfg = self.cfg
         dt = cfg.dt
         if dt is None:
-            dt = cfg.cfl / (self._rate(dxi0) + 0.5 * float(v.max()) * self.sigma)
+            dt = cfg.cfl / (rates[0] + rates[1])
         return min(dt, cfg.t_end - t)
 
-    def advance(self, v: np.ndarray, dxi0: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
+    def advance(
+        self, v: np.ndarray, dxi0: np.ndarray, dt: float, local_rate: float
+    ) -> tuple[np.ndarray, float]:
         """One conservative upwind step; returns new state and clamped mass.
 
         dxi0 is the diffusion-free part of the potential gradient: the eps
         term enters through the centered diffusive flux, not the velocity.
+        dt may not exceed cfl over local_rate, the local rate of v (see
+        rates).
         """
         cfg, h = self.cfg, self.h
-        bound = cfg.cfl / self._rate(dxi0)
+        bound = cfg.cfl / local_rate
         if dt > bound * (1 + 1e-9):
             raise CflViolation(f"dt={dt} exceeds stability bound {bound}")
         vel = -0.5 * (dxi0[:-1] + dxi0[1:])  # interior faces
@@ -173,7 +192,7 @@ def fv_step(rho: GridDensity, cfg: SolverConfig, dt: float) -> GridDensity:
     """
     stepper = _Stepper(cfg)
     _, dxi0, _ = stepper.fields(rho.values)
-    out, _ = stepper.advance(rho.values, dxi0, dt)
+    out, _ = stepper.advance(rho.values, dxi0, dt, stepper.rates(rho.values, dxi0)[0])
     return GridDensity(cfg.grid, out)
 
 
@@ -190,6 +209,10 @@ class Trajectory:
     checkpoint |direct - fft| / scale of the potential (gated at 1e-10).
     min_lyapunov_margin is the smallest E_eps(before) + 1e-10 - E_eps(after)
     over the accepted steps: how close the run came to the Lyapunov gate.
+    nonlocal_bound_steps counts the steps of chosen_dt taken from a state
+    whose nonlocal-diffusive rate was at least its local (advective plus
+    linear-diffusive) rate: on an adaptive run, the steps whose size the
+    nonlocal term set more than the other two together.
     """
 
     config: SolverConfig
@@ -209,6 +232,7 @@ class Trajectory:
     steps: int = 0
     retries: int = 0
     chosen_dt: np.ndarray = field(default_factory=lambda: np.empty(0))
+    nonlocal_bound_steps: int = 0
 
     def series(self, quantity: str) -> np.ndarray:
         if quantity == "E_gap":
@@ -257,6 +281,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
     max_clamped = 0.0
     max_fft_drift = 0.0
     min_margin = float("inf")
+    nonlocal_bound = 0
     next_snap = 0.0
 
     while True:
@@ -298,13 +323,14 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         if t >= cfg.t_end - 1e-12:
             break
 
-        dt = stepper.step_size(v, dxi0, t)
+        rates = stepper.rates(v, dxi0)
+        dt = stepper.step_size(rates, t)
         if cfg.dt is None:
             # a step longer than the snapshot spacing would skip a snapshot
             dt = min(dt, 2 * dt_accepted, cfg.snapshot_every)
         for halvings in range(MAX_HALVINGS + 1):
             try:
-                trial, clamped = stepper.advance(v, dxi0, dt)
+                trial, clamped = stepper.advance(v, dxi0, dt, rates[0])
                 trial_fields = stepper.fields(trial)
                 trial_e = stepper.energies(trial, trial_fields[0])
                 margin = e_eps + LYAPUNOV_SLACK - trial_e[1]
@@ -321,6 +347,8 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         min_margin = min(min_margin, margin)
         if dt < cfg.t_end - t:
             chosen_dt.append(dt)  # not cut short to land on t_end
+            if rates[1] >= rates[0]:
+                nonlocal_bound += 1
         t += dt
         dt_accepted = dt
 
@@ -342,6 +370,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         steps=len(step_t) - 1,
         retries=retries,
         chosen_dt=np.asarray(chosen_dt),
+        nonlocal_bound_steps=nonlocal_bound,
     )
 
 
@@ -498,8 +527,9 @@ def steady_state_eps(cfg: SolverConfig) -> EpsSteadyResult:
         i_eps = h * float((v * dxi * dxi).sum())
         if i_eps < EPS_STEADY_TOL:
             return EpsSteadyResult(GridDensity(cfg.grid, v), t, i_eps)
-        dt = stepper.step_size(v, dxi0, t)
-        v_new, _ = stepper.advance(v, dxi0, dt)
+        rates = stepper.rates(v, dxi0)
+        dt = stepper.step_size(rates, t)
+        v_new, _ = stepper.advance(v, dxi0, dt, rates[0])
         moved = float(np.abs(v_new - v).max()) / dt
         v = v_new
         t += dt

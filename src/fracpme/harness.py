@@ -162,6 +162,7 @@ def cmd_simulate(args) -> int:
             "max_mass_drift": traj.max_mass_drift,
             "max_fft_drift": traj.max_fft_drift,
             "min_lyapunov_margin": traj.min_lyapunov_margin,
+            "nonlocal_bound_steps": traj.nonlocal_bound_steps,
         },
     )
     outputs.append(str(stats_path))

@@ -25,10 +25,12 @@ gradient applies one combined spectrum, W_grad + (i sin theta / h) W_slope,
 to the transform of the values and adds an O(n) correction from four columns
 of the slope weights, where np.gradient and the periodic central difference
 of the padded values differ (a zero vector, skipped, when the two end values
-on each side are 0): 2 transforms, and 3 for the potential and the gradient
-together. The stepper takes its step size from the same cached
-spectrum (`gradient_symbol`), so the step bound and the field it bounds are
-one operator.
+on each side are 0): 2 transforms. The potential and the gradient together
+take 3: one rfft of the values and one irfft of the two rows of a cached
+stacked spectrum, bitwise equal to the two fields taken one by one. The
+stepper takes its step size from the same cached spectrum
+(`gradient_symbol`), so the step bound and the field it bounds are one
+operator.
 """
 
 from __future__ import annotations
@@ -286,10 +288,11 @@ class RieszWorkspace:
         return self._cached(("row_sum", method), lambda: self.apply("hessian", np.ones(self.grid.n), method))
 
     def _window(self, spectrum: np.ndarray, values_hat: np.ndarray) -> np.ndarray:
-        """Rows [0, n) of the inverse transform of spectrum * values_hat."""
+        """Rows [0, n) of the inverse transform of spectrum * values_hat, in
+        one irfft along the last axis; a stacked spectrum gives one row each."""
         n = self.grid.n
         # the product is a private temporary, so the inverse may overwrite it
-        return irfft(spectrum * values_hat, self._nfft, overwrite_x=True)[n - 1 : 2 * n - 1]
+        return irfft(spectrum * values_hat, self._nfft, axis=-1, overwrite_x=True)[..., n - 1 : 2 * n - 1]
 
     def apply(self, family: str, values: np.ndarray, method: str = FFT) -> np.ndarray:
         """Toeplitz sum of one weight family; DIRECT is the O(n^2) reference."""
@@ -307,7 +310,7 @@ class RieszWorkspace:
         if method == DIRECT:
             slope = np.gradient(values, self.grid.h)
             return self.apply("gradient", values, DIRECT) + self.apply("gradient_slope", slope, DIRECT)
-        return self._gradient_from(values, rfft(values, self._nfft))
+        return self._edge_corrected(values, self._window(self._gradient_spectrum(), rfft(values, self._nfft)))
 
     def _theta(self) -> np.ndarray:
         """The rfft bins theta_k = 2 pi k / nfft."""
@@ -344,10 +347,10 @@ class RieszWorkspace:
 
         return self._cached("gradient_edges", build)
 
-    def _gradient_from(self, values: np.ndarray, values_hat: np.ndarray) -> np.ndarray:
-        """FFT-path gradient from the values and their padded transform."""
+    def _edge_corrected(self, values: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """The FFT-path gradient: the window of the combined spectrum plus
+        the edge-column correction (see _edge_columns)."""
         v = values
-        grad = self._window(self._gradient_spectrum(), values_hat)
         if v[0] == v[1] == v[-2] == v[-1] == 0.0:
             return grad  # the correction below is a zero vector
         # np.gradient minus the periodic central difference at entries -1, 0, n-1 and n
@@ -369,10 +372,17 @@ class RieszWorkspace:
         return theta, np.exp(1j * (self.grid.n - 1) * theta) * self._gradient_spectrum()
 
     def potential_and_gradient(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both FFT fields of one density: 1 rfft of the values and 2 irfft,
-        the gradient through the spectrum gradient_symbol reads."""
-        values_hat = rfft(values, self._nfft)
-        return self._window(self.spectrum("potential"), values_hat), self._gradient_from(values, values_hat)
+        """Both FFT fields of one density: 1 rfft of the values and 1 irfft
+        of two rows, the potential and the gradient, the latter through the
+        spectrum gradient_symbol reads. Bitwise equal to potential and
+        gradient called one by one."""
+
+        def build():
+            return np.stack([self.spectrum("potential"), self._gradient_spectrum()])
+
+        spectra = self._cached(("rfft", "potential_and_gradient"), build)
+        pot, grad = self._window(spectra, rfft(values, self._nfft))
+        return pot, self._edge_corrected(values, grad)
 
 
 @lru_cache(maxsize=32)

@@ -44,7 +44,8 @@ def test_field_evaluations_per_step_and_transforms_per_evaluation(monkeypatch):
     """The tracer counts steps as potential_and_gradient calls inside
     integrate, less one for the final state: every accepted or discarded
     trial step evaluates the fields once, and each evaluation takes 3
-    transforms."""
+    transforms, in one rfft call and one irfft call of two rows. A call
+    transforms one row of a 1-D input and shape[0] rows of a 2-D one."""
     from fracpme import riesz
     from fracpme.evolve import SolverConfig, integrate
     from fracpme.grid import Grid, normalize
@@ -53,15 +54,17 @@ def test_field_evaluations_per_step_and_transforms_per_evaluation(monkeypatch):
     grid = Grid.symmetric(4.0, 128)
     _, target = barenblatt(0.25, 0.4, mass=1.0, grid=grid)
     _, shifted = barenblatt(0.25, 0.4, mass=1.0, x0=0.5, grid=grid)
-    transforms = []
+    rows = []
+    fft_calls = {"rfft": 0, "irfft": 0}
     inside = []
-    for name in ("rfft", "irfft"):
+    for name in fft_calls:
         original = getattr(riesz, name)
 
-        def counted(*args, _original=original, **kwargs):
+        def counted(x, *args, _original=original, _name=name, **kwargs):
             if inside:
-                transforms.append(1)
-            return _original(*args, **kwargs)
+                rows.append(1 if x.ndim == 1 else x.shape[0])
+                fft_calls[_name] += 1
+            return _original(x, *args, **kwargs)
 
         monkeypatch.setattr(riesz, name, counted)
     fields = riesz.RieszWorkspace.potential_and_gradient
@@ -80,4 +83,5 @@ def test_field_evaluations_per_step_and_transforms_per_evaluation(monkeypatch):
     assert traj.steps > 0
     assert len(calls) == traj.steps + traj.retries + 1
     # the spectra are built before the first call: the target's energy and the step-size symbol
-    assert len(transforms) == 3 * len(calls)
+    assert sum(rows) == 3 * len(calls)
+    assert fft_calls == {"rfft": len(calls), "irfft": len(calls)}

@@ -110,7 +110,7 @@ class TestClamp:
         v = np.zeros(g.n)
         v[k] = peak
         dt = g.h * (1 + self.OVERSHOOT)  # the bound is cfl h / max|dxi0| = h
-        return g, k, v, stepper.advance(v, dxi0, dt)
+        return g, k, v, stepper.advance(v, dxi0, dt, stepper.rates(v, dxi0)[0])
 
     def test_small_undershoot_is_zeroed_and_reported(self):
         peak = 1e-3
@@ -217,15 +217,60 @@ class TestStepSize:
         taken = []
         advance = _Stepper.advance
 
-        def spy(self, v, dxi0, dt):
+        def spy(self, v, dxi0, dt, local_rate):
             taken.append(dt)
-            return advance(self, v, dxi0, dt)
+            return advance(self, v, dxi0, dt, local_rate)
 
         monkeypatch.setattr(_Stepper, "advance", spy)
         cfg = SolverConfig(s=S, grid=g, lam=LAM, dt=2e-3, t_end=0.1, init=target)
         with pytest.raises(EnergyIncrease):
             integrate(cfg, target)
         assert set(taken) == {2e-3}
+
+
+class TestHullRule:
+    """The advective rate runs over the hull of the mass, one cell beyond the
+    first and the last nonzero cell, not over the empty far field."""
+
+    def state(self, xmax, n):
+        g = Grid.symmetric(xmax, n)
+        _, shifted = barenblatt(S, LAM, mass=1.0, x0=0.5, grid=g)
+        stepper = _Stepper(SolverConfig(s=S, grid=g, lam=LAM))
+        v = normalize(shifted).values
+        _, dxi0, _ = stepper.fields(v)
+        return g, stepper, v, dxi0
+
+    def test_rate_does_not_depend_on_the_domain_truncation(self):
+        g4, stepper4, v4, dxi4 = self.state(4.0, 1024)
+        g8, stepper8, v8, dxi8 = self.state(8.0, 2048)
+        assert g4.h == g8.h
+        rate4 = stepper4.rates(v4, dxi4)[0]
+        rate8 = stepper8.rates(v8, dxi8)[0]
+        assert abs(rate8 - rate4) <= 1e-12 * rate4
+        full4, full8 = np.abs(dxi4).max(), np.abs(dxi8).max()
+        assert 1.9 <= full8 / full4 <= 2.1
+        assert full4 / g4.h > 2 * rate4
+        assert stepper4.rates(np.zeros(g4.n), dxi4)[0] == full4 / g4.h  # no mass: the whole grid
+
+    def test_dt_over_the_hull_bound_raises(self):
+        g, stepper, v, dxi0 = self.state(4.0, 1024)
+        rate = stepper.rates(v, dxi0)[0]
+        with pytest.raises(CflViolation):
+            stepper.advance(v, dxi0, 1.01 * stepper.cfg.cfl / rate, rate)
+
+    def test_dt_between_the_hull_and_full_grid_bounds_steps(self, steady_pair):
+        _, target = steady_pair
+        g, stepper, v, dxi0 = self.state(4.0, 1024)
+        hull_bound = stepper.cfg.cfl / stepper.rates(v, dxi0)[0]
+        full_bound = stepper.cfg.cfl * g.h / np.abs(dxi0).max()
+        dt = float(np.sqrt(hull_bound * full_bound))
+        assert full_bound < dt < hull_bound
+        cfg = SolverConfig(s=S, grid=g, lam=LAM, dt=dt, t_end=10.5 * dt, init=GridDensity(g, v))
+        traj = integrate(cfg, target)
+        assert traj.steps == 11
+        assert traj.max_clamped == 0.0
+        assert np.min(traj.diagnostics["min_rho"]) >= 0.0
+        assert traj.max_mass_drift <= 1e-12
 
 
 class TestFitDecay:

@@ -98,8 +98,11 @@ class TestSimulate:
         assert set(stats) == {
             "schema_version", "steps", "retries", "dt_min", "dt_median", "dt_max",
             "max_clamped", "max_mass_drift", "max_fft_drift", "min_lyapunov_margin",
+            "nonlocal_bound_steps",
         }
         assert stats["steps"] > 0
+        # on this run the nonlocal-diffusive term is the larger share of the step bound
+        assert 0 < stats["nonlocal_bound_steps"] <= stats["steps"]
         assert stats["retries"] == 0
         assert 0 < stats["dt_min"] <= stats["dt_median"] <= stats["dt_max"]
         assert stats["max_clamped"] <= 1e-12

@@ -215,16 +215,28 @@ class TestFftFields:
         for name in ("rfft", "irfft"):
             original = getattr(riesz, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+            def counted(x, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, 1 if x.ndim == 1 else x.shape[0]))
+                return _original(x, *args, **kwargs)
 
             monkeypatch.setattr(riesz, name, counted)
         ws.potential_and_gradient(v)
-        assert calls == ["rfft", "irfft", "irfft"]
+        assert calls == [("rfft", 1), ("irfft", 2)]  # one call inverts both rows
         calls.clear()
         ws.gradient(v)
-        assert calls == ["rfft", "irfft"]
+        assert calls == [("rfft", 1), ("irfft", 1)]
+
+    @pytest.mark.parametrize("n", [3, 64, 1024])
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.7])
+    def test_potential_and_gradient_bitwise_equal_to_one_by_one(self, n, s):
+        g = Grid.symmetric(4.0, n)
+        positive = np.random.default_rng(n).uniform(0.5, 2.0, n)
+        _, compact = barenblatt(0.25, 0.4, mass=1.0, x0=0.5, grid=g)
+        ws = workspace(g, s)
+        for v in (positive, compact.values):
+            pot, grad = ws.potential_and_gradient(v)
+            assert np.array_equal(pot, ws.potential(v))
+            assert np.array_equal(grad, ws.gradient(v))
 
 
 class TestSecondDerivativeAndFracLaplacian:
