@@ -209,6 +209,10 @@ class Trajectory:
     checkpoint |direct - fft| / scale of the potential (gated at 1e-10).
     min_lyapunov_margin is the smallest E_eps(before) + 1e-10 - E_eps(after)
     over the accepted steps: how close the run came to the Lyapunov gate.
+    max_energy_rise is the largest E_eps(t) - min_{t' <= t} E_eps(t') over
+    the accepted states: how far the energy crept up under the per-step
+    slack. min_positive is the smallest positive density value at the end
+    (None when the density is zero everywhere).
     nonlocal_bound_steps counts the steps of chosen_dt taken from a state
     whose nonlocal-diffusive rate was at least its local (advective plus
     linear-diffusive) rate: on an adaptive run, the steps whose size the
@@ -229,6 +233,8 @@ class Trajectory:
     max_clamped: float = 0.0
     max_fft_drift: float = 0.0
     min_lyapunov_margin: float = float("inf")
+    max_energy_rise: float = 0.0
+    min_positive: float | None = None
     steps: int = 0
     retries: int = 0
     chosen_dt: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -281,6 +287,8 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
     max_clamped = 0.0
     max_fft_drift = 0.0
     min_margin = float("inf")
+    e_eps_low = e_eps
+    max_rise = 0.0
     nonlocal_bound = 0
     next_snap = 0.0
 
@@ -345,6 +353,8 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         v, (pot, dxi0, dxi), (e, e_eps) = trial, trial_fields, trial_e
         max_clamped = max(max_clamped, clamped)
         min_margin = min(min_margin, margin)
+        e_eps_low = min(e_eps_low, e_eps)
+        max_rise = max(max_rise, e_eps - e_eps_low)
         if dt < cfg.t_end - t:
             chosen_dt.append(dt)  # not cut short to land on t_end
             if rates[1] >= rates[0]:
@@ -352,6 +362,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         t += dt
         dt_accepted = dt
 
+    positive = v[v > 0]
     return Trajectory(
         config=cfg,
         times=np.asarray(times),
@@ -367,6 +378,8 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         max_clamped=max_clamped,
         max_fft_drift=max_fft_drift,
         min_lyapunov_margin=min_margin,
+        max_energy_rise=max_rise,
+        min_positive=float(positive.min()) if positive.size else None,
         steps=len(step_t) - 1,
         retries=retries,
         chosen_dt=np.asarray(chosen_dt),

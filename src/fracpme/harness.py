@@ -15,7 +15,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import __version__
 from . import energy as energy_mod
@@ -162,6 +161,8 @@ def cmd_simulate(args) -> int:
             "max_mass_drift": traj.max_mass_drift,
             "max_fft_drift": traj.max_fft_drift,
             "min_lyapunov_margin": traj.min_lyapunov_margin,
+            "max_energy_rise": traj.max_energy_rise,
+            "min_positive": traj.min_positive,
             "nonlocal_bound_steps": traj.nonlocal_bound_steps,
         },
     )
@@ -406,6 +407,8 @@ def reference_potential(s: float, prof: steady.BarenblattProfile, xs: np.ndarray
     if s < 0.5:
         return np.asarray(steady.steady_potential(prof, xs))
     if s == 0.5:
+        from scipy.integrate import quad  # only riesz-convergence at s = 1/2 needs it
+
         out = np.empty_like(xs)
         R = prof.R
         for i, x in enumerate(xs):

@@ -17,12 +17,14 @@ builds each weight family and its FFT spectrum the first time it is used,
 keeps them read-only, and is shared by every module. The free functions below
 delegate to it.
 
-The FFT path pads every sum to one length, next_fast_len(2n): any length of
-at least 2n - 1 keeps the kept window [n-1, 2n-1) of a length-(2n-1) weight
-family free of aliasing, and 2n also keeps the gradient's boundary columns
-(below) from wrapping round. A family sum costs one rfft and one irfft. The
-gradient applies one combined spectrum, W_grad + (i sin theta / h) W_slope,
-to the transform of the values and adds an O(n) correction from four columns
+The FFT path (numpy.fft) pads every sum to one length, the smallest
+11-smooth number of at least 2n (no prime factor above 11; the length
+scipy's next_fast_len(2n) picks): any length of at least 2n - 1 keeps the
+kept window [n-1, 2n-1) of a length-(2n-1) weight family free of aliasing,
+and 2n also keeps the gradient's boundary columns (below) from wrapping
+round. A family sum costs one rfft and one irfft. The gradient applies one
+combined spectrum, W_grad + (i sin theta / h) W_slope, to the transform of
+the values and adds an O(n) correction from four columns
 of the slope weights, where np.gradient and the periodic central difference
 of the padded values differ (a zero vector, skipped, when the two end values
 on each side are 0): 2 transforms. The potential and the gradient together
@@ -38,10 +40,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gamma
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft, irfft
-from scipy.special import gamma
+from numpy.fft import irfft, rfft
 
 from .errors import NegativeBeyondTolerance, OutOfRange
 from .grid import Grid, GridDensity
@@ -229,8 +231,17 @@ def _convolve_direct(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _padded_length(n: int) -> int:
-    """FFT length of every Toeplitz sum on n cells (see the module docstring)."""
-    return next_fast_len(2 * n)
+    """FFT length of every Toeplitz sum on n cells: the smallest 11-smooth
+    number of at least 2n (see the module docstring)."""
+    length = max(2 * n, 1)  # 0 has every factor: start at 1 so the loop ends
+    while True:
+        rest = length
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return length
+        length += 1
 
 
 def _convolve_fft(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -256,7 +267,9 @@ class RieszWorkspace:
     Holds the six kernel weight families (FAMILIES), their FFT spectra and
     the hessian row sum T·1, each built the first time it is used and kept
     read-only. Obtain it through workspace(grid, s), which shares one
-    instance per (grid, s) between all modules.
+    instance per (grid, s) between all modules. The FFT path writes its
+    spectral products into scratch buffers the instance owns, so one
+    instance must not be used from several threads at once.
     """
 
     def __init__(self, grid: Grid, s: float):
@@ -265,6 +278,7 @@ class RieszWorkspace:
         self.kernel = riesz_constant(s)
         self._nfft = _padded_length(grid.n)
         self._cache: dict = {}
+        self._products: dict = {}  # scratch of _window, overwritten by every call
 
     def _cached(self, key, build) -> np.ndarray:
         value = self._cache.get(key)
@@ -291,8 +305,14 @@ class RieszWorkspace:
         """Rows [0, n) of the inverse transform of spectrum * values_hat, in
         one irfft along the last axis; a stacked spectrum gives one row each."""
         n = self.grid.n
-        # the product is a private temporary, so the inverse may overwrite it
-        return irfft(spectrum * values_hat, self._nfft, axis=-1, overwrite_x=True)[..., n - 1 : 2 * n - 1]
+        # one product buffer per spectrum shape, reused: with a fresh one per
+        # call (131 kB for two rows at n = 4096) glibc's malloc returns the
+        # pages and faults them in again, 96 minor faults a call on Linux
+        product = self._products.get(spectrum.shape)
+        if product is None:
+            product = self._products[spectrum.shape] = np.empty(spectrum.shape, complex)
+        np.multiply(spectrum, values_hat, out=product)
+        return irfft(product, self._nfft, axis=-1)[..., n - 1 : 2 * n - 1]
 
     def apply(self, family: str, values: np.ndarray, method: str = FFT) -> np.ndarray:
         """Toeplitz sum of one weight family; DIRECT is the O(n^2) reference."""
@@ -359,7 +379,7 @@ class RieszWorkspace:
 
     def gradient_symbol(self) -> tuple[np.ndarray, np.ndarray]:
         """Fourier symbol of `gradient` on the rfft bins theta_k = 2 pi k / nfft,
-        nfft = next_fast_len(2n).
+        nfft = _padded_length(n).
 
         Returns theta and sum_m w_grad[m] e^{-i m theta} + (i sin(theta) / h)
         sum_m w_slope[m] e^{-i m theta}: the one cached spectrum that the FFT

@@ -5,11 +5,9 @@ mass-radius relation, the steady energy, and the variational residual check
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gamma
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import solve_toeplitz
-from scipy.special import gamma
 
 from . import energy as energy_mod
 from .errors import (
@@ -134,6 +132,8 @@ def steady_energy(p: BarenblattProfile, grid: Grid | None = None) -> float:
     at d=1, so the value is computed, not asserted. Cross-checked against the
     grid energy of the sampled profile (1e-3 relative) before returning.
     """
+    from scipy.integrate import quad  # imported here to keep scipy off the import path
+
     if not p.s < 0.5:
         raise OutOfRange(f"steady energy closed form requires s < 1/2, got {p.s}")
     lo, hi = p.x0 - p.R, p.x0 + p.R
@@ -156,6 +156,38 @@ def steady_energy(p: BarenblattProfile, grid: Grid | None = None) -> float:
     return float(val)
 
 
+def _solve_symmetric_toeplitz(t: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Levinson solve of T x = r for every row r of rhs, where T is the
+    symmetric Toeplitz matrix with first column t and every leading block of
+    T is nonsingular (T positive definite suffices).
+
+    One O(m^2) pass carries the forward vector f_k (T_k f_k = e_0; reversed
+    it solves T_k g = e_{k-1}) in row 0 of a work array and the partial
+    solutions in the rows after it, so one product and one row sum per step
+    give the coupling of row k with every column. Elementwise products and
+    sums only: no BLAS call.
+    """
+    m = t.size
+    work = np.zeros((1 + rhs.shape[0], m))
+    scratch = np.empty_like(work)
+    f, x = work[0], work[1:]
+    reversed_t = t[::-1].copy()  # reversed_t[m-1-k : m-1] is t[k], ..., t[1]
+    f[0] = 1.0 / t[0]
+    x[:, 0] = rhs[:, 0] / t[0]
+    for k in range(1, m):
+        # row k of T_{k+1} against [f_k; 0] and [x_k; 0]
+        couple = np.multiply(work[:, :k], reversed_t[m - 1 - k : m - 1], out=scratch[:, :k]).sum(axis=1)
+        eps = couple[0]
+        # f_{k+1} = ([f_k; 0] - eps [0; g_k]) / (1 - eps^2), with f[k] still 0
+        np.multiply(f[k::-1], eps, out=scratch[0, : k + 1])
+        f[: k + 1] -= scratch[0, : k + 1]
+        f[: k + 1] /= 1.0 - eps * eps
+        # x_{k+1} = [x_k; 0] + (r_k - row k of T [x_k; 0]) g_{k+1}
+        np.multiply((rhs[:, k] - couple[1:])[:, None], f[k::-1], out=scratch[1:, : k + 1])
+        x[:, : k + 1] += scratch[1:, : k + 1]
+    return x
+
+
 def discrete_minimizer(
     s: float,
     lam: float,
@@ -172,9 +204,9 @@ def discrete_minimizer(
     discrete identities.
 
     The active set is an interval of cells, so its block of the potential
-    weights is symmetric Toeplitz. Each sweep takes two Levinson solves
-    (scipy.linalg.solve_toeplitz), T a = -confinement and T b = 1, and the
-    mass constraint fixes the level: rho = a + level * b with
+    weights is symmetric Toeplitz. Each sweep solves T a = -confinement and
+    T b = 1 in one Levinson pass (_solve_symmetric_toeplitz), and the mass
+    constraint fixes the level: rho = a + level * b with
     h * sum(rho) = mass. No BLAS call is involved, so the result does not
     depend on the thread count. An active set that stops being one interval
     raises NonContiguousSupport.
@@ -196,8 +228,8 @@ def discrete_minimizer(
                 f"obstacle active set split into several intervals ({m} cells over "
                 f"[{idx[0]}, {idx[-1]}]); the Toeplitz solve needs one interval"
             )
-        rhs = np.column_stack([-confinement[idx], np.ones(m)])
-        a, b = solve_toeplitz(w[n - 1 : n - 1 + m], rhs).T
+        rhs = np.stack([-confinement[idx], np.ones(m)])
+        a, b = _solve_symmetric_toeplitz(w[n - 1 : n - 1 + m], rhs)
         level = (mass - h * np.sum(a)) / (h * np.sum(b))
         rho_active = a + level * b
         if np.any(rho_active < 0):

@@ -16,7 +16,13 @@ LAM_DEFAULT = 0.4
 
 def run_cli(args, threads: str | None = None, cwd=None) -> subprocess.CompletedProcess:
     """Run `python -m fracpme.harness ARGS` in a child process, optionally at
-    a fixed BLAS/OpenMP thread count.
+    a fixed BLAS/OpenMP thread count (see run_python)."""
+    return run_python(["-m", "fracpme.harness", *args], threads, cwd)
+
+
+def run_python(args, threads: str | None = None, cwd=None) -> subprocess.CompletedProcess:
+    """Run `python ARGS` in a child process that imports this fracpme,
+    optionally at a fixed BLAS/OpenMP thread count.
 
     The child gets the absolute root of the imported package first on its
     PYTHONPATH: a relative entry (pytest's `pythonpath = ["src"]`, or
@@ -31,7 +37,7 @@ def run_cli(args, threads: str | None = None, cwd=None) -> subprocess.CompletedP
     package_root = str(Path(fracpme.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "fracpme.harness", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,

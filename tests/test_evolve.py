@@ -170,6 +170,23 @@ class TestIntegrate:
         assert short_run.min_lyapunov_margin == np.min(e[:-1] + LYAPUNOV_SLACK - e[1:])
         assert short_run.min_lyapunov_margin >= 0.0
 
+    def test_max_energy_rise_and_min_positive_read_the_run(self, short_run):
+        e = short_run.step_energy
+        assert short_run.max_energy_rise == np.max(e - np.minimum.accumulate(e))
+        final = short_run.snapshots[-1].values
+        assert short_run.min_positive == np.min(final[final > 0])
+
+    def test_energy_creeps_up_from_the_steady_init(self):
+        # the sampled closed-form profile is not the grid minimizer: each
+        # step may raise E_eps by up to the gate's slack, and it does
+        g = Grid.symmetric(4.0, 256)
+        _, init = barenblatt(S, LAM, mass=1.0, grid=g)
+        cfg = SolverConfig(s=S, grid=g, lam=LAM, t_end=0.3, cfl=0.5, init=init)
+        traj = integrate(cfg, normalize(init))
+        assert traj.max_energy_rise > 0.0
+        e = traj.step_energy
+        assert traj.max_energy_rise == np.max(e - np.minimum.accumulate(e))
+
     def test_mass_and_positivity_invariants(self, short_run):
         assert short_run.max_mass_drift <= 1e-12
         assert short_run.max_clamped <= 1e-12

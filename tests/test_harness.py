@@ -98,7 +98,7 @@ class TestSimulate:
         assert set(stats) == {
             "schema_version", "steps", "retries", "dt_min", "dt_median", "dt_max",
             "max_clamped", "max_mass_drift", "max_fft_drift", "min_lyapunov_margin",
-            "nonlocal_bound_steps",
+            "max_energy_rise", "min_positive", "nonlocal_bound_steps",
         }
         assert stats["steps"] > 0
         # on this run the nonlocal-diffusive term is the larger share of the step bound

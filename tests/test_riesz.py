@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import quad, trapezoid
 from scipy.linalg import toeplitz
 
@@ -13,6 +14,7 @@ from fracpme.riesz import (
     POWER_NEGATIVE,
     POWER_POSITIVE,
     RieszConfig,
+    _padded_length,
     frac_laplacian,
     hdot_seminorm,
     neg_sobolev_norm,
@@ -20,6 +22,8 @@ from fracpme.riesz import (
     riesz_gradient,
     riesz_potential,
     riesz_second_derivative,
+    rfft,
+    irfft,
     toeplitz_apply,
     workspace,
 )
@@ -237,6 +241,29 @@ class TestFftFields:
             pot, grad = ws.potential_and_gradient(v)
             assert np.array_equal(pot, ws.potential(v))
             assert np.array_equal(grad, ws.gradient(v))
+
+
+class TestNumpyTransforms:
+    """numpy.fft at the 11-smooth padded length reproduces the scipy.fft
+    transforms the FFT path used to take, bit for bit."""
+
+    def test_padded_length_is_scipys_next_fast_len(self):
+        ns = range(1, 5000)
+        assert [_padded_length(n) for n in ns] == [scipy.fft.next_fast_len(2 * n) for n in ns]
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 1000, 1023, 1024, 4096])
+    def test_bitwise_equal_to_scipy(self, n):
+        ws = workspace(Grid.symmetric(4.0, n), S)
+        nfft = _padded_length(n)
+        assert ws._nfft == nfft
+        v = np.random.default_rng(n).uniform(0.5, 2.0, n)
+        values_hat = rfft(v, nfft)
+        assert np.array_equal(values_hat, scipy.fft.rfft(v, nfft))
+        stacked = np.stack([ws.spectrum("potential"), ws._gradient_spectrum()]) * values_hat
+        assert np.array_equal(irfft(stacked, nfft, axis=-1), scipy.fft.irfft(stacked, nfft, axis=-1))
+        assert np.array_equal(irfft(stacked[0], nfft), scipy.fft.irfft(stacked[0], nfft))
+        weights = ws.weights("potential")
+        assert np.array_equal(rfft(weights, nfft), scipy.fft.rfft(weights, nfft))
 
 
 class TestSecondDerivativeAndFracLaplacian:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_toeplitz
 from scipy.special import gamma
 
 from fracpme import steady
@@ -7,6 +8,7 @@ from fracpme.errors import EmptySupport, NonContiguousSupport, NonPositive, OutO
 from fracpme.grid import Grid, GridDensity, normalize
 from fracpme.riesz import FFT, RieszConfig, potential_weights, riesz_potential
 from fracpme.steady import (
+    _solve_symmetric_toeplitz,
     barenblatt,
     c_star,
     closed_form_potential,
@@ -219,6 +221,25 @@ class TestDiscreteMinimizer:
         monkeypatch.setattr(steady, "riesz_potential", dipped)
         with pytest.raises(NonContiguousSupport):
             discrete_minimizer(S, LAM, grid1024)
+
+
+class TestLevinsonSolve:
+    """The in-module Levinson solve of the minimizer's Toeplitz block against
+    scipy's solve_toeplitz and a dense solve; m = 1 is a one-cell active set."""
+
+    @pytest.mark.parametrize("m", [1, 2, 100, 1024])
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.4])
+    def test_matches_scipy_and_dense_solves(self, grid1024, s, m):
+        n, h = grid1024.n, grid1024.h
+        column = potential_weights(n, h, s)[n - 1 : n - 1 + m]
+        x = (np.arange(m) - (m - 1) / 2) * h  # centres of m cells about 0
+        rhs = np.stack([-LAM * x**2 / 2, np.ones(m)])
+        got = _solve_symmetric_toeplitz(column, rhs)
+        assert got.shape == (2, m)
+        dense = column[np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])]
+        for ref in (solve_toeplitz(column, rhs.T).T, np.linalg.solve(dense, rhs.T).T):
+            for row, ref_row in zip(got, ref):
+                assert np.max(np.abs(row - ref_row)) <= 1e-12 * np.max(np.abs(ref_row))
 
 
 def test_profiles_related_by_dilation():
