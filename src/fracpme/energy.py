@@ -16,24 +16,15 @@ LOG_FLOOR = 1e-300
 EPS_TERM_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class PotentialField:
-    """xi = (-Dxx)^{-s} rho + lam x^2/2 (+ eps log rho where rho > floor) and
-    its spatial derivative; the flow velocity is -dxi."""
-
-    xi: np.ndarray
-    dxi: np.ndarray
-
-
-def _eps_log_terms(v: np.ndarray, h: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """eps log rho on {rho > floor} and its centered difference (zero where
-    a stencil leaves that set), for the grid values v of a density."""
+def _eps_log_gradient(v: np.ndarray, h: float, eps: float) -> np.ndarray:
+    """Centered difference of eps log rho on {rho > floor} (zero where a
+    stencil leaves that set), for the grid values v of a density."""
     mask = v > EPS_TERM_FLOOR * float(np.max(v))
     logv = np.where(mask, np.log(np.maximum(v, LOG_FLOOR)), 0.0)
     grad = np.zeros_like(v)
     ok = mask[2:] & mask[:-2] & mask[1:-1]
     grad[1:-1] = np.where(ok, (logv[2:] - logv[:-2]) / (2 * h), 0.0)
-    return eps * logv, eps * grad
+    return eps * grad
 
 
 def _entropy_density(v: np.ndarray) -> np.ndarray:
@@ -42,28 +33,24 @@ def _entropy_density(v: np.ndarray) -> np.ndarray:
 
 
 def _velocity_fields(grid: Grid, v: np.ndarray, grad: np.ndarray, lam: float, eps: float):
-    """Gradients of the driving potential at the grid values v, from the
-    gradient grad of their Riesz potential: the diffusion-free part
-    dxi0 = grad + lam x, the full dxi (dxi0 plus the eps log-term gradient),
-    and eps log rho (None at eps = 0). The flow velocity is -dxi."""
+    """Gradients of the driving potential xi = (-Dxx)^{-s} rho + lam x^2/2
+    (+ eps log rho) at the grid values v, from the gradient grad of their
+    Riesz potential: the diffusion-free part dxi0 = grad + lam x and the full
+    dxi (dxi0 plus the eps log-term gradient). The flow velocity is -dxi."""
     dxi0 = grad + lam * grid.centers
     if eps > 0:
-        log_term, log_gradient = _eps_log_terms(v, grid.h, eps)
-        return dxi0, dxi0 + log_gradient, log_term
-    return dxi0, dxi0, None
+        return dxi0, dxi0 + _eps_log_gradient(v, grid.h, eps)
+    return dxi0, dxi0
 
 
-def potential_xi(rho: GridDensity, s: float, lam: float, eps: float = 0.0) -> PotentialField:
-    """Assemble the driving potential and the velocity field of the flow."""
+def potential_xi(rho: GridDensity, s: float, lam: float, eps: float = 0.0) -> np.ndarray:
+    """Spatial derivative dxi of the driving potential at the cell centers;
+    the velocity field of the flow is -dxi."""
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     require_normalized(rho)
-    ws = workspace(rho.grid, s)
-    _, dxi, log_term = _velocity_fields(rho.grid, rho.values, ws.gradient(rho.values), lam, eps)
-    xi = ws.potential(rho.values) + lam * rho.x**2 / 2
-    if log_term is not None:
-        xi = xi + log_term
-    return PotentialField(xi=xi, dxi=dxi)
+    grad = workspace(rho.grid, s).gradient(rho.values)
+    return _velocity_fields(rho.grid, rho.values, grad, lam, eps)[1]
 
 
 @dataclass(frozen=True)
@@ -113,8 +100,8 @@ def energy(
 
 def dissipation(rho: GridDensity, s: float, lam: float, eps: float = 0.0) -> float:
     """Entropy production h sum rho * dxi^2; nonnegative by construction."""
-    field = potential_xi(rho, s, lam, eps)
-    return rho.grid.h * float(np.sum(rho.values * field.dxi**2))
+    dxi = potential_xi(rho, s, lam, eps)
+    return rho.grid.h * float(np.sum(rho.values * dxi**2))
 
 
 def remainder_R(rho: GridDensity, s: float, lam: float) -> float:
@@ -126,7 +113,7 @@ def remainder_R(rho: GridDensity, s: float, lam: float) -> float:
     which tames the kernel singularity; the diagonal cell pair is excluded.
     """
     g = rho.grid
-    v, d = rho.values, potential_xi(rho, s, lam, 0.0).dxi
+    v, d = rho.values, potential_xi(rho, s, lam, 0.0)
     ws = workspace(g, s)
     c_plus = ws.kernel.c_plus
     conv_v = ws.apply("hessian", v)

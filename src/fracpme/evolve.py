@@ -98,7 +98,7 @@ class _Stepper:
     def fields(self, v: np.ndarray):
         """Riesz potential, diffusion-free and full potential gradients of a state."""
         pot, grad = self.ws.potential_and_gradient(v)
-        dxi0, dxi, _ = energy_mod._velocity_fields(self.cfg.grid, v, grad, self.cfg.lam, self.cfg.eps)
+        dxi0, dxi = energy_mod._velocity_fields(self.cfg.grid, v, grad, self.cfg.lam, self.cfg.eps)
         return pot, dxi0, dxi
 
     def energies(self, v: np.ndarray, pot: np.ndarray) -> tuple[float, float]:
@@ -223,7 +223,6 @@ class Trajectory:
     times: np.ndarray
     snapshots: list[GridDensity]
     diagnostics: dict[str, np.ndarray]
-    target: GridDensity
     e_target: float
     e_eps_target: float
     step_times: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -368,7 +367,6 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         times=np.asarray(times),
         snapshots=snapshots,
         diagnostics={k: np.asarray(series) for k, series in diag.items()},
-        target=target,
         e_target=e_target,
         e_eps_target=e_eps_target,
         step_times=np.asarray(step_t),
@@ -497,17 +495,7 @@ def change_of_variables(
     return GridDensity(dens.grid, new_vals), float(new_time)
 
 
-@dataclass(frozen=True)
-class EpsSteadyResult:
-    """Terminal state of the regularized flow, the time it was reached and
-    its eps-dissipation."""
-
-    density: GridDensity
-    t: float
-    dissipation: float
-
-
-def steady_state_eps(cfg: SolverConfig) -> EpsSteadyResult:
+def steady_state_eps(cfg: SolverConfig) -> GridDensity:
     """Minimizer of the eps-regularized energy by long-time integration.
 
     Starts from the sampled sharp steady profile and marches until the
@@ -539,7 +527,7 @@ def steady_state_eps(cfg: SolverConfig) -> EpsSteadyResult:
         _, dxi0, dxi = stepper.fields(v)
         i_eps = h * float((v * dxi * dxi).sum())
         if i_eps < EPS_STEADY_TOL:
-            return EpsSteadyResult(GridDensity(cfg.grid, v), t, i_eps)
+            return GridDensity(cfg.grid, v)
         rates = stepper.rates(v, dxi0)
         dt = stepper.step_size(rates, t)
         v_new, _ = stepper.advance(v, dxi0, dt, rates[0])
@@ -547,7 +535,5 @@ def steady_state_eps(cfg: SolverConfig) -> EpsSteadyResult:
         v = v_new
         t += dt
         if moved <= STALL_TOL * float(v.max()):
-            _, _, dxi = stepper.fields(v)
-            i_eps = h * float((v * dxi * dxi).sum())
-            return EpsSteadyResult(GridDensity(cfg.grid, v), t, i_eps)
+            return GridDensity(cfg.grid, v)
     raise NotConverged(f"I_eps = {i_eps} > {EPS_STEADY_TOL} at t_max = {cfg.t_end}")

@@ -192,8 +192,6 @@ def holder_seminorm(u: np.ndarray, grid: Grid, alpha: float) -> float:
 class TailReport:
     """Outcome of checking rho(x) <= A * exp(-a|x|) on the grid."""
 
-    a: float
-    A: float
     satisfied: bool
     violating_cell: int | None = None
 
@@ -206,7 +204,7 @@ def tail_check(rho: GridDensity, a: float, A: float) -> TailReport:
     excess = rho.values - bound
     worst = int(np.argmax(excess))
     ok = excess[worst] <= 0.0
-    return TailReport(a=a, A=A, satisfied=bool(ok), violating_cell=None if ok else worst)
+    return TailReport(satisfied=bool(ok), violating_cell=None if ok else worst)
 
 
 @dataclass(frozen=True)

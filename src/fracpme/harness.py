@@ -193,6 +193,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _verdict(rows: list[dict], ok, **summary) -> dict:
+    """A suite's verdict on its per-sample rows: it passes when ok(row) holds
+    on every sample and names the seed of the first sample where it does
+    not. Each ok is written as value >= bound: a comparison with a NaN is
+    False, so a NaN fails its suite."""
+    offender = next((r["seed"] for r in rows if not ok(r)), None)
+    return {"pass": offender is None, **summary, "violating_seed": offender, "samples": rows}
+
+
 def _suite_inequalities(samples, target, s, lam, eps, names):
     """Gap suites sharing one inequality report per sample."""
     per_sample: dict[str, list] = {n: [] for n in names}
@@ -203,68 +212,39 @@ def _suite_inequalities(samples, target, s, lam, eps, names):
         terms = transport.hwi_terms(rho, target, s, lam, eps) if want_terms else None
         for name in names:
             gap = getattr(rep, attr[name])
-            entry = {"seed": spec.seed, "gap": gap, "scale": rep.scale}
-            entry["margin"] = gap / rep.scale
-            if name == "hwi" and terms is not None:
-                entry.update(
-                    T1=terms.T1,
-                    T2=terms.T2,
-                    T3=terms.T3,
-                    t_scale=terms.scale,
-                )
+            entry = {"seed": spec.seed, "gap": gap, "scale": rep.scale, "margin": gap / rep.scale}
+            if name == "hwi":
+                entry.update(T1=terms.T1, T2=terms.T2, T3=terms.T3, t_scale=terms.scale)
             per_sample[name].append(entry)
-    out = {}
-    for name in names:
-        rows = per_sample[name]
-        worst = min(r["margin"] for r in rows)
-        ok = worst >= -GAP_TOL
-        offender = None
-        if name == "hwi":
-            for r in rows:
-                t_ok = (
-                    r["T1"] >= -GAP_TOL * r["t_scale"]
-                    and r["T3"] >= -GAP_TOL * r["t_scale"]
-                    and (abs(r["T2"]) <= T2_TOL if eps == 0 else r["T2"] >= -GAP_TOL * r["t_scale"])
-                )
-                if not t_ok:
-                    ok = False
-                    offender = r["seed"]
-                    break
-        if not ok and offender is None:
-            offender = next(r["seed"] for r in rows if r["margin"] < -GAP_TOL)
-        out[name] = {"pass": ok, "worst_margin": worst, "violating_seed": offender, "samples": rows}
-    return out
+
+    def margin_ok(r):
+        return r["margin"] >= -GAP_TOL
+
+    def hwi_ok(r):
+        tol = -GAP_TOL * r["t_scale"]
+        t2_ok = abs(r["T2"]) <= T2_TOL if eps == 0 else r["T2"] >= tol
+        return margin_ok(r) and r["T1"] >= tol and r["T3"] >= tol and t2_ok
+
+    return {
+        name: _verdict(rows, hwi_ok if name == "hwi" else margin_ok, worst_margin=min(r["margin"] for r in rows))
+        for name, rows in per_sample.items()
+    }
 
 
 def _suite_remainder(samples, s, lam):
-    rows = []
-    ok = True
-    offender = None
-    for spec, rho in samples:
-        val = energy_mod.remainder_R(rho, s, lam)
-        rows.append({"seed": spec.seed, "remainder": val})
-        if val < -REMAINDER_TOL:
-            ok = False
-            if offender is None:
-                offender = spec.seed
+    rows = [{"seed": spec.seed, "remainder": energy_mod.remainder_R(rho, s, lam)} for spec, rho in samples]
     worst = min(r["remainder"] for r in rows)
-    return {"pass": ok, "worst_margin": worst, "violating_seed": offender, "samples": rows}
+    return _verdict(rows, lambda r: r["remainder"] >= -REMAINDER_TOL, worst_margin=worst)
 
 
 def _suite_virial(samples, s):
     rows = []
-    ok = True
-    offender = None
     for spec, rho in samples:
         lhs, rhs = energy_mod.virial_check(rho, s)
         rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         rows.append({"seed": spec.seed, "lhs": lhs, "rhs": rhs, "rel_err": rel})
-        if rel > VIRIAL_TOL:
-            ok = False
-            if offender is None:
-                offender = spec.seed
     worst = max(r["rel_err"] for r in rows)
-    return {"pass": ok, "worst_margin": VIRIAL_TOL - worst, "violating_seed": offender, "samples": rows}
+    return _verdict(rows, lambda r: r["rel_err"] <= VIRIAL_TOL, worst_margin=VIRIAL_TOL - worst)
 
 
 def barenblatt_family(s: float, grid: Grid):
@@ -286,51 +266,38 @@ def _suite_gns(samples, s):
     spread = float((ratios.max() - ratios.min()) / ratios.mean())
     fam_const = float(ratios.max())
     rows = []
-    ok = spread <= GNS_FAMILY_TOL
-    offender = None
     for spec, rho in samples:
         ratio = transport.gns_ratio(rho, s)
-        margin = ratio - fam_const * (1 - GNS_FUZZ_SLACK)
-        rows.append({"seed": spec.seed, "ratio": ratio, "margin": margin})
-        if margin < 0:
-            ok = False
-            if offender is None:
-                offender = spec.seed
-    return {
-        "pass": ok,
-        "family_spread": spread,
-        "family_constant": fam_const,
-        "worst_margin": min(r["margin"] for r in rows) if rows else None,
-        "violating_seed": offender,
-        "family": fam,
-        "samples": rows,
-    }
+        rows.append({"seed": spec.seed, "ratio": ratio, "margin": ratio - fam_const * (1 - GNS_FUZZ_SLACK)})
+    out = _verdict(
+        rows,
+        lambda r: r["margin"] >= 0,
+        family_spread=spread,
+        family_constant=fam_const,
+        worst_margin=min(r["margin"] for r in rows) if rows else None,
+        family=fam,
+    )
+    out["pass"] = out["pass"] and spread <= GNS_FAMILY_TOL
+    return out
 
 
 def _suite_interp(samples, target, s):
     alpha = 1.0 - s
     r = 0.49 * alpha
     rows = []
-    ok = True
-    offender = None
     for spec, rho in samples:
         u = rho.values - target.values
-        lhs, rhs, sigmas = transport.interp_inequality(u, rho.grid, s, alpha, r)
+        lhs, rhs, _ = transport.interp_inequality(u, rho.grid, s, alpha, r)
         ratio = lhs / rhs if rhs > 0 else float("inf")
         rows.append({"seed": spec.seed, "lhs": lhs, "rhs_unnormalized": rhs, "ratio": ratio})
-        if not np.isfinite(ratio):
-            ok = False
-            if offender is None:
-                offender = spec.seed
-    return {
-        "pass": ok,
-        "sigmas": list(transport.interp_sigmas(s, alpha, r)),
-        "alpha": alpha,
-        "r": r,
-        "empirical_constant": max(row["ratio"] for row in rows) if rows else None,
-        "violating_seed": offender,
-        "samples": rows,
-    }
+    return _verdict(
+        rows,
+        lambda row: np.isfinite(row["ratio"]),
+        sigmas=list(transport.interp_sigmas(s, alpha, r)),
+        alpha=alpha,
+        r=r,
+        empirical_constant=max(row["ratio"] for row in rows) if rows else None,
+    )
 
 
 VERIFY_SUITES = ("hwi", "lsi", "talagrand", "gns", "lemmaE", "interp", "remainder", "virial")
@@ -361,7 +328,7 @@ def cmd_verify(args) -> int:
 
     if args.eps > 0:
         eps_cfg = evolve.SolverConfig(s=args.s, grid=grid, lam=lam, eps=args.eps, t_end=80.0, cfl=0.8)
-        target = normalize(evolve.steady_state_eps(eps_cfg).density)
+        target = normalize(evolve.steady_state_eps(eps_cfg))
     else:
         target = normalize(steady.discrete_minimizer(args.s, lam, grid))
 
@@ -485,7 +452,6 @@ def cmd_decay_fit(args) -> int:
         times=times,
         snapshots=[],
         diagnostics=cols,
-        target=target,
         e_target=e_target,
         e_eps_target=energy_mod.energy(target, s, lam, eps).total,
     )

@@ -48,21 +48,16 @@ from numpy.fft import irfft, rfft
 from .errors import NegativeBeyondTolerance, OutOfRange
 from .grid import Grid, GridDensity
 
-POWER_POSITIVE = "power_positive"
-LOGARITHMIC = "logarithmic"
-POWER_NEGATIVE = "power_negative"
-
 
 @dataclass(frozen=True)
 class KernelCase:
-    """Riesz kernel regime and its coefficients at a given order s.
+    """Riesz kernel coefficients at a given order s.
 
     c is the coefficient of |y|^{2s-1} (the 1/pi of the log kernel at s=1/2);
     c_plus is (1-2s)*c, which stays positive on both sides of s=1/2 and tends
     to 1/pi there, keeping the derivative kernels continuous in s.
     """
 
-    regime: str
     c: float
     c_plus: float
 
@@ -73,14 +68,20 @@ def riesz_constant(s: float) -> KernelCase:
         raise OutOfRange(f"s must be in (0, 1), got {s}")
     if s == 0.5:
         inv_pi = 1.0 / np.pi
-        return KernelCase(regime=LOGARITHMIC, c=inv_pi, c_plus=inv_pi)
+        return KernelCase(c=inv_pi, c_plus=inv_pi)
     c = s * 2.0 ** (-2 * s) * gamma(0.5 - s) / (np.sqrt(np.pi) * gamma(1 + s))
-    regime = POWER_POSITIVE if s < 0.5 else POWER_NEGATIVE
-    return KernelCase(regime=regime, c=float(c), c_plus=float((1 - 2 * s) * c))
+    return KernelCase(c=float(c), c_plus=float((1 - 2 * s) * c))
 
 
 DIRECT = "direct_quadrature"
 FFT = "truncated_convolution"
+
+
+def _check_method(method: str) -> None:
+    """Reject any evaluation strategy but DIRECT and FFT: the operators take
+    the FFT path for every method that is not DIRECT."""
+    if method not in (DIRECT, FFT):
+        raise ValueError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,7 @@ class RieszConfig:
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise OutOfRange(f"s must be in (0, 1), got {self.s}")
-        if self.method not in (DIRECT, FFT):
-            raise ValueError(f"unknown method {self.method!r}")
+        _check_method(self.method)
 
 
 def _cell_ends(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,6 +253,7 @@ def _convolve_fft(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def toeplitz_apply(weights: np.ndarray, v: np.ndarray, method: str = FFT) -> np.ndarray:
     """(weights * v)_i = sum_j weights[i-j+n-1] v_j for length-(2n-1) weights."""
+    _check_method(method)
     if method == DIRECT:
         return _convolve_direct(weights, v)
     return _convolve_fft(weights, v)
@@ -316,6 +317,7 @@ class RieszWorkspace:
 
     def apply(self, family: str, values: np.ndarray, method: str = FFT) -> np.ndarray:
         """Toeplitz sum of one weight family; DIRECT is the O(n^2) reference."""
+        _check_method(method)
         if method == DIRECT:
             return toeplitz_apply(self.weights(family), values, DIRECT)
         return self._window(self.spectrum(family), rfft(values, self._nfft))
@@ -327,6 +329,7 @@ class RieszWorkspace:
         """W_grad * values + W_slope * np.gradient(values); DIRECT sums both
         terms directly, the FFT path takes 2 transforms (see
         potential_and_gradient)."""
+        _check_method(method)
         if method == DIRECT:
             slope = np.gradient(values, self.grid.h)
             return self.apply("gradient", values, DIRECT) + self.apply("gradient_slope", slope, DIRECT)

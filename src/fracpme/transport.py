@@ -79,9 +79,6 @@ class InequalityReport:
     """Signed margins of the functional inequalities (>= 0 means satisfied)
     plus the three-term decomposition and the scale they were measured at."""
 
-    s: float
-    lam: float
-    eps: float
     hwi_gap: float | None = None
     lsi_gap: float | None = None
     talagrand_gap: float | None = None
@@ -139,17 +136,17 @@ def hwi_terms(
     g = rho.grid
     h, x, v = g.h, rho.x, rho.values
 
-    fld = energy_mod.potential_xi(rho, s, lam, eps)
-    i_eps = h * float(np.sum(v * fld.dxi**2))
+    dxi = energy_mod.potential_xi(rho, s, lam, eps)
+    i_eps = h * float(np.sum(v * dxi**2))
     w2_cost = np.sqrt(plan.cost)
-    cross = h * float(np.sum(v * fld.dxi * (x - theta)))
+    cross = h * float(np.sum(v * dxi * (x - theta)))
     t1 = np.sqrt(i_eps) * w2_cost - cross
 
     if eps == 0.0:
         integrand = lam * (x * (x - theta) - x**2 / 2 + theta**2 / 2 - (x - theta) ** 2 / 2)
         t2 = h * float(np.sum(v * integrand))
     else:
-        _, dlog = energy_mod._eps_log_terms(v, h, eps)
+        dlog = energy_mod._eps_log_gradient(v, h, eps)
         vt = rho_target.values
         log_rho = np.where(v > 0, np.log(np.maximum(v, energy_mod.LOG_FLOOR)), 0.0)
         log_t = np.where(vt > 0, np.log(np.maximum(vt, energy_mod.LOG_FLOOR)), 0.0)
@@ -165,7 +162,7 @@ def hwi_terms(
     t3 = inter_target - inter_rho - _pv_map_term(rho, theta, s)
 
     scale = max(1.0, i_eps, abs(inter_rho), abs(inter_target), plan.cost)
-    return InequalityReport(s=s, lam=lam, eps=eps, T1=t1, T2=t2, T3=t3, scale=scale)
+    return InequalityReport(T1=t1, T2=t2, T3=t3, scale=scale)
 
 
 def inequality_report(
@@ -202,9 +199,6 @@ def inequality_report(
 
     scale = max(1.0, abs(gap), i_eps)
     return InequalityReport(
-        s=s,
-        lam=lam,
-        eps=eps,
         hwi_gap=float(hwi_gap),
         lsi_gap=float(lsi_gap),
         talagrand_gap=float(talagrand_gap),

@@ -212,8 +212,7 @@ def test_criterion_6_eps_suite(corpus200, eps):
     grid, corpus = corpus200
     assert eps < LAM / (2 * np.pi)
     cfg = SolverConfig(s=0.25, grid=grid, lam=LAM, eps=eps, t_end=80.0, cfl=0.8)
-    result = steady_state_eps(cfg)
-    target_eps = normalize(result.density)
+    target_eps = normalize(steady_state_eps(cfg))
 
     prof, dens = barenblatt(0.25, LAM, mass=1.0, grid=grid)
     target0 = normalize(dens)

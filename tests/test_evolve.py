@@ -296,13 +296,11 @@ class TestFitDecay:
         cfg = SolverConfig(s=S, grid=grid1024, lam=LAM, t_end=5.0)
         diag = {k: np.exp(-rate * times) for k in ("E", "E_eps", "I", "I_eps", "W2", "L2", "L1")}
         diag.update(mass=np.ones_like(times), m2=np.ones_like(times), min_rho=np.zeros_like(times))
-        dummy = GridDensity(grid1024, np.zeros(grid1024.n))
         return Trajectory(
             config=cfg,
             times=times,
             snapshots=[],
             diagnostics=diag,
-            target=dummy,
             e_target=0.0,
             e_eps_target=0.0,
         )
@@ -378,8 +376,8 @@ class TestSteadyStateEps:
     def test_converges_and_smooths(self, grid1024):
         cfg = SolverConfig(s=S, grid=grid1024, lam=LAM, eps=1e-2, t_end=60.0, cfl=0.8)
         res = steady_state_eps(cfg)
-        assert np.all(res.density.values > 0.0)  # diffusion fills the support gaps
+        assert np.all(res.values > 0.0)  # diffusion fills the support gaps
         # stays put under further stepping
-        step_cfg = SolverConfig(s=S, grid=grid1024, lam=LAM, eps=1e-2, dt=1e-4, t_end=1.0, init=res.density)
-        out = fv_step(normalize(res.density), step_cfg, 1e-4)
-        assert grid1024.h * np.sum(np.abs(out.values - normalize(res.density).values)) <= 1e-9
+        step_cfg = SolverConfig(s=S, grid=grid1024, lam=LAM, eps=1e-2, dt=1e-4, t_end=1.0, init=res)
+        out = fv_step(normalize(res), step_cfg, 1e-4)
+        assert grid1024.h * np.sum(np.abs(out.values - normalize(res).values)) <= 1e-9

@@ -1,12 +1,11 @@
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import run_cli
 
 from fracpme import energy as energy_mod
-from fracpme import evolve, harness
+from fracpme import evolve, harness, transport
 from fracpme.grid import Grid, normalize
 from fracpme.harness import main
 from fracpme.steady import barenblatt, discrete_minimizer
@@ -42,6 +41,50 @@ def test_first_violating_seed_is_reported_even_if_zero(monkeypatch):
     result = harness._suite_remainder(samples, 0.25, 0.4)
     assert result["pass"] is False
     assert result["violating_seed"] == 0
+
+
+def test_nan_fails_its_suite_and_names_the_seed(monkeypatch):
+    samples = list(harness.fuzz_corpus(0, 4, Grid.symmetric(4.0, 256)))
+    nan_id = id(samples[2][1])
+    original = energy_mod.remainder_R
+    monkeypatch.setattr(
+        energy_mod, "remainder_R", lambda rho, s, lam: float("nan") if id(rho) == nan_id else original(rho, s, lam)
+    )
+    result = harness._suite_remainder(samples, 0.25, 0.4)
+    assert result["pass"] is False
+    assert result["violating_seed"] == samples[2][0].seed
+
+
+def test_nan_first_margin_fails_the_gap_suite(monkeypatch):
+    samples = list(harness.fuzz_corpus(0, 3, Grid.symmetric(4.0, 64)))
+    gap_of = iter([float("nan"), 1.0, 1.0])
+    monkeypatch.setattr(
+        transport,
+        "inequality_report",
+        lambda rho, s, lam, eps, target: transport.InequalityReport(lsi_gap=next(gap_of)),
+    )
+    result = harness._suite_inequalities(samples, None, 0.25, 0.4, 0.0, ["lsi"])["lsi"]
+    assert result["pass"] is False
+    assert result["violating_seed"] == samples[0][0].seed
+
+
+def test_hwi_names_the_first_sample_failing_margin_or_terms(monkeypatch):
+    samples = list(harness.fuzz_corpus(0, 3, Grid.symmetric(4.0, 64)))
+    margins = iter([1.0, -1.0, 1.0])  # sample 1 fails its margin
+    t1s = iter([1.0, 1.0, -1.0])  # sample 2 fails its T-terms
+    monkeypatch.setattr(
+        transport,
+        "inequality_report",
+        lambda rho, s, lam, eps, target: transport.InequalityReport(hwi_gap=next(margins)),
+    )
+    monkeypatch.setattr(
+        transport,
+        "hwi_terms",
+        lambda rho, target, s, lam, eps: transport.InequalityReport(T1=next(t1s), T2=0.0, T3=0.0),
+    )
+    result = harness._suite_inequalities(samples, None, 0.25, 0.4, 0.0, ["hwi"])["hwi"]
+    assert result["pass"] is False
+    assert result["violating_seed"] == samples[1][0].seed
 
 
 @pytest.fixture(scope="module")
@@ -396,7 +439,7 @@ class TestVerifyCli:
 
         def fake_steady_state_eps(cfg):
             calls.append(cfg.eps)
-            return SimpleNamespace(density=normalize(discrete_minimizer(cfg.s, cfg.lam, cfg.grid)))
+            return normalize(discrete_minimizer(cfg.s, cfg.lam, cfg.grid))
 
         monkeypatch.setattr(evolve, "steady_state_eps", fake_steady_state_eps)
         out = tmp_path / "eps.json"

@@ -6,6 +6,7 @@ from pathlib import Path
 import fracpme
 
 SOURCES = sorted(Path(fracpme.__file__).resolve().parent.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _parameters(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
@@ -57,3 +58,76 @@ def test_check_sees_an_unread_parameter(tmp_path):
         encoding="utf-8",
     )
     assert unused_parameters(src) == ["sample.py:1 f(a)", "sample.py:1 f(rest)"]
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        (isinstance(d, ast.Name) and d.id == "dataclass")
+        or (isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass")
+        for d in cls.decorator_list
+    )
+
+
+def _attribute_reads(tree: ast.AST) -> set[str]:
+    """Attribute names loaded anywhere: x.name, or getattr(x, "name")."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            reads.add(node.args[1].value)
+    return reads
+
+
+def unread_fields(package: list[Path], readers: list[Path]) -> list[str]:
+    """Annotated fields of the dataclasses in package whose name no file of
+    package or readers loads as an attribute."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in {*package, *readers}}
+    reads = set().union(*(_attribute_reads(tree) for tree in trees.values()))
+    found = []
+    for path in package:
+        for cls in ast.walk(trees[path]):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            found += [
+                f"{cls.name}.{stmt.target.id}"
+                for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and stmt.target.id not in reads
+            ]
+    return found
+
+
+def test_every_dataclass_field_is_read():
+    assert any(p.name == "test_lint.py" for p in TESTS)
+    assert unread_fields(SOURCES, TESTS) == []
+
+
+def test_check_sees_an_unread_field(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    kept: float\n"
+        "    named: int\n"
+        "    unread: str\n"
+        "@dataclass\n"
+        "class B:\n"
+        "    also_unread: float = 0.0\n"
+        "class Plain:\n"
+        "    ignored: float\n"
+        "def use(a):\n"
+        "    return a.kept, getattr(a, 'named')\n",
+        encoding="utf-8",
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("def f(b):\n    b.unread = 1\n", encoding="utf-8")  # a store is no read
+    assert unread_fields([src], [reader]) == ["A.unread", "B.also_unread"]

@@ -10,9 +10,6 @@ from fracpme.riesz import (
     DIRECT,
     FAMILIES,
     FFT,
-    LOGARITHMIC,
-    POWER_NEGATIVE,
-    POWER_POSITIVE,
     RieszConfig,
     _padded_length,
     frac_laplacian,
@@ -39,18 +36,15 @@ C_3_QUARTER = -0.79788456080286536
 class TestRieszConstant:
     def test_quarter_value_frozen(self):
         k = riesz_constant(0.25)
-        assert k.regime == POWER_POSITIVE
         assert abs(k.c - C_1_QUARTER) <= 1e-15
 
     def test_three_quarters_negative(self):
         k = riesz_constant(0.75)
-        assert k.regime == POWER_NEGATIVE
         assert k.c < 0
         assert abs(k.c - C_3_QUARTER) <= 1e-15
 
     def test_log_regime_coefficient(self):
         k = riesz_constant(0.5)
-        assert k.regime == LOGARITHMIC
         assert abs(k.c - 1.0 / np.pi) <= 1e-15
 
     @pytest.mark.parametrize("s", [0.05, 0.25, 0.4, 0.5, 0.6, 0.9])
@@ -241,6 +235,24 @@ class TestFftFields:
             pot, grad = ws.potential_and_gradient(v)
             assert np.array_equal(pot, ws.potential(v))
             assert np.array_equal(grad, ws.gradient(v))
+
+    def test_unknown_method_is_rejected(self):
+        # "direct" is not DIRECT ("direct_quadrature"): it must not fall through to the FFT sum
+        g = Grid.symmetric(4.0, 64)
+        v = random_density(DensitySpec(seed=3), g).values
+        ws = workspace(g, S)
+        calls = [
+            lambda: RieszConfig(S, method="direct"),
+            lambda: ws.apply("hessian", v, "direct"),
+            lambda: ws.potential(v, "direct"),
+            lambda: ws.gradient(v, "direct"),
+            lambda: ws.row_sum("direct"),
+            lambda: frac_laplacian(v, g, S, "direct"),
+            lambda: toeplitz_apply(ws.weights("potential"), v, "direct"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="unknown method"):
+                call()
 
 
 class TestNumpyTransforms:
