@@ -80,15 +80,28 @@ class SolverConfig:
                 )
 
 
+def _hull(v: np.ndarray) -> tuple[int, int]:
+    """The first and one past the last nonzero cell of v; all of v when
+    every cell is 0."""
+    occupied = v != 0.0
+    return int(occupied.argmax()), v.size - int(occupied[::-1].argmax())
+
+
 class _Stepper:
-    """Per-step update of one run, on the shared Riesz operator of (grid, s)."""
+    """Per-step update of one run, on the shared Riesz operator of (grid, s).
+
+    The fields of a state are taken on its window (see fields), and every
+    per-step sum and update then runs on that window: a method takes the
+    whole state v and the window win that its field arrays cover.
+    """
 
     def __init__(self, cfg: SolverConfig):
         self.cfg = cfg
         self.ws = workspace(cfg.grid, cfg.s)
-        x = cfg.grid.centers
-        self.xx = x * x  # the confinement weight of the energy and the second moment
+        self.x = cfg.grid.centers
+        self.xx = self.x * self.x  # the confinement weight of the energy and the second moment
         self.h = cfg.grid.h
+        self.max_cells = 0  # the largest window the fields were taken on
         # largest modulus of the symbol of delta -> (1/h) D_face(avg_face(G delta)),
         # the nonlocal diffusion of one step with the density frozen at 1: face
         # average then face difference has the symbol i sin(theta) / h
@@ -96,22 +109,40 @@ class _Stepper:
         self.sigma = float(np.max(np.abs(np.sin(theta) / self.h * symbol)))
 
     def fields(self, v: np.ndarray):
-        """Riesz potential, diffusion-free and full potential gradients of a state."""
-        pot, grad = self.ws.potential_and_gradient(v)
-        dxi0, dxi = energy_mod._velocity_fields(self.cfg.grid, v, grad, self.cfg.lam, self.cfg.eps)
-        return pot, dxi0, dxi
+        """The window of a state, and on it the Riesz potential and the
+        diffusion-free and full potential gradients.
 
-    def energies(self, v: np.ndarray, pot: np.ndarray) -> tuple[float, float]:
+        The window holds the hull of the mass widened by 2 cells on each
+        side, clipped to the grid and rounded up to a section size of the
+        operator (RieszWorkspace.section); a state with no mass, or one whose
+        window would not be smaller than the grid, takes the whole grid. The
+        density is 0 outside the window, and 0 on its 2 end cells that lie
+        inside the grid, so the fields on it are those of the whole grid up
+        to round-off.
+        """
+        n = v.size
+        first, end = _hull(v)
+        lo, hi = max(first - 2, 0), min(end + 2, n)
+        ws = self.ws.section(hi - lo)
+        lo = min(lo, n - ws.n)
+        win = slice(lo, lo + ws.n)
+        self.max_cells = max(self.max_cells, ws.n)
+        vw = v[win]
+        pot, grad = ws.potential_and_gradient(vw)
+        dxi0, dxi = energy_mod._velocity_fields(self.x[win], self.h, vw, grad, self.cfg.lam, self.cfg.eps)
+        return win, pot, dxi0, dxi
+
+    def energies(self, v: np.ndarray, win: slice, pot: np.ndarray) -> tuple[float, float]:
         """Free energy without and with the eps entropy term."""
-        cfg, h = self.cfg, self.h
-        inter = 0.5 * h * float((v * pot).sum())
-        conf = cfg.lam / 2 * h * float((self.xx * v).sum())
+        cfg, h, vw = self.cfg, self.h, v[win]
+        inter = 0.5 * h * float((vw * pot).sum())
+        conf = cfg.lam / 2 * h * float((self.xx[win] * vw).sum())
         e = inter + conf
         if cfg.eps == 0:
             return e, e
-        return e, e + cfg.eps * h * float(energy_mod._entropy_density(v).sum())
+        return e, e + cfg.eps * h * float(energy_mod._entropy_density(vw).sum())
 
-    def rates(self, v: np.ndarray, dxi0: np.ndarray) -> tuple[float, float]:
+    def rates(self, v: np.ndarray, win: slice, dxi0: np.ndarray) -> tuple[float, float]:
         """The local and the nonlocal rate of one explicit step from v.
 
         The local rate is the advective rate max|dxi0| / h plus the
@@ -120,15 +151,13 @@ class _Stepper:
         cell to one after the last: a face between two empty cells carries
         no flux, vel * 0 = 0, whatever its velocity, so the empty far field
         (where lam x is largest) bounds nothing. A state with no mass takes
-        the whole grid. The nonlocal rate is rho_max sigma / 2 (see
+        the whole window. The nonlocal rate is rho_max sigma / 2 (see
         step_size).
         """
-        h = self.h
-        occupied = v != 0.0
-        # the first and one past the last nonzero cell; the whole grid when all are 0
-        first, end = occupied.argmax(), v.size - occupied[::-1].argmax()
+        h, vw = self.h, v[win]
+        first, end = _hull(vw)
         advective = float(np.abs(dxi0[max(first - 1, 0) : end + 1]).max())
-        return advective / h + 2 * self.cfg.eps / h**2, 0.5 * float(v.max()) * self.sigma
+        return advective / h + 2 * self.cfg.eps / h**2, 0.5 * float(vw.max()) * self.sigma
 
     def step_size(self, rates: tuple[float, float], t: float) -> float:
         """The step taken from time t: the fixed dt if one is set, else cfl
@@ -150,36 +179,39 @@ class _Stepper:
         return min(dt, cfg.t_end - t)
 
     def advance(
-        self, v: np.ndarray, dxi0: np.ndarray, dt: float, local_rate: float
+        self, v: np.ndarray, win: slice, dxi0: np.ndarray, dt: float, local_rate: float
     ) -> tuple[np.ndarray, float]:
         """One conservative upwind step; returns new state and clamped mass.
 
-        dxi0 is the diffusion-free part of the potential gradient: the eps
-        term enters through the centered diffusive flux, not the velocity.
-        dt may not exceed cfl over local_rate, the local rate of v (see
-        rates).
+        dxi0 is the diffusion-free part of the potential gradient on the
+        window win: the eps term enters through the centered diffusive flux,
+        not the velocity. No flux crosses the ends of the window, so the mass
+        outside it stays where it is (0 for a window from fields). dt may
+        not exceed cfl over local_rate, the local rate of v (see rates).
         """
         cfg, h = self.cfg, self.h
         bound = cfg.cfl / local_rate
         if dt > bound * (1 + 1e-9):
             raise CflViolation(f"dt={dt} exceeds stability bound {bound}")
+        vw = v[win]
         vel = -0.5 * (dxi0[:-1] + dxi0[1:])  # interior faces
-        upwind = np.where(vel >= 0.0, v[:-1], v[1:])
+        upwind = np.where(vel >= 0.0, vw[:-1], vw[1:])
         flux = vel * upwind
         if cfg.eps > 0:
-            flux = flux - cfg.eps * (v[1:] - v[:-1]) / h
+            flux = flux - cfg.eps * (vw[1:] - vw[:-1]) / h
         flux *= dt / h
         out = v.copy()
-        out[:-1] -= flux
-        out[1:] += flux
-        if out.min() >= 0.0:  # False on NaN, which the mask and the gate below see
+        ow = out[win]  # a view: the updates below write into out
+        ow[:-1] -= flux
+        ow[1:] += flux
+        if ow.min() >= 0.0:  # False on NaN, which the mask and the gate below see
             return out, 0.0
-        neg = out < 0.0
-        clamped = -h * float(out[neg].sum()) if neg.any() else 0.0
+        neg = ow < 0.0
+        clamped = -h * float(ow[neg].sum()) if neg.any() else 0.0
         if clamped > CLAMP_BUDGET:
             raise PositivityLoss(f"clamped {clamped} mass in one step (budget {CLAMP_BUDGET})")
         if clamped:
-            out[neg] = 0.0
+            ow[neg] = 0.0
         return out, clamped
 
 
@@ -191,8 +223,9 @@ def fv_step(rho: GridDensity, cfg: SolverConfig, dt: float) -> GridDensity:
     mass is preserved to round-off by the telescoping flux sum.
     """
     stepper = _Stepper(cfg)
-    _, dxi0, _ = stepper.fields(rho.values)
-    out, _ = stepper.advance(rho.values, dxi0, dt, stepper.rates(rho.values, dxi0)[0])
+    v = rho.values
+    win, _, dxi0, _ = stepper.fields(v)
+    out, _ = stepper.advance(v, win, dxi0, dt, stepper.rates(v, win, dxi0)[0])
     return GridDensity(cfg.grid, out)
 
 
@@ -216,7 +249,9 @@ class Trajectory:
     nonlocal_bound_steps counts the steps of chosen_dt taken from a state
     whose nonlocal-diffusive rate was at least its local (advective plus
     linear-diffusive) rate: on an adaptive run, the steps whose size the
-    nonlocal term set more than the other two together.
+    nonlocal term set more than the other two together. max_field_cells
+    is the largest window, in cells, that the fields of a state (accepted
+    or trial) were taken on: n once the mass fills the grid.
     """
 
     config: SolverConfig
@@ -238,6 +273,7 @@ class Trajectory:
     retries: int = 0
     chosen_dt: np.ndarray = field(default_factory=lambda: np.empty(0))
     nonlocal_bound_steps: int = 0
+    max_field_cells: int = 0
 
     def series(self, quantity: str) -> np.ndarray:
         if quantity == "E_gap":
@@ -270,8 +306,8 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
     v = rho0.values.copy()
     mass0 = h * float(v.sum())
     t = 0.0
-    pot, dxi0, dxi = stepper.fields(v)
-    e, e_eps = stepper.energies(v, pot)
+    win, pot, dxi0, dxi = stepper.fields(v)
+    e, e_eps = stepper.energies(v, win, pot)
     retries = 0
     dt_accepted = float("inf")
 
@@ -292,8 +328,9 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
     next_snap = 0.0
 
     while True:
-        i0 = h * float((v * dxi0 * dxi0).sum())
-        i_eps = i0 if cfg.eps == 0 else h * float((v * dxi * dxi).sum())
+        vw = v[win]
+        i0 = h * float((vw * dxi0 * dxi0).sum())
+        i_eps = i0 if cfg.eps == 0 else h * float((vw * dxi * dxi).sum())
         step_t.append(t)
         step_e.append(e_eps)
         step_i.append(i_eps)
@@ -302,11 +339,11 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         max_drift = max(max_drift, abs(mass - mass0))
 
         if t >= next_snap - 1e-12 or t >= cfg.t_end - 1e-12:
-            # the direct pair sum is the reference for the convolution fast
-            # path; validate it at every checkpoint
+            # the whole-grid direct pair sum is the reference for the
+            # windowed convolution fast path; validate it at every checkpoint
             direct = stepper.ws.potential(v, DIRECT)
             scale = max(1.0, float(np.abs(direct).max()))
-            fft_err = float(np.abs(direct - pot).max())
+            fft_err = float(np.abs(direct[win] - pot).max())
             if fft_err > 1e-10 * scale:
                 raise Inconsistent(f"fast-path potential drifted from the direct sum at t={t}")
             max_fft_drift = max(max_fft_drift, fft_err / scale)
@@ -330,16 +367,16 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         if t >= cfg.t_end - 1e-12:
             break
 
-        rates = stepper.rates(v, dxi0)
+        rates = stepper.rates(v, win, dxi0)
         dt = stepper.step_size(rates, t)
         if cfg.dt is None:
             # a step longer than the snapshot spacing would skip a snapshot
             dt = min(dt, 2 * dt_accepted, cfg.snapshot_every)
         for halvings in range(MAX_HALVINGS + 1):
             try:
-                trial, clamped = stepper.advance(v, dxi0, dt, rates[0])
+                trial, clamped = stepper.advance(v, win, dxi0, dt, rates[0])
                 trial_fields = stepper.fields(trial)
-                trial_e = stepper.energies(trial, trial_fields[0])
+                trial_e = stepper.energies(trial, trial_fields[0], trial_fields[1])
                 margin = e_eps + LYAPUNOV_SLACK - trial_e[1]
                 if margin < 0:
                     raise EnergyIncrease(f"E_eps rose by {trial_e[1] - e_eps} at t={t + dt}")
@@ -349,7 +386,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
                     raise
                 dt *= 0.5
                 retries += 1
-        v, (pot, dxi0, dxi), (e, e_eps) = trial, trial_fields, trial_e
+        v, (win, pot, dxi0, dxi), (e, e_eps) = trial, trial_fields, trial_e
         max_clamped = max(max_clamped, clamped)
         min_margin = min(min_margin, margin)
         e_eps_low = min(e_eps_low, e_eps)
@@ -382,6 +419,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         retries=retries,
         chosen_dt=np.asarray(chosen_dt),
         nonlocal_bound_steps=nonlocal_bound,
+        max_field_cells=stepper.max_cells,
     )
 
 
@@ -524,13 +562,14 @@ def steady_state_eps(cfg: SolverConfig) -> GridDensity:
     t = 0.0
     i_eps = float("inf")
     while t < cfg.t_end:
-        _, dxi0, dxi = stepper.fields(v)
-        i_eps = h * float((v * dxi * dxi).sum())
+        win, _, dxi0, dxi = stepper.fields(v)
+        vw = v[win]
+        i_eps = h * float((vw * dxi * dxi).sum())
         if i_eps < EPS_STEADY_TOL:
             return GridDensity(cfg.grid, v)
-        rates = stepper.rates(v, dxi0)
+        rates = stepper.rates(v, win, dxi0)
         dt = stepper.step_size(rates, t)
-        v_new, _ = stepper.advance(v, dxi0, dt, rates[0])
+        v_new, _ = stepper.advance(v, win, dxi0, dt, rates[0])
         moved = float(np.abs(v_new - v).max()) / dt
         v = v_new
         t += dt

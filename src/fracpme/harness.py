@@ -164,6 +164,7 @@ def cmd_simulate(args) -> int:
             "max_energy_rise": traj.max_energy_rise,
             "min_positive": traj.min_positive,
             "nonlocal_bound_steps": traj.nonlocal_bound_steps,
+            "max_field_cells": traj.max_field_cells,
         },
     )
     outputs.append(str(stats_path))
@@ -197,7 +198,9 @@ def _verdict(rows: list[dict], ok, **summary) -> dict:
     """A suite's verdict on its per-sample rows: it passes when ok(row) holds
     on every sample and names the seed of the first sample where it does
     not. Each ok is written as value >= bound: a comparison with a NaN is
-    False, so a NaN fails its suite."""
+    False, so a NaN fails its suite. The suites take their worst values with
+    np.min and np.max, which return NaN when any row holds one (Python's min
+    and max skip a NaN unless it comes first)."""
     offender = next((r["seed"] for r in rows if not ok(r)), None)
     return {"pass": offender is None, **summary, "violating_seed": offender, "samples": rows}
 
@@ -226,14 +229,16 @@ def _suite_inequalities(samples, target, s, lam, eps, names):
         return margin_ok(r) and r["T1"] >= tol and r["T3"] >= tol and t2_ok
 
     return {
-        name: _verdict(rows, hwi_ok if name == "hwi" else margin_ok, worst_margin=min(r["margin"] for r in rows))
+        name: _verdict(
+            rows, hwi_ok if name == "hwi" else margin_ok, worst_margin=float(np.min([r["margin"] for r in rows]))
+        )
         for name, rows in per_sample.items()
     }
 
 
 def _suite_remainder(samples, s, lam):
     rows = [{"seed": spec.seed, "remainder": energy_mod.remainder_R(rho, s, lam)} for spec, rho in samples]
-    worst = min(r["remainder"] for r in rows)
+    worst = float(np.min([r["remainder"] for r in rows]))
     return _verdict(rows, lambda r: r["remainder"] >= -REMAINDER_TOL, worst_margin=worst)
 
 
@@ -243,7 +248,7 @@ def _suite_virial(samples, s):
         lhs, rhs = energy_mod.virial_check(rho, s)
         rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         rows.append({"seed": spec.seed, "lhs": lhs, "rhs": rhs, "rel_err": rel})
-    worst = max(r["rel_err"] for r in rows)
+    worst = float(np.max([r["rel_err"] for r in rows]))
     return _verdict(rows, lambda r: r["rel_err"] <= VIRIAL_TOL, worst_margin=VIRIAL_TOL - worst)
 
 
@@ -274,7 +279,7 @@ def _suite_gns(samples, s):
         lambda r: r["margin"] >= 0,
         family_spread=spread,
         family_constant=fam_const,
-        worst_margin=min(r["margin"] for r in rows) if rows else None,
+        worst_margin=float(np.min([r["margin"] for r in rows])) if rows else None,
         family=fam,
     )
     out["pass"] = out["pass"] and spread <= GNS_FAMILY_TOL
@@ -296,7 +301,7 @@ def _suite_interp(samples, target, s):
         sigmas=list(transport.interp_sigmas(s, alpha, r)),
         alpha=alpha,
         r=r,
-        empirical_constant=max(row["ratio"] for row in rows) if rows else None,
+        empirical_constant=float(np.max([r["ratio"] for r in rows])) if rows else None,
     )
 
 

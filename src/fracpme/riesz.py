@@ -33,6 +33,21 @@ stacked spectrum, bitwise equal to the two fields taken one by one. The
 stepper takes its step size from the same cached spectrum
 (`gradient_symbol`), so the step bound and the field it bounds are one
 operator.
+
+The sums are translation invariant, so every run of m consecutive cells of
+a grid has one operator, `workspace(grid, s).section(cells)`, a
+RieszWorkspace whose weights are the central 2m - 1 of the grid's and
+whose h is the grid's. m rounds `cells` up to a coarse ladder of sizes,
+q 2^e with q in 4..7, so its FFT length is 2m. The grid's operator holds
+its MAX_SECTIONS most recently used sections and builds their spectra when
+it makes them. The stepper takes the fields of a compactly supported state
+on the section that holds the hull of the mass and 2 empty cells at each
+interior end (see evolve._Stepper.fields): the other cells are 0, so the
+fields are the whole grid's on it but for round-off (at length 2m rather
+than 2n), and the edge correction is the grid's own, skipped at an
+interior end. A section, like its grid's operator, writes into scratch
+buffers of its own and is handed to every caller of that operator, so the
+operator and its sections must not be used from several threads at once.
 """
 
 from __future__ import annotations
@@ -230,6 +245,7 @@ def _convolve_direct(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.convolve(weights, v)[n - 1 : 2 * n - 1]
 
 
+@lru_cache(maxsize=256)
 def _padded_length(n: int) -> int:
     """FFT length of every Toeplitz sum on n cells: the smallest 11-smooth
     number of at least 2n (see the module docstring)."""
@@ -260,6 +276,18 @@ def toeplitz_apply(weights: np.ndarray, v: np.ndarray, method: str = FFT) -> np.
 
 
 FAMILIES = ("potential", "gradient", "gradient_slope", "hessian", "hessian_slope", "hessian_quad")
+# the families of potential_and_gradient, which a section takes from its parent
+SECTION_FAMILIES = ("potential", "gradient", "gradient_slope")
+MAX_SECTIONS = 4
+
+
+def _section_cells(cells: int) -> int:
+    """The smallest size of at least `cells` on the ladder of section sizes,
+    q 2^e with q in 4..7 (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 20, ...):
+    at most 25 % over the size asked for, and twice each size is 7-smooth,
+    so a section's FFT length is exactly twice its size."""
+    e = max((cells - 1).bit_length() - 3, 0)
+    return -(-cells >> e) << e
 
 
 class RieszWorkspace:
@@ -270,16 +298,24 @@ class RieszWorkspace:
     read-only. Obtain it through workspace(grid, s), which shares one
     instance per (grid, s) between all modules. The FFT path writes its
     spectral products into scratch buffers the instance owns, so one
-    instance must not be used from several threads at once.
+    instance, together with the sections it holds (see section), must not
+    be used from several threads at once.
+
+    `cells` makes the operator of that many consecutive cells of grid (all
+    of them by default): the sums are translation invariant, so any run of
+    `cells` cells has the same operator, with the h of grid.
     """
 
-    def __init__(self, grid: Grid, s: float):
+    def __init__(self, grid: Grid, s: float, cells: int | None = None):
         self.grid = grid
         self.s = s
+        self.n = grid.n if cells is None else cells
+        self.h = grid.h
         self.kernel = riesz_constant(s)
-        self._nfft = _padded_length(grid.n)
+        self._nfft = _padded_length(self.n)
         self._cache: dict = {}
         self._products: dict = {}  # scratch of _window, overwritten by every call
+        self._sections: dict = {}  # section size -> operator, least recently used first
 
     def _cached(self, key, build) -> np.ndarray:
         value = self._cache.get(key)
@@ -293,19 +329,19 @@ class RieszWorkspace:
         # the builder is looked up in the module namespace at call time, so a
         # rebound builder (a profiler's wrapper, say) sees every build
         builder = globals()[f"{family}_weights"]
-        return self._cached(family, lambda: builder(self.grid.n, self.grid.h, self.s))
+        return self._cached(family, lambda: builder(self.n, self.h, self.s))
 
     def spectrum(self, family: str) -> np.ndarray:
         return self._cached(("rfft", family), lambda: rfft(self.weights(family), self._nfft))
 
     def row_sum(self, method: str = FFT) -> np.ndarray:
         """Row sums T·1 of the hessian weights."""
-        return self._cached(("row_sum", method), lambda: self.apply("hessian", np.ones(self.grid.n), method))
+        return self._cached(("row_sum", method), lambda: self.apply("hessian", np.ones(self.n), method))
 
     def _window(self, spectrum: np.ndarray, values_hat: np.ndarray) -> np.ndarray:
         """Rows [0, n) of the inverse transform of spectrum * values_hat, in
         one irfft along the last axis; a stacked spectrum gives one row each."""
-        n = self.grid.n
+        n = self.n
         # one product buffer per spectrum shape, reused: with a fresh one per
         # call (131 kB for two rows at n = 4096) glibc's malloc returns the
         # pages and faults them in again, 96 minor faults a call on Linux
@@ -331,7 +367,7 @@ class RieszWorkspace:
         potential_and_gradient)."""
         _check_method(method)
         if method == DIRECT:
-            slope = np.gradient(values, self.grid.h)
+            slope = np.gradient(values, self.h)
             return self.apply("gradient", values, DIRECT) + self.apply("gradient_slope", slope, DIRECT)
         return self._edge_corrected(values, self._window(self._gradient_spectrum(), rfft(values, self._nfft)))
 
@@ -348,7 +384,7 @@ class RieszWorkspace:
         """
 
         def build():
-            slope = 1j * np.sin(self._theta()) / self.grid.h
+            slope = 1j * np.sin(self._theta()) / self.h
             return self.spectrum("gradient") + slope * self.spectrum("gradient_slope")
 
         return self._cached(("rfft", "gradient_combined"), build)
@@ -363,7 +399,7 @@ class RieszWorkspace:
         """
 
         def build():
-            n = self.grid.n
+            n = self.n
             # w[m + n] is the weight at offset m, |m| <= n; column j is w[n - j : 2n - j]
             w = np.concatenate(([0.0], self.weights("gradient_slope"), [0.0]))
             return np.stack([w[n + 1 : 2 * n + 1], w[n : 2 * n], w[1 : n + 1], w[:n]])
@@ -377,7 +413,7 @@ class RieszWorkspace:
         if v[0] == v[1] == v[-2] == v[-1] == 0.0:
             return grad  # the correction below is a zero vector
         # np.gradient minus the periodic central difference at entries -1, 0, n-1 and n
-        coef = np.array([-v[0] / 2, v[1] / 2 - v[0], v[-1] - v[-2] / 2, v[-1] / 2]) / self.grid.h
+        coef = np.array([-v[0] / 2, v[1] / 2 - v[0], v[-1] - v[-2] / 2, v[-1] / 2]) / self.h
         return grad + np.einsum("k,ki->i", coef, self._edge_columns())
 
     def gradient_symbol(self) -> tuple[np.ndarray, np.ndarray]:
@@ -392,20 +428,53 @@ class RieszWorkspace:
         """
         theta = self._theta()
         # the spectra index the weights from offset -(n-1)
-        return theta, np.exp(1j * (self.grid.n - 1) * theta) * self._gradient_spectrum()
+        return theta, np.exp(1j * (self.n - 1) * theta) * self._gradient_spectrum()
+
+    def _fields_spectrum(self) -> np.ndarray:
+        """The two stacked spectra of potential_and_gradient."""
+
+        def build():
+            return np.stack([self.spectrum("potential"), self._gradient_spectrum()])
+
+        return self._cached(("rfft", "potential_and_gradient"), build)
 
     def potential_and_gradient(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both FFT fields of one density: 1 rfft of the values and 1 irfft
         of two rows, the potential and the gradient, the latter through the
         spectrum gradient_symbol reads. Bitwise equal to potential and
         gradient called one by one."""
-
-        def build():
-            return np.stack([self.spectrum("potential"), self._gradient_spectrum()])
-
-        spectra = self._cached(("rfft", "potential_and_gradient"), build)
-        pot, grad = self._window(spectra, rfft(values, self._nfft))
+        pot, grad = self._window(self._fields_spectrum(), rfft(values, self._nfft))
         return pot, self._edge_corrected(values, grad)
+
+    def section(self, cells: int) -> RieszWorkspace:
+        """The operator of m = _section_cells(cells) consecutive cells of
+        this grid, or this operator when m is not below n.
+
+        A density that is 0 outside a run of m cells has, on that run, the
+        potential and gradient of the whole grid, up to round-off: the
+        Toeplitz sums of the other cells add 0. The gradient also needs the
+        edge correction of the whole grid: that holds where the run meets an
+        end of the grid, and where it ends inside the grid with two cells of
+        0, for which both corrections vanish. A section's weights are the
+        central 2m - 1 of this operator's (SECTION_FAMILIES; the others are
+        built on first use), its h is this one's, and the spectra of
+        potential_and_gradient are built here, not in the first call. The
+        MAX_SECTIONS most recently used sections are kept.
+        """
+        m = _section_cells(cells)
+        if m >= self.n:
+            return self
+        sections = self._sections
+        op = sections.pop(m, None)  # reinserted below as the most recently used
+        if op is None:
+            op = RieszWorkspace(self.grid, self.s, cells=m)
+            for family in SECTION_FAMILIES:
+                op._cache[family] = self.weights(family)[self.n - m : self.n + m - 1]
+            op._fields_spectrum()
+            if len(sections) >= MAX_SECTIONS:
+                del sections[next(iter(sections))]
+        sections[m] = op
+        return op
 
 
 @lru_cache(maxsize=32)

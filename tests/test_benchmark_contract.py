@@ -85,3 +85,48 @@ def test_field_evaluations_per_step_and_transforms_per_evaluation(monkeypatch):
     # the spectra are built before the first call: the target's energy and the step-size symbol
     assert sum(rows) == 3 * len(calls)
     assert fft_calls == {"rfft": len(calls), "irfft": len(calls)}
+
+
+def test_fields_are_taken_on_windows_shorter_than_the_grid(monkeypatch):
+    """On the compact run above, every field evaluation transforms at a
+    length below the whole grid's, and the run builds at most 2 window
+    operators (sections of sizes 48 and 56 of its 128 cells)."""
+    from fracpme import riesz
+    from fracpme.evolve import SolverConfig, integrate
+    from fracpme.grid import Grid, normalize
+    from fracpme.steady import barenblatt
+
+    grid = Grid.symmetric(4.0, 128)
+    _, target = barenblatt(0.25, 0.4, mass=1.0, grid=grid)
+    _, shifted = barenblatt(0.25, 0.4, mass=1.0, x0=0.5, grid=grid)
+    lengths = []
+    inside = []
+    rfft = riesz.rfft
+
+    def counted(x, n=None, *args, **kwargs):
+        if inside:
+            lengths.append(n)
+        return rfft(x, n, *args, **kwargs)
+
+    monkeypatch.setattr(riesz, "rfft", counted)
+    fields = riesz.RieszWorkspace.potential_and_gradient
+
+    def spy(self, values):
+        inside.append(1)
+        try:
+            return fields(self, values)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(riesz.RieszWorkspace, "potential_and_gradient", spy)
+    built = []
+    init = riesz.RieszWorkspace.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(riesz.RieszWorkspace, "__init__", counted_init)
+    integrate(SolverConfig(s=0.25, grid=grid, t_end=0.05, init=shifted), normalize(target))
+    assert lengths and max(lengths) < riesz._padded_length(grid.n)
+    assert len(built) <= 2

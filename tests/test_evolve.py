@@ -24,10 +24,11 @@ from fracpme.evolve import (
     steady_state_eps,
 )
 from fracpme.grid import Grid, GridDensity, normalize
-from fracpme.riesz import gradient_slope_weights, gradient_weights
+from fracpme.riesz import gradient_slope_weights, gradient_weights, workspace
 from fracpme.steady import barenblatt
 
 S, LAM = 0.25, 0.4
+ALL = slice(None)  # the whole grid as the window of the stepper's fields
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +111,7 @@ class TestClamp:
         v = np.zeros(g.n)
         v[k] = peak
         dt = g.h * (1 + self.OVERSHOOT)  # the bound is cfl h / max|dxi0| = h
-        return g, k, v, stepper.advance(v, dxi0, dt, stepper.rates(v, dxi0)[0])
+        return g, k, v, stepper.advance(v, ALL, dxi0, dt, stepper.rates(v, ALL, dxi0)[0])
 
     def test_small_undershoot_is_zeroed_and_reported(self):
         peak = 1e-3
@@ -234,9 +235,9 @@ class TestStepSize:
         taken = []
         advance = _Stepper.advance
 
-        def spy(self, v, dxi0, dt, local_rate):
+        def spy(self, v, win, dxi0, dt, local_rate):
             taken.append(dt)
-            return advance(self, v, dxi0, dt, local_rate)
+            return advance(self, v, win, dxi0, dt, local_rate)
 
         monkeypatch.setattr(_Stepper, "advance", spy)
         cfg = SolverConfig(s=S, grid=g, lam=LAM, dt=2e-3, t_end=0.1, init=target)
@@ -254,31 +255,31 @@ class TestHullRule:
         _, shifted = barenblatt(S, LAM, mass=1.0, x0=0.5, grid=g)
         stepper = _Stepper(SolverConfig(s=S, grid=g, lam=LAM))
         v = normalize(shifted).values
-        _, dxi0, _ = stepper.fields(v)
+        dxi0 = workspace(g, S).gradient(v) + LAM * g.centers
         return g, stepper, v, dxi0
 
     def test_rate_does_not_depend_on_the_domain_truncation(self):
         g4, stepper4, v4, dxi4 = self.state(4.0, 1024)
         g8, stepper8, v8, dxi8 = self.state(8.0, 2048)
         assert g4.h == g8.h
-        rate4 = stepper4.rates(v4, dxi4)[0]
-        rate8 = stepper8.rates(v8, dxi8)[0]
+        rate4 = stepper4.rates(v4, ALL, dxi4)[0]
+        rate8 = stepper8.rates(v8, ALL, dxi8)[0]
         assert abs(rate8 - rate4) <= 1e-12 * rate4
         full4, full8 = np.abs(dxi4).max(), np.abs(dxi8).max()
         assert 1.9 <= full8 / full4 <= 2.1
         assert full4 / g4.h > 2 * rate4
-        assert stepper4.rates(np.zeros(g4.n), dxi4)[0] == full4 / g4.h  # no mass: the whole grid
+        assert stepper4.rates(np.zeros(g4.n), ALL, dxi4)[0] == full4 / g4.h  # no mass: the whole grid
 
     def test_dt_over_the_hull_bound_raises(self):
         g, stepper, v, dxi0 = self.state(4.0, 1024)
-        rate = stepper.rates(v, dxi0)[0]
+        rate = stepper.rates(v, ALL, dxi0)[0]
         with pytest.raises(CflViolation):
-            stepper.advance(v, dxi0, 1.01 * stepper.cfg.cfl / rate, rate)
+            stepper.advance(v, ALL, dxi0, 1.01 * stepper.cfg.cfl / rate, rate)
 
     def test_dt_between_the_hull_and_full_grid_bounds_steps(self, steady_pair):
         _, target = steady_pair
         g, stepper, v, dxi0 = self.state(4.0, 1024)
-        hull_bound = stepper.cfg.cfl / stepper.rates(v, dxi0)[0]
+        hull_bound = stepper.cfg.cfl / stepper.rates(v, ALL, dxi0)[0]
         full_bound = stepper.cfg.cfl * g.h / np.abs(dxi0).max()
         dt = float(np.sqrt(hull_bound * full_bound))
         assert full_bound < dt < hull_bound
@@ -288,6 +289,39 @@ class TestHullRule:
         assert traj.max_clamped == 0.0
         assert np.min(traj.diagnostics["min_rho"]) >= 0.0
         assert traj.max_mass_drift <= 1e-12
+
+
+class TestFieldWindow:
+    """The stepper takes the fields of a state on the hull of its mass,
+    widened by 2 cells and rounded up to a section size of the operator."""
+
+    def test_window_holds_the_hull_and_two_empty_cells_inside_the_grid(self):
+        g = Grid.symmetric(4.0, 1024)
+        _, shifted = barenblatt(S, LAM, mass=1.0, x0=0.5, grid=g)
+        v = normalize(shifted).values
+        stepper = _Stepper(SolverConfig(s=S, grid=g, lam=LAM))
+        win, pot, dxi0, _ = stepper.fields(v)
+        nonzero = np.flatnonzero(v)
+        assert win.start <= nonzero[0] - 2 and nonzero[-1] + 2 < win.stop <= g.n
+        assert win.stop - win.start == stepper.max_cells < g.n
+        pot_ref, grad_ref = workspace(g, S).potential_and_gradient(v)
+        assert np.max(np.abs(pot - pot_ref[win])) <= 1e-12 * np.max(np.abs(pot_ref))
+        dxi_ref = grad_ref + LAM * g.centers
+        assert np.max(np.abs(dxi0 - dxi_ref[win])) <= 1e-12 * np.max(np.abs(dxi_ref))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.01])
+    def test_whole_grid_window_is_bitwise_the_whole_grid_path(self, eps):
+        g = Grid.symmetric(4.0, 256)
+        v = normalize(GridDensity(g, np.exp(-g.centers**2))).values
+        stepper = _Stepper(SolverConfig(s=S, grid=g, lam=LAM, eps=eps))
+        win, pot, dxi0, dxi = stepper.fields(v)
+        assert (win.start, win.stop) == (0, g.n) and stepper.max_cells == g.n
+        ref_pot, ref_grad = workspace(g, S).potential_and_gradient(v)
+        assert np.array_equal(pot, ref_pot)
+        assert np.array_equal(dxi0, ref_grad + LAM * g.centers)
+
+    def test_max_field_cells(self, short_run, grid1024):
+        assert short_run.max_field_cells == 448 < grid1024.n
 
 
 class TestFitDecay:

@@ -68,6 +68,41 @@ def test_nan_first_margin_fails_the_gap_suite(monkeypatch):
     assert result["violating_seed"] == samples[0][0].seed
 
 
+def test_nan_past_the_first_sample_makes_the_worst_value_nan(monkeypatch):
+    """Python's min and max skip a NaN unless it comes first; every suite's
+    worst value is NaN when any of its samples is."""
+    samples = list(harness.fuzz_corpus(0, 4, Grid.symmetric(4.0, 64)))
+
+    def nan_at_call(k):
+        """1.0 on every call but the k-th (from 0), which returns NaN."""
+        calls = iter(range(1000))
+        return lambda *args: float("nan") if next(calls) == k else 1.0
+
+    monkeypatch.setattr(energy_mod, "remainder_R", nan_at_call(2))
+    result = harness._suite_remainder(samples, 0.25, 0.4)
+    assert result["violating_seed"] == samples[2][0].seed
+    assert np.isnan(result["worst_margin"])
+
+    lhs = nan_at_call(2)
+    monkeypatch.setattr(energy_mod, "virial_check", lambda rho, s: (lhs(), 1.0))
+    assert np.isnan(harness._suite_virial(samples, 0.25)["worst_margin"])
+
+    gap = nan_at_call(2)
+    monkeypatch.setattr(
+        transport, "inequality_report", lambda rho, s, lam, eps, target: transport.InequalityReport(lsi_gap=gap())
+    )
+    assert np.isnan(harness._suite_inequalities(samples, None, 0.25, 0.4, 0.0, ["lsi"])["lsi"]["worst_margin"])
+
+    # two family members first, then the four samples
+    monkeypatch.setattr(harness, "barenblatt_family", lambda s, grid: iter([((1.0, 1.0, 0.0), None)] * 2))
+    monkeypatch.setattr(transport, "gns_ratio", nan_at_call(2 + 2))
+    assert np.isnan(harness._suite_gns(samples, 0.25)["worst_margin"])
+
+    lhs = nan_at_call(2)
+    monkeypatch.setattr(transport, "interp_inequality", lambda u, grid, s, alpha, r: (lhs(), 1.0, None))
+    assert np.isnan(harness._suite_interp(samples, samples[0][1], 0.25)["empirical_constant"])
+
+
 def test_hwi_names_the_first_sample_failing_margin_or_terms(monkeypatch):
     samples = list(harness.fuzz_corpus(0, 3, Grid.symmetric(4.0, 64)))
     margins = iter([1.0, -1.0, 1.0])  # sample 1 fails its margin
@@ -141,7 +176,7 @@ class TestSimulate:
         assert set(stats) == {
             "schema_version", "steps", "retries", "dt_min", "dt_median", "dt_max",
             "max_clamped", "max_mass_drift", "max_fft_drift", "min_lyapunov_margin",
-            "max_energy_rise", "min_positive", "nonlocal_bound_steps",
+            "max_energy_rise", "min_positive", "nonlocal_bound_steps", "max_field_cells",
         }
         assert stats["steps"] > 0
         # on this run the nonlocal-diffusive term is the larger share of the step bound

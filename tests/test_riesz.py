@@ -10,8 +10,11 @@ from fracpme.riesz import (
     DIRECT,
     FAMILIES,
     FFT,
+    MAX_SECTIONS,
+    SECTION_FAMILIES,
     RieszConfig,
     _padded_length,
+    _section_cells,
     frac_laplacian,
     hdot_seminorm,
     neg_sobolev_norm,
@@ -253,6 +256,64 @@ class TestFftFields:
         for call in calls:
             with pytest.raises(ValueError, match="unknown method"):
                 call()
+
+
+class TestSections:
+    """The operator of a run of consecutive cells (RieszWorkspace.section),
+    on which the stepper takes the fields of a compactly supported state."""
+
+    @pytest.mark.parametrize("cells", [1, 4, 5, 9, 17, 29, 100, 417, 1000, 5000])
+    def test_ladder_is_coarse_and_fft_friendly(self, cells):
+        m = _section_cells(cells)
+        assert cells <= m <= max(1.25 * cells, 4)
+        assert _padded_length(m) == 2 * m
+
+    def test_ladder_has_four_sizes_an_octave(self):
+        assert sorted({_section_cells(c) for c in range(9, 33)}) == [10, 12, 14, 16, 20, 24, 28, 32]
+        assert len({_section_cells(c) for c in range(9, 1025)}) == 28
+
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.4])
+    @pytest.mark.parametrize("cells", [5, 40, 100])
+    def test_weights_and_h_are_the_parents(self, s, cells):
+        g = Grid.symmetric(4.0, 128)
+        ws = workspace(g, s)
+        sec = ws.section(cells)
+        m = sec.n
+        assert m == _section_cells(cells) < g.n
+        assert sec.h == ws.h and sec.s == ws.s
+        for family in SECTION_FAMILIES:
+            assert np.array_equal(sec.weights(family), ws.weights(family)[g.n - m : g.n + m - 1])
+        # built with the operator, not in its first field evaluation
+        assert ("rfft", "potential_and_gradient") in sec._cache
+        assert sec is ws.section(m)
+        assert ws.section(g.n - 1) is ws  # rounds up to the whole grid
+
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.4])
+    @pytest.mark.parametrize("support", [(60, 100), (0, 30), (220, 256), (3, 250)])
+    def test_fields_match_the_whole_grid_on_the_window(self, s, support):
+        # interior, touching the left end, touching the right end, the whole grid
+        g = Grid.symmetric(4.0, 256)
+        a, b = support
+        v = np.zeros(g.n)
+        v[a:b] = np.random.default_rng(a).uniform(0.5, 2.0, b - a)
+        ws = workspace(g, s)
+        lo, hi = max(a - 2, 0), min(b + 2, g.n)
+        sec = ws.section(hi - lo)
+        lo = min(lo, g.n - sec.n)
+        win = slice(lo, lo + sec.n)
+        pot, grad = sec.potential_and_gradient(v[win])
+        pot_ref, grad_ref = ws.potential_and_gradient(v)
+        for got, ref in ((pot, pot_ref), (grad, grad_ref)):
+            assert np.max(np.abs(got - ref[win])) <= 1e-12 * np.max(np.abs(ref))
+        if sec is ws:
+            assert np.array_equal(pot, pot_ref) and np.array_equal(grad, grad_ref)
+
+    def test_held_sections_are_bounded(self):
+        ws = workspace(Grid.symmetric(4.0, 2048), S)
+        for cells in range(8, 1024, 8):
+            ws.section(cells)
+        assert len(ws._sections) == MAX_SECTIONS
+        assert max(ws._sections) == _section_cells(1016)  # the most recently used are kept
 
 
 class TestNumpyTransforms:
