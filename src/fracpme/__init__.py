@@ -21,7 +21,6 @@ from .grid import (  # noqa: F401
 )
 from .riesz import (  # noqa: F401
     KernelCase,
-    RieszConfig,
     frac_laplacian,
     hdot_seminorm,
     neg_sobolev_norm,

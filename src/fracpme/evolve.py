@@ -20,7 +20,7 @@ from .errors import (
     PositivityLoss,
 )
 from .grid import Grid, GridDensity, normalize
-from .riesz import DIRECT, workspace
+from .riesz import DIRECT, toeplitz_apply, workspace
 from .transport import w2
 
 LYAPUNOV_SLACK = 1e-10
@@ -341,7 +341,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         if t >= next_snap - 1e-12 or t >= cfg.t_end - 1e-12:
             # the whole-grid direct pair sum is the reference for the
             # windowed convolution fast path; validate it at every checkpoint
-            direct = stepper.ws.potential(v, DIRECT)
+            direct = toeplitz_apply(stepper.ws.weights("potential"), v, DIRECT)
             scale = max(1.0, float(np.abs(direct).max()))
             fft_err = float(np.abs(direct[win] - pot).max())
             if fft_err > 1e-10 * scale:

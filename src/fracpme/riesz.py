@@ -88,32 +88,9 @@ def riesz_constant(s: float) -> KernelCase:
     return KernelCase(c=float(c), c_plus=float((1 - 2 * s) * c))
 
 
+# the two strategies of toeplitz_apply: the O(n^2) reference sum and the FFT path
 DIRECT = "direct_quadrature"
 FFT = "truncated_convolution"
-
-
-def _check_method(method: str) -> None:
-    """Reject any evaluation strategy but DIRECT and FFT: the operators take
-    the FFT path for every method that is not DIRECT."""
-    if method not in (DIRECT, FFT):
-        raise ValueError(f"unknown method {method!r}")
-
-
-@dataclass(frozen=True)
-class RieszConfig:
-    """Order and evaluation strategy for the nonlocal operators.
-
-    direct_quadrature is the O(n^2) reference path; truncated_convolution is
-    the FFT path exploiting the Toeplitz structure.
-    """
-
-    s: float
-    method: str = FFT
-
-    def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise OutOfRange(f"s must be in (0, 1), got {self.s}")
-        _check_method(self.method)
 
 
 def _cell_ends(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,8 +245,13 @@ def _convolve_fft(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def toeplitz_apply(weights: np.ndarray, v: np.ndarray, method: str = FFT) -> np.ndarray:
-    """(weights * v)_i = sum_j weights[i-j+n-1] v_j for length-(2n-1) weights."""
-    _check_method(method)
+    """(weights * v)_i = sum_j weights[i-j+n-1] v_j for length-(2n-1) weights.
+
+    method=DIRECT is the O(n^2) direct sum, the one reference every FFT sum
+    is checked against.
+    """
+    if method not in (DIRECT, FFT):
+        raise ValueError(f"unknown method {method!r}")
     if method == DIRECT:
         return _convolve_direct(weights, v)
     return _convolve_fft(weights, v)
@@ -334,9 +316,9 @@ class RieszWorkspace:
     def spectrum(self, family: str) -> np.ndarray:
         return self._cached(("rfft", family), lambda: rfft(self.weights(family), self._nfft))
 
-    def row_sum(self, method: str = FFT) -> np.ndarray:
+    def row_sum(self) -> np.ndarray:
         """Row sums T·1 of the hessian weights."""
-        return self._cached(("row_sum", method), lambda: self.apply("hessian", np.ones(self.n), method))
+        return self._cached("row_sum", lambda: self.apply("hessian", np.ones(self.n)))
 
     def _window(self, spectrum: np.ndarray, values_hat: np.ndarray) -> np.ndarray:
         """Rows [0, n) of the inverse transform of spectrum * values_hat, in
@@ -351,24 +333,16 @@ class RieszWorkspace:
         np.multiply(spectrum, values_hat, out=product)
         return irfft(product, self._nfft, axis=-1)[..., n - 1 : 2 * n - 1]
 
-    def apply(self, family: str, values: np.ndarray, method: str = FFT) -> np.ndarray:
-        """Toeplitz sum of one weight family; DIRECT is the O(n^2) reference."""
-        _check_method(method)
-        if method == DIRECT:
-            return toeplitz_apply(self.weights(family), values, DIRECT)
+    def apply(self, family: str, values: np.ndarray) -> np.ndarray:
+        """Toeplitz sum of one weight family, by FFT."""
         return self._window(self.spectrum(family), rfft(values, self._nfft))
 
-    def potential(self, values: np.ndarray, method: str = FFT) -> np.ndarray:
-        return self.apply("potential", values, method)
+    def potential(self, values: np.ndarray) -> np.ndarray:
+        return self.apply("potential", values)
 
-    def gradient(self, values: np.ndarray, method: str = FFT) -> np.ndarray:
-        """W_grad * values + W_slope * np.gradient(values); DIRECT sums both
-        terms directly, the FFT path takes 2 transforms (see
-        potential_and_gradient)."""
-        _check_method(method)
-        if method == DIRECT:
-            slope = np.gradient(values, self.h)
-            return self.apply("gradient", values, DIRECT) + self.apply("gradient_slope", slope, DIRECT)
+    def gradient(self, values: np.ndarray) -> np.ndarray:
+        """W_grad * values + W_slope * np.gradient(values) in 2 transforms
+        (see potential_and_gradient)."""
         return self._edge_corrected(values, self._window(self._gradient_spectrum(), rfft(values, self._nfft)))
 
     def _theta(self) -> np.ndarray:
@@ -483,17 +457,17 @@ def workspace(grid: Grid, s: float) -> RieszWorkspace:
     return RieszWorkspace(grid, s)
 
 
-def riesz_potential(rho: GridDensity, cfg: RieszConfig) -> np.ndarray:
+def riesz_potential(rho: GridDensity, s: float) -> np.ndarray:
     """Inverse fractional Laplacian of a density at the cell centers.
 
     For s >= 1/2 the kernel does not decay, so values depend on the domain
     truncation; differences and derivatives remain truncation-robust because
     the density itself is tail-checked.
     """
-    return workspace(rho.grid, cfg.s).potential(rho.values, cfg.method)
+    return workspace(rho.grid, s).potential(rho.values)
 
 
-def riesz_gradient(rho: GridDensity, cfg: RieszConfig) -> np.ndarray:
+def riesz_gradient(rho: GridDensity, s: float) -> np.ndarray:
     """Spatial derivative of the Riesz potential.
 
     Densities vanish outside the grid, which makes the difference form
@@ -501,7 +475,7 @@ def riesz_gradient(rho: GridDensity, cfg: RieszConfig) -> np.ndarray:
     variation enters through a first-order derivative term whose coefficient
     is continuous across s = 1/2.
     """
-    return workspace(rho.grid, cfg.s).gradient(rho.values, cfg.method)
+    return workspace(rho.grid, s).gradient(rho.values)
 
 
 def regularity_warning(rho: GridDensity, s: float) -> None:
@@ -536,7 +510,7 @@ def _exterior_hessian_tails(grid: Grid, s: float) -> tuple[np.ndarray, np.ndarra
     return left, right
 
 
-def frac_laplacian(u: np.ndarray, grid: Grid, s: float, method: str = FFT) -> np.ndarray:
+def frac_laplacian(u: np.ndarray, grid: Grid, s: float) -> np.ndarray:
     """Fractional Laplacian of order 1-s of a grid function.
 
     Pointwise singular integral with exact cell weights; within-cell variation
@@ -548,26 +522,26 @@ def frac_laplacian(u: np.ndarray, grid: Grid, s: float, method: str = FFT) -> np
     ws = workspace(grid, s)
     slope = np.gradient(u, grid.h)
     d2 = np.gradient(slope, grid.h)
-    conv = ws.apply("hessian", u, method)
-    moment1 = ws.apply("hessian_slope", slope, method)
-    moment2 = ws.apply("hessian_quad", 0.5 * d2, method)
+    conv = ws.apply("hessian", u)
+    moment1 = ws.apply("hessian_slope", slope)
+    moment2 = ws.apply("hessian_quad", 0.5 * d2)
     tail_l, tail_r = _exterior_hessian_tails(grid, s)
     exterior = (u - u[0]) * tail_l + (u - u[-1]) * tail_r
-    return ws.kernel.c_plus * (u * ws.row_sum(method) - conv - moment1 - moment2 + exterior)
+    return ws.kernel.c_plus * (u * ws.row_sum() - conv - moment1 - moment2 + exterior)
 
 
-def riesz_second_derivative(rho: GridDensity, cfg: RieszConfig) -> np.ndarray:
+def riesz_second_derivative(rho: GridDensity, s: float) -> np.ndarray:
     """Second derivative of the Riesz potential; the negative of
     frac_laplacian on the same input. Intended for diagnostics on smooth
     densities; for s >= 1/2 the kernel moment argument needs extra smoothness.
     """
-    if cfg.s >= 0.5:
+    if s >= 0.5:
         warnings.warn(
             "riesz_second_derivative at s >= 1/2 requires smooth input "
             "(Holder differences alone no longer integrate the kernel)",
             stacklevel=2,
         )
-    return -frac_laplacian(rho.values, rho.grid, cfg.s, cfg.method)
+    return -frac_laplacian(rho.values, rho.grid, s)
 
 
 def neg_sobolev_norm(u: np.ndarray, grid: Grid, s: float) -> float:

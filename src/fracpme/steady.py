@@ -20,7 +20,7 @@ from .errors import (
     OutsideSupport,
 )
 from .grid import Grid, GridDensity
-from .riesz import FFT, RieszConfig, riesz_potential, workspace
+from .riesz import riesz_potential, workspace
 
 SUPPORT_THRESHOLD = 1e-6
 MAX_SWEEPS = 60
@@ -240,7 +240,7 @@ def discrete_minimizer(
         values[idx] = rho_active
         off = ~active
         if np.any(off):
-            full_pot = riesz_potential(GridDensity(grid, values), RieszConfig(s, method=FFT))
+            full_pot = riesz_potential(GridDensity(grid, values), s)
             xi = full_pot + confinement
             violated = off & (xi < level - 1e-12 * max(1.0, abs(level)))
             if np.any(violated):
@@ -270,7 +270,7 @@ def euler_lagrange_check(rho: GridDensity, s: float, lam: float) -> EulerLagrang
     on = v > thresh
     if not np.any(on):
         raise EmptySupport("no cell above the support threshold")
-    xi = riesz_potential(rho, RieszConfig(s, method=FFT)) + lam * rho.x**2 / 2
+    xi = riesz_potential(rho, s) + lam * rho.x**2 / 2
     w = v[on]
     cs = float(np.sum(w * xi[on]) / np.sum(w))
     max_dev = float(np.max(np.abs(xi[on] - cs)))

@@ -12,7 +12,7 @@ from fracpme.energy import energy, remainder_R, virial_check
 from fracpme.evolve import SolverConfig, fit_decay, integrate, steady_state_eps
 from fracpme.grid import Grid, GridDensity, moment, normalize
 from fracpme.harness import barenblatt_family, fuzz_corpus
-from fracpme.riesz import FFT, RieszConfig, riesz_potential
+from fracpme.riesz import riesz_potential
 from fracpme.steady import barenblatt, c_star, discrete_minimizer, euler_lagrange_check, steady_potential
 from fracpme.transport import gns_ratio, hwi_terms, inequality_report, interp_inequality, interp_sigmas, w2
 
@@ -37,7 +37,7 @@ def test_criterion_1_riesz_closed_form_oracle(s):
     for n in (256, 512, 1024, 2048, 4096):
         grid = Grid.symmetric(2.0, n)
         dens = prof.sample(grid)
-        pot = riesz_potential(dens, RieszConfig(s, method=FFT))
+        pot = riesz_potential(dens, s)
         mask = np.abs(grid.centers) <= 0.9
         exact = steady_potential(prof, grid.centers[mask])
         errs.append(float(np.max(np.abs(pot[mask] - exact)) / np.max(np.abs(exact))))

@@ -9,10 +9,8 @@ from fracpme.grid import DensitySpec, Grid, GridDensity, holder_seminorm, normal
 from fracpme.riesz import (
     DIRECT,
     FAMILIES,
-    FFT,
     MAX_SECTIONS,
     SECTION_FAMILIES,
-    RieszConfig,
     _padded_length,
     _section_cells,
     frac_laplacian,
@@ -69,12 +67,12 @@ class TestRieszConstant:
 class TestPotential:
     def test_zero_density(self, grid1024):
         rho = GridDensity(grid1024, np.zeros(grid1024.n))
-        assert np.all(riesz_potential(rho, RieszConfig(S)) == 0.0)
+        assert np.all(riesz_potential(rho, S) == 0.0)
 
     @pytest.mark.parametrize("s", [0.1, 0.25, 0.4])
     def test_barenblatt_closed_form(self, s):
         prof, dens = barenblatt(s, LAM, radius=1.0, grid=Grid.symmetric(2.0, 2048))
-        pot = riesz_potential(dens, RieszConfig(s))
+        pot = riesz_potential(dens, s)
         x = dens.x
         mask = np.abs(x) <= 0.9
         exact = steady_potential(prof, x[mask])
@@ -87,7 +85,7 @@ class TestPotential:
         w = 0.05
         vals = np.exp(-(((x + 0.5) / w) ** 2)) + np.exp(-(((x - 0.5) / w) ** 2))
         rho = normalize(GridDensity(g, vals))
-        pot = riesz_potential(rho, RieszConfig(S))
+        pot = riesz_potential(rho, S)
         mass = trapezoid(vals, x)
         c = riesz_constant(S).c
 
@@ -108,22 +106,21 @@ class TestPotential:
     def test_linearity(self, grid1024):
         r1 = random_density(DensitySpec(seed=1), grid1024)
         r2 = random_density(DensitySpec(seed=2), grid1024)
-        cfg = RieszConfig(S)
-        combo = riesz_potential(GridDensity(grid1024, 2.0 * r1.values + 3.0 * r2.values), cfg)
-        parts = 2.0 * riesz_potential(r1, cfg) + 3.0 * riesz_potential(r2, cfg)
+        combo = riesz_potential(GridDensity(grid1024, 2.0 * r1.values + 3.0 * r2.values), S)
+        parts = 2.0 * riesz_potential(r1, S) + 3.0 * riesz_potential(r2, S)
         assert np.max(np.abs(combo - parts)) <= 1e-12 * np.max(np.abs(parts))
 
     def test_even_density_even_potential(self, grid1024):
         vals = np.exp(-grid1024.centers**2)
-        pot = riesz_potential(GridDensity(grid1024, vals), RieszConfig(S))
+        pot = riesz_potential(GridDensity(grid1024, vals), S)
         assert np.max(np.abs(pot - pot[::-1])) <= 1e-12 * np.max(np.abs(pot))
 
     def test_direct_matches_fft(self):
         g = Grid.symmetric(3.0, 512)
         rho = GridDensity(g, np.exp(-g.centers**2))
         for s in (0.25, 0.5, 0.75):
-            pd = riesz_potential(rho, RieszConfig(s, method=DIRECT))
-            pf = riesz_potential(rho, RieszConfig(s, method=FFT))
+            pd = toeplitz_apply(workspace(g, s).weights("potential"), rho.values, DIRECT)
+            pf = riesz_potential(rho, s)
             assert np.max(np.abs(pd - pf)) <= 1e-13 * max(1.0, np.max(np.abs(pd)))
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
@@ -144,7 +141,7 @@ class TestPotential:
         for n in (256, 512, 1024):
             g = Grid.symmetric(2.0, n)
             dens = prof.sample(g)
-            pot = riesz_potential(dens, RieszConfig(S))
+            pot = riesz_potential(dens, S)
             mask = np.abs(g.centers) <= 0.9
             exact = steady_potential(prof, g.centers[mask])
             errs.append(np.max(np.abs(pot[mask] - exact)) / np.max(np.abs(exact)))
@@ -155,7 +152,7 @@ class TestPotential:
 class TestGradient:
     def test_even_density_odd_gradient(self, grid1024):
         vals = np.exp(-grid1024.centers**2)
-        grad = riesz_gradient(GridDensity(grid1024, vals), RieszConfig(S))
+        grad = riesz_gradient(GridDensity(grid1024, vals), S)
         assert np.max(np.abs(grad + grad[::-1])) <= 1e-12 * np.max(np.abs(grad))
         mid = grid1024.n // 2
         assert abs(grad[mid] + grad[mid - 1]) <= 1e-12  # antisymmetric about 0
@@ -164,7 +161,7 @@ class TestGradient:
     def test_barenblatt_gradient_cancels_confinement(self, s):
         # on the support the potential gradient must equal -lam x
         _, dens = barenblatt(s, LAM, radius=1.0, grid=Grid.symmetric(2.0, 2048))
-        grad = riesz_gradient(dens, RieszConfig(s))
+        grad = riesz_gradient(dens, s)
         x = dens.x
         mask = np.abs(x) <= 0.9
         assert np.max(np.abs(grad[mask] + LAM * x[mask])) <= 2e-3 * LAM
@@ -173,9 +170,8 @@ class TestGradient:
     def test_matches_finite_difference_of_potential(self, s):
         g = Grid.symmetric(6.0, 2048)
         rho = GridDensity(g, np.exp(-g.centers**2))
-        cfg = RieszConfig(s)
-        pot = riesz_potential(rho, cfg)
-        grad = riesz_gradient(rho, cfg)
+        pot = riesz_potential(rho, s)
+        grad = riesz_gradient(rho, s)
         fd = np.gradient(pot, g.h)
         mask = np.abs(g.centers) <= 4.0
         rel = np.sqrt(np.sum((grad[mask] - fd[mask]) ** 2) / np.sum(fd[mask] ** 2))
@@ -201,7 +197,11 @@ class TestFftFields:
         ws = workspace(g, s)
         for v in (positive, compact):
             pot, grad = ws.potential_and_gradient(v)
-            pot_ref, grad_ref = ws.potential(v, DIRECT), ws.gradient(v, DIRECT)
+            pot_ref = toeplitz_apply(ws.weights("potential"), v, DIRECT)
+            slope = np.gradient(v, g.h)
+            grad_ref = toeplitz_apply(ws.weights("gradient"), v, DIRECT) + toeplitz_apply(
+                ws.weights("gradient_slope"), slope, DIRECT
+            )
             for got, ref in ((pot, pot_ref), (grad, grad_ref), (ws.gradient(v), grad_ref)):
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -243,19 +243,8 @@ class TestFftFields:
         # "direct" is not DIRECT ("direct_quadrature"): it must not fall through to the FFT sum
         g = Grid.symmetric(4.0, 64)
         v = random_density(DensitySpec(seed=3), g).values
-        ws = workspace(g, S)
-        calls = [
-            lambda: RieszConfig(S, method="direct"),
-            lambda: ws.apply("hessian", v, "direct"),
-            lambda: ws.potential(v, "direct"),
-            lambda: ws.gradient(v, "direct"),
-            lambda: ws.row_sum("direct"),
-            lambda: frac_laplacian(v, g, S, "direct"),
-            lambda: toeplitz_apply(ws.weights("potential"), v, "direct"),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError, match="unknown method"):
-                call()
+        with pytest.raises(ValueError, match="unknown method"):
+            toeplitz_apply(workspace(g, S).weights("potential"), v, "direct")
 
 
 class TestSections:
@@ -344,9 +333,8 @@ class TestSecondDerivativeAndFracLaplacian:
         g = Grid.symmetric(6.0, 2048)
         rho = GridDensity(g, np.exp(-g.centers**2))
         for s in (0.25, 0.4):
-            cfg = RieszConfig(s)
-            pot = riesz_potential(rho, cfg)
-            d2 = riesz_second_derivative(rho, cfg)
+            pot = riesz_potential(rho, s)
+            d2 = riesz_second_derivative(rho, s)
             fd2 = np.gradient(np.gradient(pot, g.h), g.h)
             mask = np.abs(g.centers) <= 3.0
             rel = np.sqrt(np.sum((d2[mask] - fd2[mask]) ** 2) / np.sum(fd2[mask] ** 2))
@@ -354,20 +342,20 @@ class TestSecondDerivativeAndFracLaplacian:
 
     def test_even_in_even_out(self, grid1024):
         vals = np.exp(-grid1024.centers**2)
-        d2 = riesz_second_derivative(GridDensity(grid1024, vals), RieszConfig(S))
+        d2 = riesz_second_derivative(GridDensity(grid1024, vals), S)
         assert np.max(np.abs(d2 - d2[::-1])) <= 1e-11 * np.max(np.abs(d2))
 
     def test_negative_of_frac_laplacian(self, grid1024):
         vals = np.exp(-grid1024.centers**2)
         rho = GridDensity(grid1024, vals)
-        d2 = riesz_second_derivative(rho, RieszConfig(S))
+        d2 = riesz_second_derivative(rho, S)
         fl = frac_laplacian(vals, grid1024, S)
         assert np.max(np.abs(d2 + fl)) <= 1e-12 * np.max(np.abs(fl))
 
     def test_warns_above_half(self, grid1024):
         rho = GridDensity(grid1024, np.exp(-grid1024.centers**2))
         with pytest.warns(UserWarning):
-            riesz_second_derivative(rho, RieszConfig(0.6))
+            riesz_second_derivative(rho, 0.6)
 
     def test_constant_maps_to_zero(self, grid1024):
         out = frac_laplacian(np.ones(grid1024.n), grid1024, S)

@@ -6,7 +6,7 @@ from scipy.special import gamma
 from fracpme import steady
 from fracpme.errors import EmptySupport, NonContiguousSupport, NonPositive, OutOfRange, OutsideSupport
 from fracpme.grid import Grid, GridDensity, normalize
-from fracpme.riesz import FFT, RieszConfig, potential_weights, riesz_potential
+from fracpme.riesz import potential_weights, riesz_potential
 from fracpme.steady import (
     _solve_symmetric_toeplitz,
     barenblatt,
@@ -161,14 +161,14 @@ class TestEulerLagrange:
         # mass-weighted variance of xi over the support must vanish at rate
         # >= h^1; at the finest grids it sits at an edge-alignment floor near
         # 1e-13, so the rate is measured across the span where it dominates
-        from fracpme.riesz import RieszConfig, riesz_potential
+        from fracpme.riesz import riesz_potential
 
         variances = []
         for n in (64, 256, 1024):
             g = Grid.symmetric(3.0, n)
             _, dens = barenblatt(S, LAM, mass=1.0, grid=g)
             rho = normalize(dens)
-            xi = riesz_potential(rho, RieszConfig(S)) + LAM * rho.x**2 / 2
+            xi = riesz_potential(rho, S) + LAM * rho.x**2 / 2
             on = rho.values > 1e-6 * np.max(rho.values)
             w = rho.values[on]
             cs = np.sum(w * xi[on]) / np.sum(w)
@@ -187,7 +187,7 @@ class TestDiscreteMinimizer:
         rho = discrete_minimizer(s, LAM, grid1024)
         assert abs(rho.mass - 1.0) <= 1e-12
         v, x, n, h = rho.values, grid1024.centers, grid1024.n, grid1024.h
-        xi = riesz_potential(rho, RieszConfig(s, method=FFT)) + LAM * x**2 / 2
+        xi = riesz_potential(rho, s) + LAM * x**2 / 2
         on = v > 0
         level = float(np.mean(xi[on]))
         assert np.max(np.abs(xi[on] - level)) <= 1e-10 * abs(level)
@@ -213,10 +213,10 @@ class TestDiscreteMinimizer:
         # a deep potential dip at the leftmost cell joins a detached cell to the active set
         true_potential = steady.riesz_potential
 
-        def dipped(rho, cfg):
+        def dipped(rho, s):
             dip = np.zeros(rho.grid.n)
             dip[0] = 1e3
-            return true_potential(rho, cfg) - dip
+            return true_potential(rho, s) - dip
 
         monkeypatch.setattr(steady, "riesz_potential", dipped)
         with pytest.raises(NonContiguousSupport):
