@@ -535,13 +535,14 @@ def riesz_second_derivative(rho: GridDensity, s: float) -> np.ndarray:
     frac_laplacian on the same input. Intended for diagnostics on smooth
     densities; for s >= 1/2 the kernel moment argument needs extra smoothness.
     """
+    d2 = -frac_laplacian(rho.values, rho.grid, s)  # raises OutOfRange first for s outside (0, 1)
     if s >= 0.5:
         warnings.warn(
             "riesz_second_derivative at s >= 1/2 requires smooth input "
             "(Holder differences alone no longer integrate the kernel)",
             stacklevel=2,
         )
-    return -frac_laplacian(rho.values, rho.grid, s)
+    return d2
 
 
 def neg_sobolev_norm(u: np.ndarray, grid: Grid, s: float) -> float:

@@ -131,3 +131,52 @@ def test_check_sees_an_unread_field(tmp_path):
     reader = tmp_path / "reader.py"
     reader.write_text("def f(b):\n    b.unread = 1\n", encoding="utf-8")  # a store is no read
     assert unread_fields([src], [reader]) == ["A.unread", "B.also_unread"]
+
+
+def uncalled_private_functions(package: list[Path]) -> list[str]:
+    """Module-level functions named _name that no file of package loads,
+    by name or as an attribute."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in package}
+    loads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.add(node.attr)
+    return [
+        f"{path.name}:{fn.lineno} {fn.name}"
+        for path, tree in trees.items()
+        for fn in tree.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and fn.name.startswith("_")
+        and not fn.name.endswith("__")
+        and fn.name not in loads
+    ]
+
+
+def test_every_private_function_is_called():
+    assert uncalled_private_functions(SOURCES) == []
+
+
+def test_check_sees_an_uncalled_private_function(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "def _called():\n"
+        "    return 1\n"
+        "def _by_attribute():\n"
+        "    return 2\n"
+        "def _uncalled():\n"
+        "    return 3\n"
+        "def public():\n"
+        "    def _nested():\n"
+        "        return 0\n"
+        "    return _called()\n"
+        "class K:\n"
+        "    def _method(self):\n"
+        "        return 0\n",
+        encoding="utf-8",
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("import sample\nvalue = sample._by_attribute()\n", encoding="utf-8")
+    assert uncalled_private_functions([src, reader]) == ["sample.py:5 _uncalled"]

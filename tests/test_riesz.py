@@ -64,6 +64,67 @@ class TestRieszConstant:
                 riesz_constant(bad)
 
 
+def _reference_weight(family: str, s: float, m: int, h: float) -> float:
+    """The weight of `family` at offset m, integrated by quad from its kernel
+    moment: W = c|z|^{2s-1} (-log|z|/pi at s = 1/2), W' = -c_plus sign(z)
+    |z|^{2s-2} and K = (2-2s)|z|^{2s-3}, times (mh - z)^k for the slope (k = 1)
+    and quad (k = 2) families. Off the singular cell the integrand is smooth;
+    on it the potential is integrated with quad's algebraic or log weight and
+    the other families take the closed forms of their docstrings."""
+    kernel = riesz_constant(s)
+    if m == 0:
+        if family == "potential":
+            weight = ("alg-loga", (0.0, 0.0), -1 / np.pi) if s == 0.5 else ("alg", (2 * s - 1, 0.0), kernel.c)
+            half, _ = quad(lambda z: weight[2], 0.0, h / 2, weight=weight[0], wvar=weight[1])
+            return 2 * half
+        if family == "gradient_slope":
+            return h / np.pi if s == 0.5 else kernel.c * (1 - 2 * s) * (h / 2) ** (2 * s) / s
+        if family == "hessian_quad":
+            return 2 * (1 - s) * (h / 2) ** (2 * s) / s
+        return 0.0  # odd integrands
+    x = m * h
+
+    def w(z):
+        return -np.log(abs(z)) / np.pi if s == 0.5 else kernel.c * abs(z) ** (2 * s - 1)
+
+    def dw(z):
+        return -kernel.c_plus * np.sign(z) * abs(z) ** (2 * s - 2)
+
+    def k(z):
+        return (2 - 2 * s) * abs(z) ** (2 * s - 3)
+
+    integrand = {
+        "potential": w,
+        "gradient": dw,
+        "gradient_slope": lambda z: (x - z) * dw(z),
+        "hessian": k,
+        "hessian_slope": lambda z: (x - z) * k(z),
+        "hessian_quad": lambda z: (x - z) ** 2 * k(z),
+    }[family]
+    value, _ = quad(integrand, x - h / 2, x + h / 2, epsabs=1e-15, epsrel=1e-13, limit=200)
+    return value
+
+
+class TestWeightFamilies:
+    """Each weight family against an independent quadrature of its kernel."""
+
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_match_quadrature_of_the_kernel_moment(self, family, s):
+        g = Grid.symmetric(4.0, 64)
+        n = g.n
+        got = workspace(g, s).weights(family)
+        ref = np.array([_reference_weight(family, s, m, g.h) for m in range(-(n - 1), n)])
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(got))
+
+    def test_order_out_of_range_is_rejected(self):
+        g = Grid.symmetric(4.0, 64)
+        rho = GridDensity(g, np.exp(-g.centers**2))
+        for fn in (riesz_potential, riesz_gradient, riesz_second_derivative):
+            with pytest.raises(OutOfRange):
+                fn(rho, 1.5)
+
+
 class TestPotential:
     def test_zero_density(self, grid1024):
         rho = GridDensity(grid1024, np.zeros(grid1024.n))
