@@ -4,9 +4,13 @@ derivatives, the fractional Laplacian of order 1-s, and the negative/positive
 order Sobolev quantities.
 
 Every operator is a Toeplitz sum p_i = sum_j w(i-j) rho_j whose weights are
-exact cell integrals of the kernel (analytic antiderivatives of |z|^{2s-1},
-log|z|, |z|^{2s-2} and |z|^{2s-3}), so the singular cell carries no special
-quadrature error. Densities are treated as identically zero outside the grid;
+exact cell integrals of the kernel, so the singular cell carries no special
+quadrature error. One moment rule (_cell_moments: the integrals of
+z^i sign(z)^odd |z|^q over each cell) builds all six weight families: the
+potential from W = c|z|^{2s-1}, the gradient pair from moments 0 and 1 of
+W' = -c_plus sign(z)|z|^{2s-2}, which holds on both sides of s = 1/2, and
+the hessian triple from moments 0 to 2 of (2-2s)|z|^{2s-3}. Only the
+potential at s = 1/2, W = -log|z|/pi, has a primitive of its own. Densities are treated as identically zero outside the grid;
 with that convention the difference and plain forms of the first derivative
 coincide, and a single implementation covers all three s-regimes. The
 fractional Laplacian of a plain grid function instead extends it by its
@@ -107,45 +111,47 @@ def _power(z: np.ndarray, p: float) -> np.ndarray:
     return np.log(np.abs(z)) if p == 0 else np.abs(z) ** p
 
 
-def _kernel_primitive(z: np.ndarray, s: float, c: float) -> np.ndarray:
-    """Antiderivative of the potential kernel W (constants included)."""
-    if s == 0.5:
-        return -(z * _power(z, 0) - z) / np.pi
-    return c * np.sign(z) * _power(z, 2 * s) / (2 * s)
+def _cell_moments(n: int, h: float, q: float, odd: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centres x = m h of the cells at signed offsets m, |m| < n, and in row
+    i = 0..k the integrals of z^i sign(z)^odd |z|^q over each cell
+    [x - h/2, x + h/2]: the one moment rule behind all six weight families.
 
-
-def _kernel_values(z: np.ndarray, s: float, c: float) -> np.ndarray:
-    """Pointwise potential kernel W(z) (constants included)."""
-    if s == 0.5:
-        return -_power(z, 0) / np.pi
-    return c * _power(z, 2 * s - 1)
+    The integrand is sign(z)^(i+odd) |z|^(q+i), with primitive
+    sign(z)^(i+odd+1) |z|^p / p, p = q + i + 1 (log|z| in place of
+    |z|^p / p at p = 0). On the central cell, where the integrand may not be
+    integrable, the row holds the difference of the primitive at +-h/2.
+    """
+    m, z_hi, z_lo = _cell_ends(n, h)
+    ends = np.stack([z_hi, z_lo])
+    moments = np.empty((k + 1, m.size))
+    for i in range(k + 1):
+        p = q + i + 1
+        primitive = _power(ends, p) / (p if p != 0 else 1.0)
+        if (i + odd) % 2 == 0:
+            primitive *= np.sign(ends)
+        moments[i] = primitive[0] - primitive[1]
+    return m * h, moments
 
 
 def potential_weights(n: int, h: float, s: float) -> np.ndarray:
-    """w[m+n-1] = integral of W over a cell at signed offset m, |m| < n."""
-    c = riesz_constant(s).c
-    _, z_hi, z_lo = _cell_ends(n, h)
-    return _kernel_primitive(z_hi, s, c) - _kernel_primitive(z_lo, s, c)
+    """w[m+n-1] = integral of W over a cell at signed offset m, |m| < n:
+    W = c|z|^{2s-1}, or -log|z|/pi at s = 1/2."""
+    if s == 0.5:
+        _, z_hi, z_lo = _cell_ends(n, h)
+        # -(z log|z| - z) / pi is the primitive of -log|z| / pi
+        return (z_lo * (_power(z_lo, 0) - 1) - z_hi * (_power(z_hi, 0) - 1)) / np.pi
+    return riesz_constant(s).c * _cell_moments(n, h, 2 * s - 1, 0, 0)[1][0]
 
 
 def gradient_weights(n: int, h: float, s: float) -> np.ndarray:
-    """Cell integrals of W'; the central weight vanishes by symmetry."""
-    c = riesz_constant(s).c
-    _, z_hi, z_lo = _cell_ends(n, h)
-    v = _kernel_values(z_hi, s, c) - _kernel_values(z_lo, s, c)
-    v[n - 1] = 0.0
-    return v
-
-
-def _moment_primitive(z: np.ndarray, s: float, c: float) -> np.ndarray:
-    """Antiderivative of z * W'(z) (constants included)."""
-    if s == 0.5:
-        return -z / np.pi
-    return c * np.sign(z) * _power(z, 2 * s) * (2 * s - 1) / (2 * s)
+    """Cell integrals of W' = -c_plus sign(z)|z|^{2s-2} (the form of both
+    sides of s = 1/2); the central weight vanishes by symmetry."""
+    return -riesz_constant(s).c_plus * _cell_moments(n, h, 2 * s - 2, 1, 0)[1][0]
 
 
 def gradient_slope_weights(n: int, h: float, s: float) -> np.ndarray:
-    """First-moment cell integrals of W', applied to rho'.
+    """First-moment cell integrals of W', the integral of (x - z) W'(z) over
+    the cell at offset x = m h, applied to rho'.
 
     Together with gradient_weights this evaluates the derivative of the
     potential of the piecewise-linear density exactly, which is what removes
@@ -153,68 +159,38 @@ def gradient_slope_weights(n: int, h: float, s: float) -> np.ndarray:
     reduces to the classical within-cell coefficient c(1-2s)(h/2)^{2s}/s
     (h/pi in the log regime).
     """
-    c = riesz_constant(s).c
-    m, z_hi, z_lo = _cell_ends(n, h)
-    v = _kernel_values(z_hi, s, c) - _kernel_values(z_lo, s, c)
-    v[n - 1] = 0.0
-    dp = _moment_primitive(z_hi, s, c) - _moment_primitive(z_lo, s, c)
-    return m * h * v - dp
-
-
-def _hessian_cells(n: int, h: float, s: float):
-    """Offsets, cell ends and the cell integrals of (2-2s)|z|^{2s-3} (no
-    c_plus factor, central weight 0)."""
-    m, z_hi, z_lo = _cell_ends(n, h)
-
-    def primitive(z):
-        return -np.sign(z) * _power(z, 2 * s - 2)
-
-    u = primitive(z_hi) - primitive(z_lo)
-    u[n - 1] = 0.0
-    return m, z_hi, z_lo, u
-
-
-def _hessian_moment(z: np.ndarray, s: float) -> np.ndarray:
-    """Antiderivative of z (2-2s)|z|^{2s-3}: (2-2s)|z|^{2s-1}/(2s-1), or
-    log|z| at s = 1/2."""
-    q = 2 * s - 1
-    return _power(z, 0) if q == 0 else (2 - 2 * s) * _power(z, q) / q
+    x, (m0, m1) = _cell_moments(n, h, 2 * s - 2, 1, 1)
+    return -riesz_constant(s).c_plus * (x * m0 - m1)
 
 
 def hessian_weights(n: int, h: float, s: float) -> np.ndarray:
     """Cell integrals of (2-2s)|z|^{2s-3} (no c_plus factor); central = 0."""
-    return _hessian_cells(n, h, s)[3]
+    w = (2 - 2 * s) * _cell_moments(n, h, 2 * s - 3, 0, 0)[1][0]
+    w[n - 1] = 0.0
+    return w
 
 
 def hessian_slope_weights(n: int, h: float, s: float) -> np.ndarray:
-    """First-moment cell integrals of (2-2s)|z|^{2s-3}, applied to u'.
+    """First-moment cell integrals of (2-2s)|z|^{2s-3}, the integral of
+    (x - z) (2-2s)|z|^{2s-3} over the cell at offset x = m h, applied to u'.
 
     Same role as gradient_slope_weights: makes the pair sum exact on
     piecewise-linear data. The central moment vanishes by symmetry.
     """
-    m, z_hi, z_lo, u = _hessian_cells(n, h, s)
-    out = m * h * u - (_hessian_moment(z_hi, s) - _hessian_moment(z_lo, s))
-    out[n - 1] = 0.0
-    return out
+    x, (m0, m1) = _cell_moments(n, h, 2 * s - 3, 0, 1)
+    return (2 - 2 * s) * (x * m0 - m1)
 
 
 def hessian_quad_weights(n: int, h: float, s: float) -> np.ndarray:
-    """Second-moment cell integrals of (2-2s)|z|^{2s-3}, applied to u''/2.
+    """Second-moment cell integrals of (2-2s)|z|^{2s-3}, the integral of
+    (x - z)^2 (2-2s)|z|^{2s-3} over the cell at offset x = m h, applied to
+    u''/2.
 
     Includes the singular cell, where it reduces to the classical Taylor
     coefficient 2(1-s)(h/2)^{2s}/s of -u''/2.
     """
-    m, z_hi, z_lo, u = _hessian_cells(n, h, s)
-    p1 = _hessian_moment(z_hi, s) - _hessian_moment(z_lo, s)
-
-    def primitive(z):
-        # antiderivative of z^2 (2-2s)|z|^{2s-3} = (2-2s)|z|^{2s-1}
-        return (2 - 2 * s) * np.sign(z) * _power(z, 2 * s) / (2 * s)
-
-    p2 = primitive(z_hi) - primitive(z_lo)
-    out = (m * h) ** 2 * u - 2 * m * h * p1 + p2
-    out[n - 1] = p2[n - 1]
-    return out
+    x, (m0, m1, m2) = _cell_moments(n, h, 2 * s - 3, 0, 2)
+    return (2 - 2 * s) * (x * x * m0 - 2 * x * m1 + m2)
 
 
 def _convolve_direct(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
