@@ -135,7 +135,7 @@ def cmd_simulate(args) -> int:
     outputs = []
     traj_path = out_dir / "trajectory.csv"
     with open(traj_path, "w", encoding="utf-8") as f:
-        f.write("t,E,E_eps,I,I_eps,W2,L2,L1,mass,m2,min_rho\n")
+        f.write(",".join(("t", *evolve.DIAGNOSTIC_KEYS)) + "\n")
         for i, t in enumerate(traj.times):
             row = [t] + [traj.diagnostics[k][i] for k in evolve.DIAGNOSTIC_KEYS]
             f.write(",".join(_fmt(v) for v in row) + "\n")
@@ -317,6 +317,8 @@ def cmd_verify(args) -> int:
         suites = [s for s in VERIFY_SUITES if not (args.eps and s == "lemmaE")]
     else:
         suites = [s.strip() for s in args.suite.split(",") if s.strip()]
+        if not suites:
+            raise ValueError(f"--suite names no suite; choose from {VERIFY_SUITES}")
     unknown = [s for s in suites if s not in VERIFY_SUITES]
     if unknown:
         print(f"unknown suite(s): {unknown}; choose from {VERIFY_SUITES}", file=sys.stderr)
@@ -427,11 +429,11 @@ def cmd_riesz_convergence(args) -> int:
 
 
 def _load_trajectory_csv(path: Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim == 1:
-        data = data[None, :]
+    lines = path.read_text(encoding="utf-8").split()  # a row holds no blank; empty lines drop out
+    if len(lines) < 2:
+        raise ValueError(f"trajectory {path} has no rows")
+    header = lines[0].split(",")
+    data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
     cols = {name: data[:, i] for i, name in enumerate(header)}
     return cols.pop("t"), cols
 
@@ -443,7 +445,9 @@ def cmd_decay_fit(args) -> int:
         print(f"missing trajectory {traj_path} or manifest {manifest_path}", file=sys.stderr)
         return EXIT_CONFIG
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    cfgd = manifest["config"]
+    cfgd = manifest.get("config", {})
+    if not {"s", "lambda", "eps", "xmax", "grid_n"} <= cfgd.keys():
+        raise ValueError(f"manifest {manifest_path} has no config s, lambda, eps, xmax and grid_n")
     s, lam, eps = cfgd["s"], cfgd["lambda"], cfgd["eps"]
     grid = Grid.symmetric(cfgd["xmax"], cfgd["grid_n"])
     _, dens = steady.barenblatt(s, lam, mass=1.0, grid=grid)

@@ -5,16 +5,16 @@ order Sobolev quantities.
 
 Every operator is a Toeplitz sum p_i = sum_j w(i-j) rho_j whose weights are
 exact cell integrals of the kernel, so the singular cell carries no special
-quadrature error. One moment rule (_cell_moments: the integrals of
-z^i sign(z)^odd |z|^q over each cell) builds all six weight families: the
-potential from W = c|z|^{2s-1}, the gradient pair from moments 0 and 1 of
-W' = -c_plus sign(z)|z|^{2s-2}, which holds on both sides of s = 1/2, and
-the hessian triple from moments 0 to 2 of (2-2s)|z|^{2s-3}. Only the
-potential at s = 1/2, W = -log|z|/pi, has a primitive of its own. Densities are treated as identically zero outside the grid;
-with that convention the difference and plain forms of the first derivative
-coincide, and a single implementation covers all three s-regimes. The
-fractional Laplacian of a plain grid function instead extends it by its
-boundary values, so constants map to zero.
+quadrature error. One moment rule, _cell_moments (the cell integrals of
+z^i sign(z)^odd |z|^q), builds all six weight families: the potential from
+W = c|z|^{2s-1} (-log|z|/pi at s = 1/2, with a primitive of its own), the
+gradient pair from moments 0 and 1 of W' = -c_plus sign(z)|z|^{2s-2}, and
+the hessian triple from moments 0 to 2 of (2-2s)|z|^{2s-3}. Densities are
+treated as identically zero outside the grid; with that convention the
+difference and plain forms of the first derivative coincide, and a single
+implementation covers all three s-regimes. The fractional Laplacian of a
+plain grid function instead extends it by its boundary values, so constants
+map to zero.
 
 All sums of one (grid, s) go through one operator, `workspace(grid, s)`: it
 builds each weight family and its FFT spectrum the first time it is used,
@@ -92,18 +92,15 @@ def riesz_constant(s: float) -> KernelCase:
     return KernelCase(c=float(c), c_plus=float((1 - 2 * s) * c))
 
 
-# the two strategies of toeplitz_apply: the O(n^2) reference sum and the FFT path
 DIRECT = "direct_quadrature"
 FFT = "truncated_convolution"
 
 
-def _cell_ends(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signed offsets m, |m| < n, and the ends m h +- h/2 of the offset cell.
-
-    The ends are odd multiples of h/2, so no primitive is evaluated at 0.
-    """
+def _cell_ends(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Signed offsets m, |m| < n, and the rows m h + h/2 and m h - h/2 of the
+    ends of the offset cells: odd multiples of h/2, never 0."""
     m = np.arange(-(n - 1), n, dtype=float)
-    return m, m * h + h / 2, m * h - h / 2
+    return m, m * h + np.array([[h / 2], [-h / 2]])
 
 
 def _power(z: np.ndarray, p: float) -> np.ndarray:
@@ -111,25 +108,22 @@ def _power(z: np.ndarray, p: float) -> np.ndarray:
     return np.log(np.abs(z)) if p == 0 else np.abs(z) ** p
 
 
-def _cell_moments(n: int, h: float, q: float, odd: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _cell_moments(n: int, h: float, q: float, odd: int, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Centres x = m h of the cells at signed offsets m, |m| < n, and in row
     i = 0..k the integrals of z^i sign(z)^odd |z|^q over each cell
     [x - h/2, x + h/2]: the one moment rule behind all six weight families.
 
-    The integrand is sign(z)^(i+odd) |z|^(q+i), with primitive
-    sign(z)^(i+odd+1) |z|^p / p, p = q + i + 1 (log|z| in place of
-    |z|^p / p at p = 0). On the central cell, where the integrand may not be
-    integrable, the row holds the difference of the primitive at +-h/2.
+    The integrand sign(z)^(i+odd) |z|^(q+i) has the primitive
+    sign(z)^(i+odd+1) |z|^p / p, p = q + i + 1, or log|z| at p = 0. On the
+    central cell, where it may not be integrable, a row holds the
+    difference of the primitive at +-h/2.
     """
-    m, z_hi, z_lo = _cell_ends(n, h)
-    ends = np.stack([z_hi, z_lo])
-    moments = np.empty((k + 1, m.size))
+    m, ends = _cell_ends(n, h)
+    moments = []
     for i in range(k + 1):
         p = q + i + 1
-        primitive = _power(ends, p) / (p if p != 0 else 1.0)
-        if (i + odd) % 2 == 0:
-            primitive *= np.sign(ends)
-        moments[i] = primitive[0] - primitive[1]
+        primitive = _power(ends, p) / (p if p != 0 else 1.0) * np.sign(ends) ** (i + odd + 1)
+        moments.append(primitive[0] - primitive[1])
     return m * h, moments
 
 
@@ -137,7 +131,7 @@ def potential_weights(n: int, h: float, s: float) -> np.ndarray:
     """w[m+n-1] = integral of W over a cell at signed offset m, |m| < n:
     W = c|z|^{2s-1}, or -log|z|/pi at s = 1/2."""
     if s == 0.5:
-        _, z_hi, z_lo = _cell_ends(n, h)
+        _, (z_hi, z_lo) = _cell_ends(n, h)
         # -(z log|z| - z) / pi is the primitive of -log|z| / pi
         return (z_lo * (_power(z_lo, 0) - 1) - z_hi * (_power(z_hi, 0) - 1)) / np.pi
     return riesz_constant(s).c * _cell_moments(n, h, 2 * s - 1, 0, 0)[1][0]
@@ -182,20 +176,14 @@ def hessian_slope_weights(n: int, h: float, s: float) -> np.ndarray:
 
 
 def hessian_quad_weights(n: int, h: float, s: float) -> np.ndarray:
-    """Second-moment cell integrals of (2-2s)|z|^{2s-3}, the integral of
-    (x - z)^2 (2-2s)|z|^{2s-3} over the cell at offset x = m h, applied to
-    u''/2.
+    """Second-moment cell integrals of (2-2s)|z|^{2s-3}, the integral of (x - z)^2
+    (2-2s)|z|^{2s-3} over the cell at offset x = m h, applied to u''/2.
 
     Includes the singular cell, where it reduces to the classical Taylor
     coefficient 2(1-s)(h/2)^{2s}/s of -u''/2.
     """
     x, (m0, m1, m2) = _cell_moments(n, h, 2 * s - 3, 0, 2)
     return (2 - 2 * s) * (x * x * m0 - 2 * x * m1 + m2)
-
-
-def _convolve_direct(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
-    n = v.size
-    return np.convolve(weights, v)[n - 1 : 2 * n - 1]
 
 
 @lru_cache(maxsize=256)
@@ -213,13 +201,6 @@ def _padded_length(n: int) -> int:
         length += 1
 
 
-def _convolve_fft(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
-    n = v.size
-    nfft = _padded_length(n)
-    full = irfft(rfft(weights, nfft) * rfft(v, nfft), nfft)
-    return full[n - 1 : 2 * n - 1]
-
-
 def toeplitz_apply(weights: np.ndarray, v: np.ndarray, method: str = FFT) -> np.ndarray:
     """(weights * v)_i = sum_j weights[i-j+n-1] v_j for length-(2n-1) weights.
 
@@ -228,9 +209,13 @@ def toeplitz_apply(weights: np.ndarray, v: np.ndarray, method: str = FFT) -> np.
     """
     if method not in (DIRECT, FFT):
         raise ValueError(f"unknown method {method!r}")
+    n = v.size
     if method == DIRECT:
-        return _convolve_direct(weights, v)
-    return _convolve_fft(weights, v)
+        full = np.convolve(weights, v)
+    else:
+        nfft = _padded_length(n)
+        full = irfft(rfft(weights, nfft) * rfft(v, nfft), nfft)
+    return full[n - 1 : 2 * n - 1]
 
 
 FAMILIES = ("potential", "gradient", "gradient_slope", "hessian", "hessian_slope", "hessian_quad")

@@ -27,6 +27,13 @@ class TestExitCodes:
     def test_nonpositive_lambda_is_config_error(self, tmp_path, lam):
         assert main(["verify", lam, "--samples", "1", "--out", str(tmp_path / "report.json")]) == 2
 
+    @pytest.mark.parametrize("suite", [",", "", " , "])
+    def test_empty_suite_list_is_config_error(self, tmp_path, capsys, suite):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--suite", suite, "--samples", "1", "--out", str(out)]) == 2
+        assert "--suite names no suite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_unusable_samples_is_config_error(self, tmp_path, capsys, samples):
         assert main(["verify", "--samples", samples, "--out", str(tmp_path / "report.json")]) == 2
@@ -363,6 +370,24 @@ class TestDecayFitCli:
         )
         assert code == 2
         assert "--quantity" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("manifest", [{}, {"config": {"s": 0.25, "lambda": 0.4, "eps": 0.0, "xmax": 4.0}}])
+    def test_manifest_without_config_is_config_error(self, sim_dir, tmp_path, capsys, manifest):
+        path, out = tmp_path / "manifest.json", tmp_path / "fit.json"
+        path.write_text(json.dumps(manifest))
+        traj = str(sim_dir / "trajectory.csv")
+        assert main(["decay-fit", "--traj", traj, "--manifest", str(path), "--out", str(out)]) == 2
+        assert "has no config" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "t,E,E_eps,I,I_eps,W2,L2,L1,mass,m2,min_rho\n\n"])
+    def test_trajectory_without_rows_is_config_error(self, sim_dir, tmp_path, capsys, text):
+        traj, out = tmp_path / "trajectory.csv", tmp_path / "fit.json"
+        traj.write_text(text)
+        manifest = str(sim_dir / "manifest.json")
+        assert main(["decay-fit", "--traj", str(traj), "--manifest", manifest, "--out", str(out)]) == 2
+        assert "has no rows" in capsys.readouterr().err
         assert not out.exists()
 
     def test_eps_gap_is_measured_against_the_eps_energy(self, tmp_path):
