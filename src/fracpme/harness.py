@@ -430,8 +430,8 @@ def cmd_riesz_convergence(args) -> int:
 
 def _load_trajectory_csv(path: Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     lines = path.read_text(encoding="utf-8").split()  # a row holds no blank; empty lines drop out
-    if len(lines) < 2:
-        raise ValueError(f"trajectory {path} has no rows")
+    if len(lines) < 2 or lines[0].split(",")[0] != "t":
+        raise ValueError(f"trajectory {path} has no rows under a header that starts with t")
     header = lines[0].split(",")
     data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
     cols = {name: data[:, i] for i, name in enumerate(header)}
@@ -445,7 +445,7 @@ def cmd_decay_fit(args) -> int:
         print(f"missing trajectory {traj_path} or manifest {manifest_path}", file=sys.stderr)
         return EXIT_CONFIG
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    cfgd = manifest.get("config", {})
+    cfgd = manifest.get("config", {}) if isinstance(manifest, dict) else {}
     if not {"s", "lambda", "eps", "xmax", "grid_n"} <= cfgd.keys():
         raise ValueError(f"manifest {manifest_path} has no config s, lambda, eps, xmax and grid_n")
     s, lam, eps = cfgd["s"], cfgd["lambda"], cfgd["eps"]

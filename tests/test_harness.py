@@ -372,7 +372,7 @@ class TestDecayFitCli:
         assert "--quantity" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("manifest", [{}, {"config": {"s": 0.25, "lambda": 0.4, "eps": 0.0, "xmax": 4.0}}])
+    @pytest.mark.parametrize("manifest", [{}, [], {"config": {"s": 0.25, "lambda": 0.4, "eps": 0.0, "xmax": 4.0}}])
     def test_manifest_without_config_is_config_error(self, sim_dir, tmp_path, capsys, manifest):
         path, out = tmp_path / "manifest.json", tmp_path / "fit.json"
         path.write_text(json.dumps(manifest))
@@ -381,7 +381,7 @@ class TestDecayFitCli:
         assert "has no config" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ["", "t,E,E_eps,I,I_eps,W2,L2,L1,mass,m2,min_rho\n\n"])
+    @pytest.mark.parametrize("text", ["", "t,E,E_eps,I,I_eps,W2,L2,L1,mass,m2,min_rho\n\n", "x,E\n0,1\n1,2\n"])
     def test_trajectory_without_rows_is_config_error(self, sim_dir, tmp_path, capsys, text):
         traj, out = tmp_path / "trajectory.csv", tmp_path / "fit.json"
         traj.write_text(text)
