@@ -4,6 +4,7 @@ trajectory diagnostics, and exponential-decay fitting."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +88,44 @@ def _hull(v: np.ndarray) -> tuple[int, int]:
     return int(occupied.argmax()), v.size - int(occupied[::-1].argmax())
 
 
+def stability_gain(stages: int) -> float:
+    """How many times explicit Euler's real stability interval [-2, 0] one
+    step of this many stages covers: 1 for Euler (stages = 1), and
+    (S^2 + S - 2) / 4 for an RKL2 step of S stages (see rkl2_step)."""
+    return 1.0 if stages == 1 else (stages * stages + stages - 2) / 4
+
+
+def rkl2_step(y0: np.ndarray, f0: np.ndarray, tau: float, stages: int, f) -> np.ndarray:
+    """One Runge-Kutta-Legendre step of second order (RKL2; Meyer, Balsara
+    and Aslam, J. Comput. Phys. 257, 2014) of y' = f(y) from y0, where
+    f0 = f(y0): stages S >= 2, taking S - 1 more evaluations of f.
+
+    With w1 = 4 / (S^2 + S - 2), b_0 = b_1 = 1/3, b_j = (j^2 + j - 2) /
+    (2 j (j + 1)) and a_j = 1 - b_j, its stability polynomial is
+    R_S(z) = a_S + b_S P_S(1 + w1 z), P_S the Legendre polynomial:
+    R_S(z) = 1 + z + z^2 / 2 + O(z^3), and |R_S| <= a_S + b_S = 1 on
+    [-(S^2 + S - 2) / 2, 0], where 1 + w1 z sweeps [-1, 1]. The stages are
+    not convex combinations of Euler steps, so they can leave the positive
+    cone.
+
+    The recursion Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + (1 - mu_j - nu_j) y0
+    + tau (mu_j w1 f(Y_{j-1}) - a_{j-1} mu_j w1 f0) runs on the increments
+    D_j = Y_j - y0, so y0 enters once, at the end: a conserved sum of the
+    f values (mass, for a flux form) then drifts by the rounding of the
+    increments, not of the state.
+    """
+    w1 = 4.0 / (stages * stages + stages - 2)
+    b = [1 / 3, 1 / 3] + [(j * j + j - 2) / (2 * j * (j + 1)) for j in range(2, stages + 1)]
+    tf0 = tau * f0
+    prev, d = 0.0, (b[1] * w1) * tf0
+    for j in range(2, stages + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        mu_tau, gamma = mu * w1 * tau, (1 - b[j - 1]) * mu * w1
+        prev, d = d, mu * d + nu * prev + mu_tau * f(y0 + d) - gamma * tf0
+    return y0 + d
+
+
 class _Stepper:
     """Per-step update of one run, on the shared Riesz operator of (grid, s).
 
@@ -101,7 +140,9 @@ class _Stepper:
         self.x = cfg.grid.centers
         self.xx = self.x * self.x  # the confinement weight of the energy and the second moment
         self.h = cfg.grid.h
+        self.linear = 2 * cfg.eps / self.h**2  # the linear-diffusive rate (see rates)
         self.max_cells = 0  # the largest window the fields were taken on
+        self.evaluations = 0  # field evaluations: fields and velocity calls
         # largest modulus of the symbol of delta -> (1/h) D_face(avg_face(G delta)),
         # the nonlocal diffusion of one step with the density frozen at 1: face
         # average then face difference has the symbol i sin(theta) / h
@@ -120,17 +161,29 @@ class _Stepper:
         inside the grid, so the fields on it are those of the whole grid up
         to round-off.
         """
+        win, ws = self._section(v)
+        vw = v[win]
+        pot, grad = ws.potential_and_gradient(vw)
+        dxi0, dxi = energy_mod._velocity_fields(self.x[win], self.h, vw, grad, self.cfg.lam, self.cfg.eps)
+        return win, pot, dxi0, dxi
+
+    def velocity(self, v: np.ndarray) -> tuple[slice, np.ndarray]:
+        """The window of a state and dxi0 on it (see fields), in the 2
+        transforms of the gradient alone: all a stage of a super-step needs."""
+        win, ws = self._section(v)
+        return win, ws.gradient(v[win]) + self.cfg.lam * self.x[win]
+
+    def _section(self, v: np.ndarray):
+        """The window of v (see fields) and the operator of its cells; counts
+        one field evaluation."""
         n = v.size
         first, end = _hull(v)
         lo, hi = max(first - 2, 0), min(end + 2, n)
         ws = self.ws.section(hi - lo)
         lo = min(lo, n - ws.n)
-        win = slice(lo, lo + ws.n)
         self.max_cells = max(self.max_cells, ws.n)
-        vw = v[win]
-        pot, grad = ws.potential_and_gradient(vw)
-        dxi0, dxi = energy_mod._velocity_fields(self.x[win], self.h, vw, grad, self.cfg.lam, self.cfg.eps)
-        return win, pot, dxi0, dxi
+        self.evaluations += 1
+        return slice(lo, lo + ws.n), ws
 
     def energies(self, v: np.ndarray, win: slice, pot: np.ndarray) -> tuple[float, float]:
         """Free energy without and with the eps entropy term."""
@@ -157,12 +210,12 @@ class _Stepper:
         h, vw = self.h, v[win]
         first, end = _hull(vw)
         advective = float(np.abs(dxi0[max(first - 1, 0) : end + 1]).max())
-        return advective / h + 2 * self.cfg.eps / h**2, 0.5 * float(vw.max()) * self.sigma
+        return advective / h + self.linear, 0.5 * float(vw.max()) * self.sigma
 
-    def step_size(self, rates: tuple[float, float], t: float) -> float:
-        """The step taken from time t: the fixed dt if one is set, else cfl
-        over the sum of the two rates of the state (see rates), cut so the
-        run ends at t_end.
+    def euler_step(self, rates: tuple[float, float], t: float) -> float:
+        """The explicit Euler step from time t: the fixed dt if one is set,
+        else cfl over the sum of the two rates of the state (see rates), cut
+        so the run ends at t_end.
 
         The nonlocal-diffusive rate rho_max sigma / 2 bounds the stiff part of
         the step: frozen at density rho_max, the linearised nonlocal diffusion
@@ -178,10 +231,96 @@ class _Stepper:
             dt = cfg.cfl / (rates[0] + rates[1])
         return min(dt, cfg.t_end - t)
 
+    def shares(self, rates: tuple[float, float]) -> tuple[float, float]:
+        """The advective and the diffusive share of the rates: the linear-
+        diffusive rate 2 eps / h^2 moves from the local to the nonlocal rate,
+        since a super-step stabilises both diffusions alike."""
+        return rates[0] - self.linear, rates[1] + self.linear
+
+    def step_size(self, rates: tuple[float, float], t: float, longest: float) -> tuple[float, int]:
+        """The step from time t and its stage count (1: explicit Euler).
+
+        A fixed dt is an Euler step (see euler_step). An adaptive step takes
+        the candidate with the fewest field evaluations per unit time:
+        Euler, one evaluation for euler_step's dt, or an RKL2 step of
+        S >= 3 stages (see rkl2_step), S evaluations for the largest dt with
+        dt advective <= cfl and dt diffusive <= cfl (S^2 + S - 2) / 4, the
+        shares of the rates (see shares). Then dt is cut to longest and to
+        t_end, and S re-picked as the least that covers it (stage_count).
+
+        Stability, with the coefficients frozen: the diffusive share is
+        rho_max sigma / 2 + 2 eps / h^2, half the largest modulus of the
+        eigenvalues of the two diffusions (see euler_step), which are real
+        and nonpositive; so dt diffusive <= cfl (S^2 + S - 2) / 4 puts them in
+        [-(S^2 + S - 2) / 2, 0], where |R_S| <= 1. The advective share is
+        max|dxi0| / h, and dt advective <= cfl <= 1 keeps each stage's
+        upwind transport within a cell: the advection-diffusion use of
+        stabilised explicit steps of Verwer, Hundsdorfer and Sommeijer
+        (J. Comput. Phys. 201, 2004). S = 2 covers no more than Euler for
+        twice the evaluations, so it is never a candidate.
+        """
+        cfg = self.cfg
+        if cfg.dt is not None:
+            return self.euler_step(rates, t), 1
+        cap = min(longest, cfg.t_end - t)
+        cfl = cfg.cfl
+        advective, diffusive = self.shares(rates)
+        best, best_stages = cfl / (rates[0] + rates[1]), 1
+        for stages in itertools.count(3):
+            bound = max(advective, diffusive / stability_gain(stages))
+            tau = cfl / bound
+            if tau / stages > best / best_stages:
+                best, best_stages = tau, stages
+            # more stages lengthen a step held by the advective share or the cap by nothing
+            if bound == advective or tau >= cap:
+                break
+        dt = min(best, cap)
+        return dt, self.stage_count(rates, dt)
+
+    def stage_count(self, rates: tuple[float, float], dt: float) -> int:
+        """The least stage count that covers dt (see step_size): 1 within
+        Euler's bound, else the least S >= 3 with dt diffusive <= cfl
+        (S^2 + S - 2) / 4. dt advective <= cfl is the caller's."""
+        cfl = self.cfg.cfl * (1 + 1e-9)
+        if dt * (rates[0] + rates[1]) <= cfl:
+            return 1
+        diffusive = self.shares(rates)[1]
+        stages = 3
+        while dt * diffusive > cfl * stability_gain(stages):
+            stages += 1
+        return stages
+
+    def _flux(self, vw: np.ndarray, dxi0: np.ndarray) -> np.ndarray:
+        """The fluxes through the interior faces of a window whose values are
+        vw: upwind advection with face velocities averaged from dxi0 (the
+        diffusion-free part of the potential gradient on the window), minus
+        the centered linear-diffusive flux."""
+        cfg, h = self.cfg, self.h
+        vel = -0.5 * (dxi0[:-1] + dxi0[1:])  # interior faces
+        upwind = np.where(vel >= 0.0, vw[:-1], vw[1:])
+        flux = vel * upwind
+        if cfg.eps > 0:
+            flux = flux - cfg.eps * (vw[1:] - vw[:-1]) / h
+        return flux
+
+    def _clamp(self, ow: np.ndarray) -> float:
+        """Zero the negative cells of ow in place and return the mass that
+        adds, after checking it against the clamp budget."""
+        if ow.min() >= 0.0:  # False on NaN, which the mask and the gate below see
+            return 0.0
+        neg = ow < 0.0
+        clamped = -self.h * float(ow[neg].sum()) if neg.any() else 0.0
+        if clamped > CLAMP_BUDGET:
+            raise PositivityLoss(f"clamped {clamped} mass in one step (budget {CLAMP_BUDGET})")
+        if clamped:
+            ow[neg] = 0.0
+        return clamped
+
     def advance(
         self, v: np.ndarray, win: slice, dxi0: np.ndarray, dt: float, local_rate: float
     ) -> tuple[np.ndarray, float]:
-        """One conservative upwind step; returns new state and clamped mass.
+        """One conservative upwind Euler step; returns new state and clamped
+        mass.
 
         dxi0 is the diffusion-free part of the potential gradient on the
         window win: the eps term enters through the centered diffusive flux,
@@ -193,26 +332,36 @@ class _Stepper:
         bound = cfg.cfl / local_rate
         if dt > bound * (1 + 1e-9):
             raise CflViolation(f"dt={dt} exceeds stability bound {bound}")
-        vw = v[win]
-        vel = -0.5 * (dxi0[:-1] + dxi0[1:])  # interior faces
-        upwind = np.where(vel >= 0.0, vw[:-1], vw[1:])
-        flux = vel * upwind
-        if cfg.eps > 0:
-            flux = flux - cfg.eps * (vw[1:] - vw[:-1]) / h
+        flux = self._flux(v[win], dxi0)
         flux *= dt / h
         out = v.copy()
         ow = out[win]  # a view: the updates below write into out
         ow[:-1] -= flux
         ow[1:] += flux
-        if ow.min() >= 0.0:  # False on NaN, which the mask and the gate below see
-            return out, 0.0
-        neg = ow < 0.0
-        clamped = -h * float(ow[neg].sum()) if neg.any() else 0.0
-        if clamped > CLAMP_BUDGET:
-            raise PositivityLoss(f"clamped {clamped} mass in one step (budget {CLAMP_BUDGET})")
-        if clamped:
-            ow[neg] = 0.0
-        return out, clamped
+        return out, self._clamp(ow)
+
+    def _drift(self, v: np.ndarray, win: slice, dxi0: np.ndarray) -> np.ndarray:
+        """dv/dt of the upwind scheme at v, whose dxi0 is taken on the
+        window win: the flux differences over h, 0 outside the window."""
+        flux = self._flux(v[win], dxi0) / self.h
+        out = np.zeros_like(v)
+        ow = out[win]
+        ow[:-1] -= flux
+        ow[1:] += flux
+        return out
+
+    def super_step(
+        self, v: np.ndarray, win: slice, dxi0: np.ndarray, dt: float, stages: int
+    ) -> tuple[np.ndarray, float]:
+        """One RKL2 step of the upwind scheme (see rkl2_step and step_size);
+        returns new state and clamped mass.
+
+        dxi0 on the window win is the field of v. Each later stage takes its
+        own window and velocity (velocity: 2 transforms). The intermediate
+        stages are not clamped; the new state is, as in advance.
+        """
+        out = rkl2_step(v, self._drift(v, win, dxi0), dt, stages, lambda y: self._drift(y, *self.velocity(y)))
+        return out, self._clamp(out)
 
 
 def fv_step(rho: GridDensity, cfg: SolverConfig, dt: float) -> GridDensity:
@@ -247,11 +396,15 @@ class Trajectory:
     slack. min_positive is the smallest positive density value at the end
     (None when the density is zero everywhere).
     nonlocal_bound_steps counts the steps of chosen_dt taken from a state
-    whose nonlocal-diffusive rate was at least its local (advective plus
-    linear-diffusive) rate: on an adaptive run, the steps whose size the
-    nonlocal term set more than the other two together. max_field_cells
-    is the largest window, in cells, that the fields of a state (accepted
-    or trial) were taken on: n once the mass fills the grid.
+    whose diffusive share was at least stability_gain(S) times its
+    advective share (see _Stepper.shares), S the step's stage count: on an
+    adaptive run, the steps whose stability limit the diffusive terms set,
+    not the advective one. max_field_cells is the largest window, in cells,
+    that the fields of a state (accepted, trial or stage) were taken on: n
+    once the mass fills the grid. evaluations counts the field evaluations
+    of the march: the initial state's, and for each accepted or discarded
+    step its stages and its end state. max_stages is the largest stage
+    count of an accepted step, 1 for Euler.
     """
 
     config: SolverConfig
@@ -274,6 +427,8 @@ class Trajectory:
     chosen_dt: np.ndarray = field(default_factory=lambda: np.empty(0))
     nonlocal_bound_steps: int = 0
     max_field_cells: int = 0
+    evaluations: int = 0
+    max_stages: int = 0
 
     def series(self, quantity: str) -> np.ndarray:
         if quantity == "E_gap":
@@ -293,6 +448,8 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
     most MAX_HALVINGS times; the step after it is at most twice the last
     accepted dt. A fixed-dt run raises on the first failure. An adaptive
     step is never longer than snapshot_every, so no snapshot is skipped.
+    A step is an explicit Euler step or an RKL2 super-step, as
+    _Stepper.step_size picks; a fixed-dt step is always Euler.
     """
     if cfg.init is None:
         raise ValueError("cfg.init must hold the initial density")
@@ -325,6 +482,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
     e_eps_low = e_eps
     max_rise = 0.0
     nonlocal_bound = 0
+    max_stages = 0
     next_snap = 0.0
 
     while True:
@@ -368,13 +526,14 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
             break
 
         rates = stepper.rates(v, win, dxi0)
-        dt = stepper.step_size(rates, t)
-        if cfg.dt is None:
-            # a step longer than the snapshot spacing would skip a snapshot
-            dt = min(dt, 2 * dt_accepted, cfg.snapshot_every)
+        # a step longer than the snapshot spacing would skip a snapshot
+        dt, stages = stepper.step_size(rates, t, min(2 * dt_accepted, cfg.snapshot_every))
         for halvings in range(MAX_HALVINGS + 1):
             try:
-                trial, clamped = stepper.advance(v, win, dxi0, dt, rates[0])
+                if stages == 1:
+                    trial, clamped = stepper.advance(v, win, dxi0, dt, rates[0])
+                else:
+                    trial, clamped = stepper.super_step(v, win, dxi0, dt, stages)
                 trial_fields = stepper.fields(trial)
                 trial_e = stepper.energies(trial, trial_fields[0], trial_fields[1])
                 margin = e_eps + LYAPUNOV_SLACK - trial_e[1]
@@ -385,15 +544,18 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
                 if cfg.dt is not None or halvings == MAX_HALVINGS:
                     raise
                 dt *= 0.5
+                stages = stepper.stage_count(rates, dt)
                 retries += 1
         v, (win, pot, dxi0, dxi), (e, e_eps) = trial, trial_fields, trial_e
+        max_stages = max(max_stages, stages)
         max_clamped = max(max_clamped, clamped)
         min_margin = min(min_margin, margin)
         e_eps_low = min(e_eps_low, e_eps)
         max_rise = max(max_rise, e_eps - e_eps_low)
         if dt < cfg.t_end - t:
             chosen_dt.append(dt)  # not cut short to land on t_end
-            if rates[1] >= rates[0]:
+            advective, diffusive = stepper.shares(rates)
+            if diffusive >= stability_gain(stages) * advective:
                 nonlocal_bound += 1
         t += dt
         dt_accepted = dt
@@ -420,6 +582,8 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         chosen_dt=np.asarray(chosen_dt),
         nonlocal_bound_steps=nonlocal_bound,
         max_field_cells=stepper.max_cells,
+        evaluations=stepper.evaluations,
+        max_stages=max_stages,
     )
 
 
@@ -568,7 +732,7 @@ def steady_state_eps(cfg: SolverConfig) -> GridDensity:
         if i_eps < EPS_STEADY_TOL:
             return GridDensity(cfg.grid, v)
         rates = stepper.rates(v, win, dxi0)
-        dt = stepper.step_size(rates, t)
+        dt = stepper.euler_step(rates, t)
         v_new, _ = stepper.advance(v, win, dxi0, dt, rates[0])
         moved = float(np.abs(v_new - v).max()) / dt
         v = v_new

@@ -106,12 +106,12 @@ def _build_init(name: str, s: float, lam: float, grid: Grid) -> GridDensity:
 
 def cmd_simulate(args) -> int:
     t0 = time.time()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lam = _parse_lambda(args.lam, args.s)
     dt, cfl = _parse_dt(args.dt)
     grid = Grid.symmetric(args.xmax, args.grid_n)
     init = _build_init(args.init, args.s, lam, grid)
+    if not init.mass > 0:
+        raise ValueError(f"--init {args.init} has no mass on the grid [-{args.xmax}, {args.xmax}]")
     cfg = evolve.SolverConfig(
         s=args.s,
         grid=grid,
@@ -125,6 +125,8 @@ def cmd_simulate(args) -> int:
     )
     _, dens = steady.barenblatt(args.s, lam, mass=1.0, grid=grid)
     target = normalize(dens)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
         traj = evolve.integrate(cfg, target)
@@ -165,6 +167,8 @@ def cmd_simulate(args) -> int:
             "min_positive": traj.min_positive,
             "nonlocal_bound_steps": traj.nonlocal_bound_steps,
             "max_field_cells": traj.max_field_cells,
+            "evaluations": traj.evaluations,
+            "max_stages": traj.max_stages,
         },
     )
     outputs.append(str(stats_path))

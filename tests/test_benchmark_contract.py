@@ -130,3 +130,49 @@ def test_fields_are_taken_on_windows_shorter_than_the_grid(monkeypatch):
     integrate(SolverConfig(s=0.25, grid=grid, t_end=0.05, init=shifted), normalize(target))
     assert lengths and max(lengths) < riesz._padded_length(grid.n)
     assert len(built) <= 2
+
+
+def test_stage_evaluations_take_the_gradient_alone(monkeypatch):
+    """On a run that takes super-steps the tracer's step count still holds:
+    potential_and_gradient runs once for the initial state and once per
+    accepted or discarded trial step, and every stage evaluation of a
+    super-step is one RieszWorkspace.gradient call of 2 transforms (one
+    rfft and one irfft of one row)."""
+    from fracpme import riesz
+    from fracpme.evolve import SolverConfig, integrate
+    from fracpme.grid import Grid, normalize
+    from fracpme.steady import barenblatt
+
+    grid = Grid.symmetric(4.0, 512)
+    _, target = barenblatt(0.1, 0.4, mass=1.0, grid=grid)
+    _, shifted = barenblatt(0.1, 0.4, mass=1.0, x0=0.5, grid=grid)
+    inside = []
+    rows = {"potential_and_gradient": [], "gradient": []}
+    for name in ("rfft", "irfft"):
+        original = getattr(riesz, name)
+
+        def counted(x, *args, _original=original, **kwargs):
+            if inside:
+                rows[inside[-1]].append(1 if x.ndim == 1 else x.shape[0])
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(riesz, name, counted)
+    calls = {"potential_and_gradient": 0, "gradient": 0}
+    for name in calls:
+        method = getattr(riesz.RieszWorkspace, name)
+
+        def spy(self, values, _method=method, _name=name):
+            calls[_name] += 1
+            inside.append(_name)
+            try:
+                return _method(self, values)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(riesz.RieszWorkspace, name, spy)
+    traj = integrate(SolverConfig(s=0.1, grid=grid, lam=0.4, t_end=0.2, init=shifted), normalize(target))
+    assert traj.max_stages >= 3
+    assert calls["potential_and_gradient"] == traj.steps + traj.retries + 1
+    assert calls["gradient"] == traj.evaluations - calls["potential_and_gradient"] > 0
+    assert rows["gradient"] == [1] * (2 * calls["gradient"])
+    assert sum(rows["potential_and_gradient"]) == 3 * calls["potential_and_gradient"]

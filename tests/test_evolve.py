@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legval
 
 from fracpme.errors import (
     CflViolation,
@@ -20,7 +21,9 @@ from fracpme.evolve import (
     fit_decay,
     fv_step,
     integrate,
+    rkl2_step,
     self_similar_exponent,
+    stability_gain,
     steady_state_eps,
 )
 from fracpme.grid import Grid, GridDensity, normalize
@@ -322,6 +325,124 @@ class TestFieldWindow:
 
     def test_max_field_cells(self, short_run, grid1024):
         assert short_run.max_field_cells == 448 < grid1024.n
+
+
+class TestSuperStep:
+    """The RKL2 step (rkl2_step, _Stepper.super_step) and the step rule
+    that picks it on adaptive runs."""
+
+    @staticmethod
+    def legendre_polynomial(z, stages):
+        """a_S + b_S P_S(1 + w1 z), the stability polynomial of rkl2_step."""
+        w1 = 4 / (stages * stages + stages - 2)
+        b = (stages * stages + stages - 2) / (2 * stages * (stages + 1))
+        return 1 - b + b * legval(1 + w1 * z, [0] * stages + [1])
+
+    @staticmethod
+    def linear_step(z, stages, tau=0.1):
+        """One step of u' = -lam u from u = 1, lam = -z / tau, one lam per entry."""
+        lam = -z / tau
+        return rkl2_step(np.ones_like(z), -lam, tau, stages, lambda y: -lam * y)
+
+    @pytest.mark.parametrize("stages", [2, 3, 4, 7, 12])
+    def test_linear_step_is_the_shifted_legendre_polynomial(self, stages):
+        z = np.linspace(-1.5 * stages * stages, 0.5, 301)
+        ref = self.legendre_polynomial(z, stages)
+        assert np.max(np.abs(self.linear_step(z, stages) - ref) / np.maximum(1, np.abs(ref))) <= 1e-11
+
+    @pytest.mark.parametrize("stages", [3, 4, 7, 12])
+    def test_stable_on_the_real_interval(self, stages):
+        edge = -(stages * stages + stages - 2) / 2
+        assert edge == -2 * stability_gain(stages)
+        z = np.linspace(edge, 0.0, 4001)
+        assert np.max(np.abs(self.linear_step(z, stages))) <= 1 + 1e-12
+
+    def state(self, s=S, n=256):
+        g = Grid.symmetric(4.0, n)
+        _, shifted = barenblatt(s, LAM, mass=1.0, x0=0.5, grid=g)
+        stepper = _Stepper(SolverConfig(s=s, grid=g, lam=LAM))
+        v = normalize(shifted).values
+        return g, stepper, v
+
+    def test_second_order_in_time(self):
+        g, stepper, v = self.state()
+        win, _, dxi0, _ = stepper.fields(v)
+        advective, diffusive = stepper.shares(stepper.rates(v, win, dxi0))
+        stages = 4
+        tau = stepper.cfg.cfl / max(advective, diffusive / stability_gain(stages))
+
+        def march(dt, steps):
+            y = v
+            for _ in range(steps):
+                y, clamped = stepper.super_step(y, *stepper.velocity(y), dt, stages)
+                assert clamped == 0.0
+            return y
+
+        # the one-step error against 64 steps of a 64th: about 7.3x less at tau / 2
+        # than at tau, 7.7x less again at tau / 4, tending to 8 = 2^3
+        errors = [g.h * np.abs(march(tau / k, 1) - march(tau / (64 * k), 64)).sum() for k in (2, 4)]
+        assert errors[0] >= 7 * errors[1] > 0
+
+    @pytest.mark.parametrize("s", [0.1, 0.25])
+    def test_conserves_mass_and_counts_stage_evaluations(self, s):
+        g, stepper, v = self.state(s, 1024)
+        win, _, dxi0, _ = stepper.fields(v)
+        rates = stepper.rates(v, win, dxi0)
+        dt, stages = stepper.step_size(rates, 0.0, float("inf"))
+        assert stages >= 3
+        before = stepper.evaluations
+        out, clamped = stepper.super_step(v, win, dxi0, dt, stages)
+        assert stepper.evaluations - before == stages - 1
+        assert clamped == 0.0 and out.min() >= 0.0
+        assert abs(g.h * out.sum() - g.h * v.sum()) <= 1e-14
+
+    def test_step_rule_takes_the_fewest_evaluations_per_unit_time(self):
+        g, stepper, v = self.state(0.1, 1024)
+        win, _, dxi0, _ = stepper.fields(v)
+        rates = stepper.rates(v, win, dxi0)
+        advective, diffusive = stepper.shares(rates)
+        cfl = stepper.cfg.cfl
+        per_evaluation = {1: cfl / sum(rates)}
+        for stages in range(3, 40):
+            per_evaluation[stages] = cfl / max(advective, diffusive / stability_gain(stages)) / stages
+        best = max(per_evaluation, key=per_evaluation.get)
+        dt, stages = stepper.step_size(rates, 0.0, float("inf"))
+        assert (dt, stages) == (per_evaluation[best] * best, best) and best >= 3
+        # a cap re-picks the least stage count that covers the step: Euler within its bound
+        assert stepper.step_size(rates, 0.0, 0.5 * per_evaluation[1]) == (0.5 * per_evaluation[1], 1)
+        capped, fewer = stepper.step_size(rates, 0.0, 0.5 * dt)
+        assert capped == 0.5 * dt and 3 <= fewer < stages
+        assert stepper.stage_count(rates, capped) == fewer
+
+    def test_fixed_dt_run_is_the_euler_march(self):
+        g = Grid.symmetric(4.0, 256)
+        _, target = barenblatt(S, LAM, mass=1.0, grid=g)
+        _, shifted = barenblatt(S, LAM, mass=1.0, x0=0.5, grid=g)
+        cfg = SolverConfig(s=S, grid=g, lam=LAM, dt=5e-4, t_end=0.0052, init=shifted)
+        traj = integrate(cfg, normalize(target))
+        assert traj.max_stages == 1
+        assert traj.evaluations == traj.steps + 1
+        stepper, v, t = _Stepper(cfg), normalize(shifted).values, 0.0
+        while t < cfg.t_end - 1e-12:
+            win, _, dxi0, _ = stepper.fields(v)
+            dt = min(cfg.dt, cfg.t_end - t)
+            v, _ = stepper.advance(v, win, dxi0, dt, stepper.rates(v, win, dxi0)[0])
+            t += dt
+        assert np.array_equal(traj.snapshots[-1].values, v)
+
+    def test_adaptive_run_at_cfl_one_takes_super_steps_and_clamps_nothing(self):
+        g = Grid.symmetric(4.0, 512)
+        lam = self_similar_exponent(0.1)
+        _, target = barenblatt(0.1, lam, mass=1.0, grid=g)
+        _, shifted = barenblatt(0.1, lam, mass=1.0, x0=0.5, grid=g)
+        cfg = SolverConfig(s=0.1, grid=g, lam=lam, t_end=0.5, cfl=1.0, init=shifted)
+        traj = integrate(cfg, normalize(target))
+        assert traj.max_stages >= 3
+        assert traj.evaluations > traj.steps + traj.retries + 1
+        assert traj.retries == 0
+        assert traj.max_clamped == 0.0
+        assert np.min(traj.diagnostics["min_rho"]) >= 0.0
+        assert traj.max_mass_drift <= 1e-12
 
 
 class TestFitDecay:

@@ -184,8 +184,12 @@ class TestSimulate:
             "schema_version", "steps", "retries", "dt_min", "dt_median", "dt_max",
             "max_clamped", "max_mass_drift", "max_fft_drift", "min_lyapunov_margin",
             "max_energy_rise", "min_positive", "nonlocal_bound_steps", "max_field_cells",
+            "evaluations", "max_stages",
         }
         assert stats["steps"] > 0
+        # one evaluation for the initial state, at least one per step
+        assert stats["evaluations"] >= stats["steps"] + stats["retries"] + 1
+        assert stats["max_stages"] == 1 or stats["max_stages"] >= 3
         # on this run the nonlocal-diffusive term is the larger share of the step bound
         assert 0 < stats["nonlocal_bound_steps"] <= stats["steps"]
         assert stats["retries"] == 0
@@ -313,6 +317,17 @@ class TestSimulate:
         assert code == 2
         assert "init density" in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
+
+    def test_init_with_no_mass_on_the_grid_is_config_error(self, tmp_path, capsys):
+        # the support [9 - R, 9 + R] of this profile lies beyond xmax = 4
+        out = tmp_path / "run"
+        code = main(
+            ["simulate", "--s", "0.25", "--grid-n", "64", "--t-end", "0.1",
+             "--init", "barenblatt-shift:9", "--out-dir", str(out)]
+        )
+        assert code == 2
+        assert "has no mass on the grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lemmaE_suite_needs_sharp_minimizer(self, tmp_path):
         code = main(
