@@ -131,7 +131,8 @@ class _Stepper:
 
     The fields of a state are taken on its window (see fields), and every
     per-step sum and update then runs on that window: a method takes the
-    whole state v and the window win that its field arrays cover.
+    whole state v and the window win that its field arrays cover. A
+    super-step runs all its stages on one wider window (see super_step).
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -142,7 +143,7 @@ class _Stepper:
         self.h = cfg.grid.h
         self.linear = 2 * cfg.eps / self.h**2  # the linear-diffusive rate (see rates)
         self.max_cells = 0  # the largest window the fields were taken on
-        self.evaluations = 0  # field evaluations: fields and velocity calls
+        self.evaluations = 0  # field evaluations: fields calls and super-step stages
         # largest modulus of the symbol of delta -> (1/h) D_face(avg_face(G delta)),
         # the nonlocal diffusion of one step with the density frozen at 1: face
         # average then face difference has the symbol i sin(theta) / h
@@ -161,28 +162,22 @@ class _Stepper:
         inside the grid, so the fields on it are those of the whole grid up
         to round-off.
         """
-        win, ws = self._section(v)
+        win, ws = self._section(v, 2)
+        self.evaluations += 1
         vw = v[win]
         pot, grad = ws.potential_and_gradient(vw)
         dxi0, dxi = energy_mod._velocity_fields(self.x[win], self.h, vw, grad, self.cfg.lam, self.cfg.eps)
         return win, pot, dxi0, dxi
 
-    def velocity(self, v: np.ndarray) -> tuple[slice, np.ndarray]:
-        """The window of a state and dxi0 on it (see fields), in the 2
-        transforms of the gradient alone: all a stage of a super-step needs."""
-        win, ws = self._section(v)
-        return win, ws.gradient(v[win]) + self.cfg.lam * self.x[win]
-
-    def _section(self, v: np.ndarray):
-        """The window of v (see fields) and the operator of its cells; counts
-        one field evaluation."""
+    def _section(self, v: np.ndarray, widen: int):
+        """The hull of v widened by `widen` cells on each side, clipped to the
+        grid and rounded up to a section size (see fields), and its operator."""
         n = v.size
         first, end = _hull(v)
-        lo, hi = max(first - 2, 0), min(end + 2, n)
+        lo, hi = max(first - widen, 0), min(end + widen, n)
         ws = self.ws.section(hi - lo)
         lo = min(lo, n - ws.n)
         self.max_cells = max(self.max_cells, ws.n)
-        self.evaluations += 1
         return slice(lo, lo + ws.n), ws
 
     def energies(self, v: np.ndarray, win: slice, pot: np.ndarray) -> tuple[float, float]:
@@ -340,28 +335,42 @@ class _Stepper:
         ow[1:] += flux
         return out, self._clamp(ow)
 
-    def _drift(self, v: np.ndarray, win: slice, dxi0: np.ndarray) -> np.ndarray:
-        """dv/dt of the upwind scheme at v, whose dxi0 is taken on the
-        window win: the flux differences over h, 0 outside the window."""
-        flux = self._flux(v[win], dxi0) / self.h
-        out = np.zeros_like(v)
-        ow = out[win]
-        ow[:-1] -= flux
-        ow[1:] += flux
-        return out
-
     def super_step(
         self, v: np.ndarray, win: slice, dxi0: np.ndarray, dt: float, stages: int
     ) -> tuple[np.ndarray, float]:
         """One RKL2 step of the upwind scheme (see rkl2_step and step_size);
         returns new state and clamped mass.
 
-        dxi0 on the window win is the field of v. Each later stage takes its
-        own window and velocity (velocity: 2 transforms). The intermediate
-        stages are not clamped; the new state is, as in advance.
+        dxi0 on the window win is the field of v. A stage moves mass at most
+        one cell, so the S stages stay within S cells of the hull of v, and
+        the step runs on one window (see _section): that hull widened by
+        S + 2 cells, whose 2 end cells inside the grid stay 0 in every stage.
+        Each later stage takes its velocity on it (gradient: 2 transforms);
+        the drift of v is taken on its overlap with win, which holds the hull
+        widened by 2. The stages are not clamped; the new state is, as in
+        advance.
         """
-        out = rkl2_step(v, self._drift(v, win, dxi0), dt, stages, lambda y: self._drift(y, *self.velocity(y)))
-        return out, self._clamp(out)
+        step, ws = self._section(v, stages + 2)
+        lo, hi = max(win.start, step.start), min(win.stop, step.stop)
+        lam_x = self.cfg.lam * self.x[step]
+
+        def drift(yw: np.ndarray, dxi0: np.ndarray) -> np.ndarray:
+            """dy/dt of the upwind scheme on a window, no flux through its ends."""
+            flux = self._flux(yw, dxi0) / self.h
+            out = np.zeros_like(yw)
+            out[:-1] -= flux
+            out[1:] += flux
+            return out
+
+        def stage(yw: np.ndarray) -> np.ndarray:
+            self.evaluations += 1
+            return drift(yw, ws.gradient(yw) + lam_x)
+
+        f0 = np.zeros(step.stop - step.start)
+        f0[lo - step.start : hi - step.start] = drift(v[lo:hi], dxi0[lo - win.start : hi - win.start])
+        out = v.copy()
+        out[step] = rkl2_step(v[step], f0, dt, stages, stage)
+        return out, self._clamp(out[step])
 
 
 def fv_step(rho: GridDensity, cfg: SolverConfig, dt: float) -> GridDensity:
@@ -400,11 +409,11 @@ class Trajectory:
     advective share (see _Stepper.shares), S the step's stage count: on an
     adaptive run, the steps whose stability limit the diffusive terms set,
     not the advective one. max_field_cells is the largest window, in cells,
-    that the fields of a state (accepted, trial or stage) were taken on: n
-    once the mass fills the grid. evaluations counts the field evaluations
-    of the march: the initial state's, and for each accepted or discarded
-    step its stages and its end state. max_stages is the largest stage
-    count of an accepted step, 1 for Euler.
+    that fields were taken on, of an accepted or trial state or of the
+    stages of a super-step: n once the mass fills the grid. evaluations
+    counts the field evaluations of the march: the initial state's, and for
+    each accepted or discarded step its stages and its end state.
+    max_stages is the largest stage count of an accepted step, 1 for Euler.
     """
 
     config: SolverConfig
@@ -497,11 +506,12 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         max_drift = max(max_drift, abs(mass - mass0))
 
         if t >= next_snap - 1e-12 or t >= cfg.t_end - 1e-12:
-            # the whole-grid direct pair sum is the reference for the
-            # windowed convolution fast path; validate it at every checkpoint
-            direct = toeplitz_apply(stepper.ws.weights("potential"), v, DIRECT)
+            # the direct pair sum, the fast path's reference, checked at every
+            # checkpoint; it runs on win, outside which the density is 0
+            n, m = v.size, win.stop - win.start
+            direct = toeplitz_apply(stepper.ws.weights("potential")[n - m : n + m - 1], v[win], DIRECT)
             scale = max(1.0, float(np.abs(direct).max()))
-            fft_err = float(np.abs(direct[win] - pot).max())
+            fft_err = float(np.abs(direct - pot).max())
             if fft_err > 1e-10 * scale:
                 raise Inconsistent(f"fast-path potential drifted from the direct sum at t={t}")
             max_fft_drift = max(max_fft_drift, fft_err / scale)

@@ -197,6 +197,26 @@ class TestIntegrate:
         assert 0.0 < short_run.max_fft_drift <= 1e-10
         assert np.min(short_run.diagnostics["min_rho"]) >= 0.0
 
+    def test_checkpoint_direct_sum_on_the_window(self, grid1024):
+        """The checkpoint gate's reference: the direct sum on the window with
+        the central 2m - 1 potential weights is the whole grid's direct sum
+        on the window, and its scale max(1, max|direct|) is no larger."""
+        from fracpme.riesz import DIRECT, toeplitz_apply
+
+        _, shifted = barenblatt(S, LAM, mass=1.0, x0=0.5, grid=grid1024)
+        v = normalize(shifted).values
+        stepper = _Stepper(SolverConfig(s=S, grid=grid1024, lam=LAM))
+        win, pot, _, _ = stepper.fields(v)
+        n, m = grid1024.n, win.stop - win.start
+        assert m < n
+        weights = stepper.ws.weights("potential")
+        windowed = toeplitz_apply(weights[n - m : n + m - 1], v[win], DIRECT)
+        whole = toeplitz_apply(weights, v, DIRECT)
+        assert np.max(np.abs(windowed - whole[win])) <= 1e-14 * np.max(np.abs(whole[win]))
+        scale = max(1.0, float(np.abs(windowed).max()))
+        assert scale <= max(1.0, float(np.abs(whole).max()))
+        assert np.max(np.abs(windowed - pot)) <= 1e-10 * scale
+
     def test_snapshot_schema(self, short_run):
         for key in ("E", "E_eps", "I", "I_eps", "W2", "L2", "L1", "mass", "m2", "min_rho"):
             assert key in short_run.diagnostics
@@ -374,7 +394,8 @@ class TestSuperStep:
         def march(dt, steps):
             y = v
             for _ in range(steps):
-                y, clamped = stepper.super_step(y, *stepper.velocity(y), dt, stages)
+                win, _, dxi0, _ = stepper.fields(y)
+                y, clamped = stepper.super_step(y, win, dxi0, dt, stages)
                 assert clamped == 0.0
             return y
 
@@ -395,6 +416,60 @@ class TestSuperStep:
         assert stepper.evaluations - before == stages - 1
         assert clamped == 0.0 and out.min() >= 0.0
         assert abs(g.h * out.sum() - g.h * v.sum()) <= 1e-14
+
+    @pytest.mark.parametrize("s, least_stages", [(0.1, 8), (0.25, 3)])
+    def test_window_step_is_the_whole_grid_step(self, monkeypatch, s, least_stages):
+        """The super-step on its one window against rkl2_step on whole-grid
+        fields: equal but for round-off (the stage fields are taken at a
+        shorter FFT length). The state is a bump narrower than the steady
+        profile, whose mass spreads by about one cell a stage; the window's
+        2 end cells inside the grid stay 0 in every stage, as the section's
+        edge correction needs."""
+        g = Grid.symmetric(4.0, 1024)
+        v = normalize(GridDensity(g, np.maximum(1.0 - (g.centers - 0.5) ** 2, 0.0))).values
+        stepper = _Stepper(SolverConfig(s=s, grid=g, lam=LAM))
+        win, _, dxi0, _ = stepper.fields(v)
+        dt, stages = stepper.step_size(stepper.rates(v, win, dxi0), 0.0, float("inf"))
+        assert stages >= least_stages
+        ws = workspace(g, s)
+
+        def drift(y, dxi0):
+            vel = -0.5 * (dxi0[:-1] + dxi0[1:])
+            flux = vel * np.where(vel >= 0.0, y[:-1], y[1:]) / g.h
+            return np.concatenate(([0.0], flux)) - np.concatenate((flux, [0.0]))
+
+        f0 = drift(v, ws.gradient(v) + LAM * g.centers)
+        ref = rkl2_step(v, f0, dt, stages, lambda y: drift(y, ws.gradient(y) + LAM * g.centers))
+
+        stage_values = []
+        gradient = type(ws).gradient
+
+        def recorded(self, values):
+            stage_values.append(values.copy())
+            return gradient(self, values)
+
+        monkeypatch.setattr(type(ws), "gradient", recorded)
+        before = stepper.evaluations
+        out, clamped = stepper.super_step(v, win, dxi0, dt, stages)
+        monkeypatch.undo()
+        assert stepper.evaluations - before == stages - 1 == len(stage_values)
+        assert clamped == 0.0
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(v)
+        assert abs(g.h * out.sum() - g.h * v.sum()) <= 1e-12
+
+        nonzero = np.flatnonzero(v)
+        m = stage_values[0].size
+        lo = min(max(nonzero[0] - stages - 2, 0), g.n - m)
+        assert lo + m >= min(nonzero[-1] + stages + 3, g.n) and m < g.n
+        assert np.array_equal(out[:lo], v[:lo]) and np.array_equal(out[lo + m :], v[lo + m :])
+        # the stages spread the mass to at least S - 2 cells beyond the hull of v
+        assert lo > 0 and np.flatnonzero(stage_values[-1])[0] <= nonzero[0] - lo - (stages - 2)
+        for y in stage_values:
+            assert y.size == m
+            if lo > 0:
+                assert np.all(y[:2] == 0.0)
+            if lo + m < g.n:
+                assert np.all(y[-2:] == 0.0)
 
     def test_step_rule_takes_the_fewest_evaluations_per_unit_time(self):
         g, stepper, v = self.state(0.1, 1024)

@@ -134,8 +134,8 @@ def test_check_sees_an_unread_field(tmp_path):
 
 
 def uncalled_private_functions(package: list[Path]) -> list[str]:
-    """Module-level functions named _name that no file of package loads,
-    by name or as an attribute."""
+    """Module-level functions and methods of classes named _name that no
+    file of package loads, by name or as an attribute."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in package}
     loads = set()
     for tree in trees.values():
@@ -144,15 +144,23 @@ def uncalled_private_functions(package: list[Path]) -> list[str]:
                 loads.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loads.add(node.attr)
-    return [
-        f"{path.name}:{fn.lineno} {fn.name}"
-        for path, tree in trees.items()
-        for fn in tree.body
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and fn.name.startswith("_")
-        and not fn.name.endswith("__")
-        and fn.name not in loads
-    ]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for path, tree in trees.items():
+        defs = [(fn, fn.name) for fn in tree.body if isinstance(fn, functions)]
+        defs += [
+            (fn, f"{cls.name}.{fn.name}")
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, functions)
+        ]
+        found += [
+            f"{path.name}:{fn.lineno} {name}"
+            for fn, name in sorted(defs, key=lambda d: d[0].lineno)
+            if fn.name.startswith("_") and not fn.name.endswith("__") and fn.name not in loads
+        ]
+    return found
 
 
 def test_every_private_function_is_called():
@@ -173,10 +181,14 @@ def test_check_sees_an_uncalled_private_function(tmp_path):
         "        return 0\n"
         "    return _called()\n"
         "class K:\n"
+        "    def __init__(self):\n"
+        "        self._called_method()\n"
+        "    def _called_method(self):\n"
+        "        return 0\n"
         "    def _method(self):\n"
         "        return 0\n",
         encoding="utf-8",
     )
     reader = tmp_path / "reader.py"
     reader.write_text("import sample\nvalue = sample._by_attribute()\n", encoding="utf-8")
-    assert uncalled_private_functions([src, reader]) == ["sample.py:5 _uncalled"]
+    assert uncalled_private_functions([src, reader]) == ["sample.py:5 _uncalled", "sample.py:16 K._method"]
