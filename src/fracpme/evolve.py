@@ -151,8 +151,9 @@ class _Stepper:
         self.sigma = float(np.max(np.abs(np.sin(theta) / self.h * symbol)))
 
     def fields(self, v: np.ndarray):
-        """The window of a state, and on it the Riesz potential and the
-        diffusion-free and full potential gradients.
+        """The window of a state, on it the Riesz potential and the
+        diffusion-free and full potential gradients, and the hull of the
+        mass counted from the window's first cell (see rates).
 
         The window holds the hull of the mass widened by 2 cells on each
         side, clipped to the grid and rounded up to a section size of the
@@ -162,23 +163,24 @@ class _Stepper:
         inside the grid, so the fields on it are those of the whole grid up
         to round-off.
         """
-        win, ws = self._section(v, 2)
+        win, ws, (first, end) = self._section(v, 2)
         self.evaluations += 1
         vw = v[win]
         pot, grad = ws.potential_and_gradient(vw)
         dxi0, dxi = energy_mod._velocity_fields(self.x[win], self.h, vw, grad, self.cfg.lam, self.cfg.eps)
-        return win, pot, dxi0, dxi
+        return win, pot, dxi0, dxi, (first - win.start, end - win.start)
 
     def _section(self, v: np.ndarray, widen: int):
         """The hull of v widened by `widen` cells on each side, clipped to the
-        grid and rounded up to a section size (see fields), and its operator."""
+        grid and rounded up to a section size (see fields), its operator,
+        and the hull (_hull of v)."""
         n = v.size
         first, end = _hull(v)
         lo, hi = max(first - widen, 0), min(end + widen, n)
         ws = self.ws.section(hi - lo)
         lo = min(lo, n - ws.n)
         self.max_cells = max(self.max_cells, ws.n)
-        return slice(lo, lo + ws.n), ws
+        return slice(lo, lo + ws.n), ws, (first, end)
 
     def energies(self, v: np.ndarray, win: slice, pot: np.ndarray) -> tuple[float, float]:
         """Free energy without and with the eps entropy term."""
@@ -190,7 +192,7 @@ class _Stepper:
             return e, e
         return e, e + cfg.eps * h * float(energy_mod._entropy_density(vw).sum())
 
-    def rates(self, v: np.ndarray, win: slice, dxi0: np.ndarray) -> tuple[float, float]:
+    def rates(self, v: np.ndarray, win: slice, dxi0: np.ndarray, hull: tuple[int, int]) -> tuple[float, float]:
         """The local and the nonlocal rate of one explicit step from v.
 
         The local rate is the advective rate max|dxi0| / h plus the
@@ -199,11 +201,11 @@ class _Stepper:
         cell to one after the last: a face between two empty cells carries
         no flux, vel * 0 = 0, whatever its velocity, so the empty far field
         (where lam x is largest) bounds nothing. A state with no mass takes
-        the whole window. The nonlocal rate is rho_max sigma / 2 (see
-        step_size).
+        the whole window. hull is _hull of v[win], as fields returns it. The
+        nonlocal rate is rho_max sigma / 2 (see step_size).
         """
         h, vw = self.h, v[win]
-        first, end = _hull(vw)
+        first, end = hull
         advective = float(np.abs(dxi0[max(first - 1, 0) : end + 1]).max())
         return advective / h + self.linear, 0.5 * float(vw.max()) * self.sigma
 
@@ -350,7 +352,7 @@ class _Stepper:
         widened by 2. The stages are not clamped; the new state is, as in
         advance.
         """
-        step, ws = self._section(v, stages + 2)
+        step, ws, _ = self._section(v, stages + 2)
         lo, hi = max(win.start, step.start), min(win.stop, step.stop)
         lam_x = self.cfg.lam * self.x[step]
 
@@ -382,8 +384,8 @@ def fv_step(rho: GridDensity, cfg: SolverConfig, dt: float) -> GridDensity:
     """
     stepper = _Stepper(cfg)
     v = rho.values
-    win, _, dxi0, _ = stepper.fields(v)
-    out, _ = stepper.advance(v, win, dxi0, dt, stepper.rates(v, win, dxi0)[0])
+    win, _, dxi0, _, hull = stepper.fields(v)
+    out, _ = stepper.advance(v, win, dxi0, dt, stepper.rates(v, win, dxi0, hull)[0])
     return GridDensity(cfg.grid, out)
 
 
@@ -472,7 +474,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
     v = rho0.values.copy()
     mass0 = h * float(v.sum())
     t = 0.0
-    win, pot, dxi0, dxi = stepper.fields(v)
+    win, pot, dxi0, dxi, hull = stepper.fields(v)
     e, e_eps = stepper.energies(v, win, pot)
     retries = 0
     dt_accepted = float("inf")
@@ -535,7 +537,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         if t >= cfg.t_end - 1e-12:
             break
 
-        rates = stepper.rates(v, win, dxi0)
+        rates = stepper.rates(v, win, dxi0, hull)
         # a step longer than the snapshot spacing would skip a snapshot
         dt, stages = stepper.step_size(rates, t, min(2 * dt_accepted, cfg.snapshot_every))
         for halvings in range(MAX_HALVINGS + 1):
@@ -556,7 +558,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
                 dt *= 0.5
                 stages = stepper.stage_count(rates, dt)
                 retries += 1
-        v, (win, pot, dxi0, dxi), (e, e_eps) = trial, trial_fields, trial_e
+        v, (win, pot, dxi0, dxi, hull), (e, e_eps) = trial, trial_fields, trial_e
         max_stages = max(max_stages, stages)
         max_clamped = max(max_clamped, clamped)
         min_margin = min(min_margin, margin)
@@ -736,12 +738,12 @@ def steady_state_eps(cfg: SolverConfig) -> GridDensity:
     t = 0.0
     i_eps = float("inf")
     while t < cfg.t_end:
-        win, _, dxi0, dxi = stepper.fields(v)
+        win, _, dxi0, dxi, hull = stepper.fields(v)
         vw = v[win]
         i_eps = h * float((vw * dxi * dxi).sum())
         if i_eps < EPS_STEADY_TOL:
             return GridDensity(cfg.grid, v)
-        rates = stepper.rates(v, win, dxi0)
+        rates = stepper.rates(v, win, dxi0, hull)
         dt = stepper.euler_step(rates, t)
         v_new, _ = stepper.advance(v, win, dxi0, dt, rates[0])
         moved = float(np.abs(v_new - v).max()) / dt

@@ -179,12 +179,15 @@ def holder_seminorm(u: np.ndarray, grid: Grid, alpha: float) -> float:
     step = grid.h * stride
     spread = float(us.max() - us.min()) if us.size else 0.0
     best = 0.0
+    buf = np.empty(max(us.size - 1, 0))  # the differences of every lag, in one buffer
     for m in range(1, us.size):
         scale = (m * step) ** alpha
         if spread / scale <= best:
             break
-        num = float(np.max(np.abs(us[m:] - us[:-m])))
-        best = max(best, num / scale)
+        diff = buf[: us.size - m]
+        np.subtract(us[m:], us[:-m], out=diff)
+        np.absolute(diff, out=diff)
+        best = max(best, float(diff.max()) / scale)
     return best
 
 

@@ -209,51 +209,7 @@ def _verdict(rows: list[dict], ok, **summary) -> dict:
     return {"pass": offender is None, **summary, "violating_seed": offender, "samples": rows}
 
 
-def _suite_inequalities(samples, target, s, lam, eps, names):
-    """Gap suites sharing one inequality report per sample."""
-    per_sample: dict[str, list] = {n: [] for n in names}
-    attr = {"hwi": "hwi_gap", "lsi": "lsi_gap", "talagrand": "talagrand_gap", "lemmaE": "lemmaE_gap"}
-    want_terms = "hwi" in names
-    for spec, rho in samples:
-        rep = transport.inequality_report(rho, s, lam, eps, target)
-        terms = transport.hwi_terms(rho, target, s, lam, eps) if want_terms else None
-        for name in names:
-            gap = getattr(rep, attr[name])
-            entry = {"seed": spec.seed, "gap": gap, "scale": rep.scale, "margin": gap / rep.scale}
-            if name == "hwi":
-                entry.update(T1=terms.T1, T2=terms.T2, T3=terms.T3, t_scale=terms.scale)
-            per_sample[name].append(entry)
-
-    def margin_ok(r):
-        return r["margin"] >= -GAP_TOL
-
-    def hwi_ok(r):
-        tol = -GAP_TOL * r["t_scale"]
-        t2_ok = abs(r["T2"]) <= T2_TOL if eps == 0 else r["T2"] >= tol
-        return margin_ok(r) and r["T1"] >= tol and r["T3"] >= tol and t2_ok
-
-    return {
-        name: _verdict(
-            rows, hwi_ok if name == "hwi" else margin_ok, worst_margin=float(np.min([r["margin"] for r in rows]))
-        )
-        for name, rows in per_sample.items()
-    }
-
-
-def _suite_remainder(samples, s, lam):
-    rows = [{"seed": spec.seed, "remainder": energy_mod.remainder_R(rho, s, lam)} for spec, rho in samples]
-    worst = float(np.min([r["remainder"] for r in rows]))
-    return _verdict(rows, lambda r: r["remainder"] >= -REMAINDER_TOL, worst_margin=worst)
-
-
-def _suite_virial(samples, s):
-    rows = []
-    for spec, rho in samples:
-        lhs, rhs = energy_mod.virial_check(rho, s)
-        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        rows.append({"seed": spec.seed, "lhs": lhs, "rhs": rhs, "rel_err": rel})
-    worst = float(np.max([r["rel_err"] for r in rows]))
-    return _verdict(rows, lambda r: r["rel_err"] <= VIRIAL_TOL, worst_margin=VIRIAL_TOL - worst)
+GAP_SUITES = {"hwi": "hwi_gap", "lsi": "lsi_gap", "talagrand": "talagrand_gap", "lemmaE": "lemmaE_gap"}
 
 
 def barenblatt_family(s: float, grid: Grid):
@@ -266,47 +222,111 @@ def barenblatt_family(s: float, grid: Grid):
         yield (amp, rad, x0), GridDensity(grid, vals)
 
 
-def _suite_gns(samples, s):
+def _gns_family(s: float) -> dict:
+    """The gns ratio of every member of the profile family, their relative
+    spread, and the largest, the constant the samples are held to."""
     fam_grid = Grid.symmetric(4.0, 4096)
     fam = []
     for (amp, rad, x0), dens in barenblatt_family(s, fam_grid):
         fam.append({"A": amp, "R": rad, "x0": x0, "ratio": transport.gns_ratio(dens, s)})
     ratios = np.array([f["ratio"] for f in fam])
     spread = float((ratios.max() - ratios.min()) / ratios.mean())
-    fam_const = float(ratios.max())
-    rows = []
-    for spec, rho in samples:
-        ratio = transport.gns_ratio(rho, s)
-        rows.append({"seed": spec.seed, "ratio": ratio, "margin": ratio - fam_const * (1 - GNS_FUZZ_SLACK)})
-    out = _verdict(
-        rows,
-        lambda r: r["margin"] >= 0,
-        family_spread=spread,
-        family_constant=fam_const,
-        worst_margin=float(np.min([r["margin"] for r in rows])) if rows else None,
-        family=fam,
-    )
-    out["pass"] = out["pass"] and spread <= GNS_FAMILY_TOL
-    return out
+    return {"family_spread": spread, "family_constant": float(ratios.max()), "family": fam}
 
 
-def _suite_interp(samples, target, s):
+def _interp_orders(s: float) -> tuple[float, float]:
+    """The Holder order alpha and the Sobolev order r of the interp suite."""
     alpha = 1.0 - s
-    r = 0.49 * alpha
-    rows = []
-    for spec, rho in samples:
-        u = rho.values - target.values
-        lhs, rhs, _ = transport.interp_inequality(u, rho.grid, s, alpha, r)
+    return alpha, 0.49 * alpha
+
+
+def _sample_rows(spec, rho, target, s, lam, eps, names, gns) -> dict[str, dict]:
+    """The row of every suite in names on one sample.
+
+    The gap suites share one inequality report, and hwi adds its three
+    terms. They run first: inequality_report takes the target's energy
+    before the sample's, so the operator's memo of frozen inputs, which
+    keeps the two most recently used, still holds the target when the next
+    sample comes (see riesz.RieszWorkspace).
+    """
+    rows = {}
+    gap = [name for name in names if name in GAP_SUITES]
+    if gap:
+        rep = transport.inequality_report(rho, s, lam, eps, target)
+        terms = transport.hwi_terms(rho, target, s, lam, eps) if "hwi" in names else None
+        for name in gap:
+            value = getattr(rep, GAP_SUITES[name])
+            rows[name] = {"seed": spec.seed, "gap": value, "scale": rep.scale, "margin": value / rep.scale}
+            if name == "hwi":
+                rows[name].update(T1=terms.T1, T2=terms.T2, T3=terms.T3, t_scale=terms.scale)
+    if "remainder" in names:
+        rows["remainder"] = {"seed": spec.seed, "remainder": energy_mod.remainder_R(rho, s, lam)}
+    if "virial" in names:
+        lhs, rhs = energy_mod.virial_check(rho, s)
+        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+        rows["virial"] = {"seed": spec.seed, "lhs": lhs, "rhs": rhs, "rel_err": rel}
+    if "gns" in names:
+        ratio = transport.gns_ratio(rho, s)
+        margin = ratio - gns["family_constant"] * (1 - GNS_FUZZ_SLACK)
+        rows["gns"] = {"seed": spec.seed, "ratio": ratio, "margin": margin}
+    if "interp" in names:
+        lhs, rhs, _ = transport.interp_inequality(rho.values - target.values, rho.grid, s, *_interp_orders(s))
         ratio = lhs / rhs if rhs > 0 else float("inf")
-        rows.append({"seed": spec.seed, "lhs": lhs, "rhs_unnormalized": rhs, "ratio": ratio})
+        rows["interp"] = {"seed": spec.seed, "lhs": lhs, "rhs_unnormalized": rhs, "ratio": ratio}
+    return rows
+
+
+def _suite_verdict(name: str, rows: list[dict], s: float, eps: float, gns) -> dict:
+    """The verdict of one suite on its rows (see _verdict)."""
+    if name in GAP_SUITES:
+
+        def margin_ok(r):
+            return r["margin"] >= -GAP_TOL
+
+        def hwi_ok(r):
+            tol = -GAP_TOL * r["t_scale"]
+            t2_ok = abs(r["T2"]) <= T2_TOL if eps == 0 else r["T2"] >= tol
+            return margin_ok(r) and r["T1"] >= tol and r["T3"] >= tol and t2_ok
+
+        worst = float(np.min([r["margin"] for r in rows]))
+        return _verdict(rows, hwi_ok if name == "hwi" else margin_ok, worst_margin=worst)
+    if name == "remainder":
+        worst = float(np.min([r["remainder"] for r in rows]))
+        return _verdict(rows, lambda r: r["remainder"] >= -REMAINDER_TOL, worst_margin=worst)
+    if name == "virial":
+        worst = float(np.max([r["rel_err"] for r in rows]))
+        return _verdict(rows, lambda r: r["rel_err"] <= VIRIAL_TOL, worst_margin=VIRIAL_TOL - worst)
+    if name == "gns":
+        worst = float(np.min([r["margin"] for r in rows])) if rows else None
+        out = _verdict(rows, lambda r: r["margin"] >= 0, worst_margin=worst, **gns)
+        out["pass"] = out["pass"] and gns["family_spread"] <= GNS_FAMILY_TOL
+        return out
+    alpha, r = _interp_orders(s)
     return _verdict(
         rows,
         lambda row: np.isfinite(row["ratio"]),
         sigmas=list(transport.interp_sigmas(s, alpha, r)),
         alpha=alpha,
         r=r,
-        empirical_constant=float(np.max([r["ratio"] for r in rows])) if rows else None,
+        empirical_constant=float(np.max([row["ratio"] for row in rows])) if rows else None,
     )
+
+
+def run_suites(samples, target, s, lam, eps, names) -> dict[str, dict]:
+    """The verdict of every suite in names on the corpus.
+
+    samples is an iterable of (spec, density) pairs, read once: every suite
+    takes its row of one sample before the next is read, so the fields of a
+    density are computed once for all suites (the operator keeps them while
+    the density is among its last two frozen inputs) and the corpus is never
+    held whole. The verdicts come in the order of names.
+    """
+    gns = _gns_family(s) if "gns" in names else None
+    rows: dict[str, list] = {name: [] for name in names}
+    for spec, rho in samples:
+        for name, row in _sample_rows(spec, rho, target, s, lam, eps, names, gns).items():
+            rows[name].append(row)
+    return {name: _suite_verdict(name, suite_rows, s, eps, gns) for name, suite_rows in rows.items()}
 
 
 VERIFY_SUITES = ("hwi", "lsi", "talagrand", "gns", "lemmaE", "interp", "remainder", "virial")
@@ -335,7 +355,6 @@ def cmd_verify(args) -> int:
         print("the lemmaE suite compares against the sharp minimizer; rerun with eps 0", file=sys.stderr)
         return EXIT_CONFIG
     grid = Grid.symmetric(4.0, 1024)
-    corpus = list(fuzz_corpus(args.seed, args.samples, grid))
 
     if args.eps > 0:
         eps_cfg = evolve.SolverConfig(s=args.s, grid=grid, lam=lam, eps=args.eps, t_end=80.0, cfl=0.8)
@@ -352,20 +371,8 @@ def cmd_verify(args) -> int:
             "samples": args.samples,
             "rule": "seed+k; n_bumps=1+(seed+k)%6; alpha=0.75; support_scale=1.5; grid [-4,4] n=1024",
         },
-        "suites": {},
+        "suites": run_suites(fuzz_corpus(args.seed, args.samples, grid), target, args.s, lam, args.eps, suites),
     }
-
-    gap_suites = [s for s in suites if s in ("hwi", "lsi", "talagrand", "lemmaE")]
-    if gap_suites:
-        report["suites"].update(_suite_inequalities(corpus, target, args.s, lam, args.eps, gap_suites))
-    if "remainder" in suites:
-        report["suites"]["remainder"] = _suite_remainder(corpus, args.s, lam)
-    if "virial" in suites:
-        report["suites"]["virial"] = _suite_virial(corpus, args.s)
-    if "gns" in suites:
-        report["suites"]["gns"] = _suite_gns(corpus, args.s)
-    if "interp" in suites:
-        report["suites"]["interp"] = _suite_interp(corpus, target, args.s)
 
     overall = all(entry["pass"] for entry in report["suites"].values())
     report["pass"] = overall

@@ -21,6 +21,18 @@ builds each weight family and its FFT spectrum the first time it is used,
 keeps them read-only, and is shared by every module. The free functions below
 delegate to it.
 
+The operator also keeps the inputs it last saw: for its MEMO_ARRAYS (2)
+most recently used frozen inputs, the rfft of the values and every output
+`apply`, `potential` and `gradient` already took from it. A frozen input is
+a read-only array that owns its data, as GridDensity.values is; the memo is
+keyed on the array object and holds it, so no other array can take its id
+while it is kept, and such an array must not be made writable again. Kept
+outputs are returned read-only. Writable arrays and views (the stepper's
+window slices among them) are transformed on every call and nothing of them
+is kept; potential_and_gradient keeps nothing either. A run that measures
+many densities against one target, taking several fields of each, thus
+transforms each density once.
+
 The FFT path (numpy.fft) pads every sum to one length, the smallest
 11-smooth number of at least 2n (no prime factor above 11; the length
 scipy's next_fast_len(2n) picks): any length of at least 2n - 1 keeps the
@@ -222,6 +234,8 @@ FAMILIES = ("potential", "gradient", "gradient_slope", "hessian", "hessian_slope
 # the families of potential_and_gradient, which a section takes from its parent
 SECTION_FAMILIES = ("potential", "gradient", "gradient_slope")
 MAX_SECTIONS = 4
+# frozen inputs whose transform and outputs an operator keeps: a sample and its target
+MEMO_ARRAYS = 2
 
 
 def _section_cells(cells: int) -> int:
@@ -244,6 +258,12 @@ class RieszWorkspace:
     instance, together with the sections it holds (see section), must not
     be used from several threads at once.
 
+    `apply`, `potential` and `gradient` keep the rfft and the outputs of
+    the MEMO_ARRAYS most recently used frozen inputs (read-only arrays that
+    own their data, keyed on the array object), and return those outputs
+    read-only; any other input is transformed afresh (see the module
+    docstring).
+
     `cells` makes the operator of that many consecutive cells of grid (all
     of them by default): the sums are translation invariant, so any run of
     `cells` cells has the same operator, with the h of grid.
@@ -259,6 +279,7 @@ class RieszWorkspace:
         self._cache: dict = {}
         self._products: dict = {}  # scratch of _window, overwritten by every call
         self._sections: dict = {}  # section size -> operator, least recently used first
+        self._memo: dict = {}  # id of a frozen input -> (input, its rfft, outputs), least recently used first
 
     def _cached(self, key, build) -> np.ndarray:
         value = self._cache.get(key)
@@ -294,9 +315,34 @@ class RieszWorkspace:
         np.multiply(spectrum, values_hat, out=product)
         return irfft(product, self._nfft, axis=-1)[..., n - 1 : 2 * n - 1]
 
+    def _memoised(self, key: str, values: np.ndarray, compute) -> np.ndarray:
+        """compute(rfft of values), or the output kept under key for a frozen
+        values array (read-only and owning its data; see the class
+        docstring). Any other array is transformed afresh and nothing of it
+        is kept."""
+        flags = values.flags
+        if flags.writeable or not flags.owndata:
+            return compute(rfft(values, self._nfft))
+        memo = self._memo
+        # the entry holds values, so no other live array can have its id
+        entry = memo.pop(id(values), None)  # reinserted below as the most recently used
+        if entry is None:
+            values_hat = rfft(values, self._nfft)
+            values_hat.setflags(write=False)
+            entry = (values, values_hat, {})
+            if len(memo) >= MEMO_ARRAYS:
+                del memo[next(iter(memo))]
+        memo[id(values)] = entry
+        _, values_hat, outputs = entry
+        out = outputs.get(key)
+        if out is None:
+            out = outputs[key] = compute(values_hat)
+            out.setflags(write=False)
+        return out
+
     def apply(self, family: str, values: np.ndarray) -> np.ndarray:
         """Toeplitz sum of one weight family, by FFT."""
-        return self._window(self.spectrum(family), rfft(values, self._nfft))
+        return self._memoised(family, values, lambda values_hat: self._window(self.spectrum(family), values_hat))
 
     def potential(self, values: np.ndarray) -> np.ndarray:
         return self.apply("potential", values)
@@ -304,7 +350,11 @@ class RieszWorkspace:
     def gradient(self, values: np.ndarray) -> np.ndarray:
         """W_grad * values + W_slope * np.gradient(values) in 2 transforms
         (see potential_and_gradient)."""
-        return self._edge_corrected(values, self._window(self._gradient_spectrum(), rfft(values, self._nfft)))
+
+        def compute(values_hat):
+            return self._edge_corrected(values, self._window(self._gradient_spectrum(), values_hat))
+
+        return self._memoised("gradient_combined", values, compute)
 
     def _theta(self) -> np.ndarray:
         """The rfft bins theta_k = 2 pi k / nfft."""

@@ -182,8 +182,11 @@ def inequality_report(
     require_normalized(rho)
     require_normalized(target)
 
-    e_rho = energy_mod.energy(rho, s, lam, eps).total
+    # the target first: a caller that measures many samples against one
+    # target then finds it still among the operator's kept inputs
+    # (riesz.MEMO_ARRAYS) when the next sample comes
     e_tgt = energy_mod.energy(target, s, lam, eps).total
+    e_rho = energy_mod.energy(rho, s, lam, eps).total
     gap = e_rho - e_tgt
     i_eps = energy_mod.dissipation(rho, s, lam, eps)
     dist = w2(rho, target)

@@ -40,6 +40,45 @@ def test_traced_child_run(tmp_path, name):
         assert layers["riesz.potential_and_gradient.calls"] > 0
 
 
+def test_verify_takes_the_fields_of_a_sample_once(monkeypatch, tmp_path):
+    """verify runs every suite on one sample before it reads the next, and
+    the operator keeps the transforms of the sample and of the target (see
+    riesz.RieszWorkspace), so beyond its set-up a sample of all the suites
+    costs at most 15 transform rows. verify never calls
+    potential_and_gradient, whose calls the tracer counts as stepper
+    steps."""
+    from fracpme import harness, riesz
+
+    rows = []
+    for name in ("rfft", "irfft"):
+        original = getattr(riesz, name)
+
+        def counted(x, *args, _original=original, **kwargs):
+            rows.append(1 if x.ndim == 1 else x.shape[0])
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(riesz, name, counted)
+    fields = riesz.RieszWorkspace.potential_and_gradient
+    calls = []
+
+    def spy(self, values):
+        calls.append(1)
+        return fields(self, values)
+
+    monkeypatch.setattr(riesz.RieszWorkspace, "potential_and_gradient", spy)
+
+    def rows_of(samples):
+        riesz.workspace.cache_clear()  # both runs build their weights and spectra
+        rows.clear()
+        out = tmp_path / f"report{samples}.json"
+        argv = ["verify", "--suite", ",".join(harness.VERIFY_SUITES), "--samples", str(samples), "--out", str(out)]
+        assert harness.main(argv) == 0
+        return sum(rows)
+
+    assert rows_of(4) - rows_of(1) <= 3 * 15
+    assert calls == []
+
+
 def test_field_evaluations_per_step_and_transforms_per_evaluation(monkeypatch):
     """The tracer counts steps as potential_and_gradient calls inside
     integrate, less one for the final state: every accepted or discarded

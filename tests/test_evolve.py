@@ -16,6 +16,7 @@ from fracpme.evolve import (
     TO_SELF_SIMILAR,
     SolverConfig,
     Trajectory,
+    _hull,
     _Stepper,
     change_of_variables,
     fit_decay,
@@ -114,7 +115,7 @@ class TestClamp:
         v = np.zeros(g.n)
         v[k] = peak
         dt = g.h * (1 + self.OVERSHOOT)  # the bound is cfl h / max|dxi0| = h
-        return g, k, v, stepper.advance(v, ALL, dxi0, dt, stepper.rates(v, ALL, dxi0)[0])
+        return g, k, v, stepper.advance(v, ALL, dxi0, dt, stepper.rates(v, ALL, dxi0, _hull(v))[0])
 
     def test_small_undershoot_is_zeroed_and_reported(self):
         peak = 1e-3
@@ -206,7 +207,7 @@ class TestIntegrate:
         _, shifted = barenblatt(S, LAM, mass=1.0, x0=0.5, grid=grid1024)
         v = normalize(shifted).values
         stepper = _Stepper(SolverConfig(s=S, grid=grid1024, lam=LAM))
-        win, pot, _, _ = stepper.fields(v)
+        win, pot, *_ = stepper.fields(v)
         n, m = grid1024.n, win.stop - win.start
         assert m < n
         weights = stepper.ws.weights("potential")
@@ -285,24 +286,25 @@ class TestHullRule:
         g4, stepper4, v4, dxi4 = self.state(4.0, 1024)
         g8, stepper8, v8, dxi8 = self.state(8.0, 2048)
         assert g4.h == g8.h
-        rate4 = stepper4.rates(v4, ALL, dxi4)[0]
-        rate8 = stepper8.rates(v8, ALL, dxi8)[0]
+        rate4 = stepper4.rates(v4, ALL, dxi4, _hull(v4))[0]
+        rate8 = stepper8.rates(v8, ALL, dxi8, _hull(v8))[0]
         assert abs(rate8 - rate4) <= 1e-12 * rate4
         full4, full8 = np.abs(dxi4).max(), np.abs(dxi8).max()
         assert 1.9 <= full8 / full4 <= 2.1
         assert full4 / g4.h > 2 * rate4
-        assert stepper4.rates(np.zeros(g4.n), ALL, dxi4)[0] == full4 / g4.h  # no mass: the whole grid
+        empty = np.zeros(g4.n)
+        assert stepper4.rates(empty, ALL, dxi4, _hull(empty))[0] == full4 / g4.h  # no mass: the whole grid
 
     def test_dt_over_the_hull_bound_raises(self):
         g, stepper, v, dxi0 = self.state(4.0, 1024)
-        rate = stepper.rates(v, ALL, dxi0)[0]
+        rate = stepper.rates(v, ALL, dxi0, _hull(v))[0]
         with pytest.raises(CflViolation):
             stepper.advance(v, ALL, dxi0, 1.01 * stepper.cfg.cfl / rate, rate)
 
     def test_dt_between_the_hull_and_full_grid_bounds_steps(self, steady_pair):
         _, target = steady_pair
         g, stepper, v, dxi0 = self.state(4.0, 1024)
-        hull_bound = stepper.cfg.cfl / stepper.rates(v, ALL, dxi0)[0]
+        hull_bound = stepper.cfg.cfl / stepper.rates(v, ALL, dxi0, _hull(v))[0]
         full_bound = stepper.cfg.cfl * g.h / np.abs(dxi0).max()
         dt = float(np.sqrt(hull_bound * full_bound))
         assert full_bound < dt < hull_bound
@@ -323,7 +325,7 @@ class TestFieldWindow:
         _, shifted = barenblatt(S, LAM, mass=1.0, x0=0.5, grid=g)
         v = normalize(shifted).values
         stepper = _Stepper(SolverConfig(s=S, grid=g, lam=LAM))
-        win, pot, dxi0, _ = stepper.fields(v)
+        win, pot, dxi0, *_ = stepper.fields(v)
         nonzero = np.flatnonzero(v)
         assert win.start <= nonzero[0] - 2 and nonzero[-1] + 2 < win.stop <= g.n
         assert win.stop - win.start == stepper.max_cells < g.n
@@ -332,12 +334,28 @@ class TestFieldWindow:
         dxi_ref = grad_ref + LAM * g.centers
         assert np.max(np.abs(dxi0 - dxi_ref[win])) <= 1e-12 * np.max(np.abs(dxi_ref))
 
+    @pytest.mark.parametrize("x0", [0.5, 3.5])
+    def test_fields_return_the_hull_of_the_window(self, x0):
+        """fields hands rates the hull it found for the window, counted from
+        the window's first cell: _hull of v[win], here with the window inside
+        the grid and against its right end; a state with no mass has the
+        whole grid as its hull."""
+        g = Grid.symmetric(4.0, 1024)
+        _, shifted = barenblatt(S, LAM, mass=1.0, x0=x0, grid=g)
+        v = normalize(shifted).values
+        stepper = _Stepper(SolverConfig(s=S, grid=g, lam=LAM))
+        win, *_, hull = stepper.fields(v)
+        nonzero = np.flatnonzero(v)
+        assert hull == (nonzero[0] - win.start, nonzero[-1] + 1 - win.start)
+        assert hull == _hull(v[win])
+        assert stepper.fields(np.zeros(g.n))[-1] == (0, g.n)
+
     @pytest.mark.parametrize("eps", [0.0, 0.01])
     def test_whole_grid_window_is_bitwise_the_whole_grid_path(self, eps):
         g = Grid.symmetric(4.0, 256)
         v = normalize(GridDensity(g, np.exp(-g.centers**2))).values
         stepper = _Stepper(SolverConfig(s=S, grid=g, lam=LAM, eps=eps))
-        win, pot, dxi0, dxi = stepper.fields(v)
+        win, pot, dxi0, dxi, _ = stepper.fields(v)
         assert (win.start, win.stop) == (0, g.n) and stepper.max_cells == g.n
         ref_pot, ref_grad = workspace(g, S).potential_and_gradient(v)
         assert np.array_equal(pot, ref_pot)
@@ -386,15 +404,15 @@ class TestSuperStep:
 
     def test_second_order_in_time(self):
         g, stepper, v = self.state()
-        win, _, dxi0, _ = stepper.fields(v)
-        advective, diffusive = stepper.shares(stepper.rates(v, win, dxi0))
+        win, _, dxi0, _, hull = stepper.fields(v)
+        advective, diffusive = stepper.shares(stepper.rates(v, win, dxi0, hull))
         stages = 4
         tau = stepper.cfg.cfl / max(advective, diffusive / stability_gain(stages))
 
         def march(dt, steps):
             y = v
             for _ in range(steps):
-                win, _, dxi0, _ = stepper.fields(y)
+                win, _, dxi0, *_ = stepper.fields(y)
                 y, clamped = stepper.super_step(y, win, dxi0, dt, stages)
                 assert clamped == 0.0
             return y
@@ -407,8 +425,8 @@ class TestSuperStep:
     @pytest.mark.parametrize("s", [0.1, 0.25])
     def test_conserves_mass_and_counts_stage_evaluations(self, s):
         g, stepper, v = self.state(s, 1024)
-        win, _, dxi0, _ = stepper.fields(v)
-        rates = stepper.rates(v, win, dxi0)
+        win, _, dxi0, _, hull = stepper.fields(v)
+        rates = stepper.rates(v, win, dxi0, hull)
         dt, stages = stepper.step_size(rates, 0.0, float("inf"))
         assert stages >= 3
         before = stepper.evaluations
@@ -428,8 +446,8 @@ class TestSuperStep:
         g = Grid.symmetric(4.0, 1024)
         v = normalize(GridDensity(g, np.maximum(1.0 - (g.centers - 0.5) ** 2, 0.0))).values
         stepper = _Stepper(SolverConfig(s=s, grid=g, lam=LAM))
-        win, _, dxi0, _ = stepper.fields(v)
-        dt, stages = stepper.step_size(stepper.rates(v, win, dxi0), 0.0, float("inf"))
+        win, _, dxi0, _, hull = stepper.fields(v)
+        dt, stages = stepper.step_size(stepper.rates(v, win, dxi0, hull), 0.0, float("inf"))
         assert stages >= least_stages
         ws = workspace(g, s)
 
@@ -473,8 +491,8 @@ class TestSuperStep:
 
     def test_step_rule_takes_the_fewest_evaluations_per_unit_time(self):
         g, stepper, v = self.state(0.1, 1024)
-        win, _, dxi0, _ = stepper.fields(v)
-        rates = stepper.rates(v, win, dxi0)
+        win, _, dxi0, _, hull = stepper.fields(v)
+        rates = stepper.rates(v, win, dxi0, hull)
         advective, diffusive = stepper.shares(rates)
         cfl = stepper.cfg.cfl
         per_evaluation = {1: cfl / sum(rates)}
@@ -499,9 +517,9 @@ class TestSuperStep:
         assert traj.evaluations == traj.steps + 1
         stepper, v, t = _Stepper(cfg), normalize(shifted).values, 0.0
         while t < cfg.t_end - 1e-12:
-            win, _, dxi0, _ = stepper.fields(v)
+            win, _, dxi0, _, hull = stepper.fields(v)
             dt = min(cfg.dt, cfg.t_end - t)
-            v, _ = stepper.advance(v, win, dxi0, dt, stepper.rates(v, win, dxi0)[0])
+            v, _ = stepper.advance(v, win, dxi0, dt, stepper.rates(v, win, dxi0, hull)[0])
             t += dt
         assert np.array_equal(traj.snapshots[-1].values, v)
 

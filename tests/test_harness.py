@@ -45,7 +45,7 @@ def test_first_violating_seed_is_reported_even_if_zero(monkeypatch):
     samples = list(harness.fuzz_corpus(0, 3, Grid.symmetric(4.0, 256)))
     remainders = {id(rho): -1.0 if spec.seed in (0, 1) else 1.0 for spec, rho in samples}
     monkeypatch.setattr(energy_mod, "remainder_R", lambda rho, s, lam: remainders[id(rho)])
-    result = harness._suite_remainder(samples, 0.25, 0.4)
+    result = harness.run_suites(samples, None, 0.25, 0.4, 0.0, ["remainder"])["remainder"]
     assert result["pass"] is False
     assert result["violating_seed"] == 0
 
@@ -57,7 +57,7 @@ def test_nan_fails_its_suite_and_names_the_seed(monkeypatch):
     monkeypatch.setattr(
         energy_mod, "remainder_R", lambda rho, s, lam: float("nan") if id(rho) == nan_id else original(rho, s, lam)
     )
-    result = harness._suite_remainder(samples, 0.25, 0.4)
+    result = harness.run_suites(samples, None, 0.25, 0.4, 0.0, ["remainder"])["remainder"]
     assert result["pass"] is False
     assert result["violating_seed"] == samples[2][0].seed
 
@@ -70,7 +70,7 @@ def test_nan_first_margin_fails_the_gap_suite(monkeypatch):
         "inequality_report",
         lambda rho, s, lam, eps, target: transport.InequalityReport(lsi_gap=next(gap_of)),
     )
-    result = harness._suite_inequalities(samples, None, 0.25, 0.4, 0.0, ["lsi"])["lsi"]
+    result = harness.run_suites(samples, None, 0.25, 0.4, 0.0, ["lsi"])["lsi"]
     assert result["pass"] is False
     assert result["violating_seed"] == samples[0][0].seed
 
@@ -86,28 +86,28 @@ def test_nan_past_the_first_sample_makes_the_worst_value_nan(monkeypatch):
         return lambda *args: float("nan") if next(calls) == k else 1.0
 
     monkeypatch.setattr(energy_mod, "remainder_R", nan_at_call(2))
-    result = harness._suite_remainder(samples, 0.25, 0.4)
+    result = harness.run_suites(samples, None, 0.25, 0.4, 0.0, ["remainder"])["remainder"]
     assert result["violating_seed"] == samples[2][0].seed
     assert np.isnan(result["worst_margin"])
 
     lhs = nan_at_call(2)
     monkeypatch.setattr(energy_mod, "virial_check", lambda rho, s: (lhs(), 1.0))
-    assert np.isnan(harness._suite_virial(samples, 0.25)["worst_margin"])
+    assert np.isnan(harness.run_suites(samples, None, 0.25, 0.4, 0.0, ["virial"])["virial"]["worst_margin"])
 
     gap = nan_at_call(2)
     monkeypatch.setattr(
         transport, "inequality_report", lambda rho, s, lam, eps, target: transport.InequalityReport(lsi_gap=gap())
     )
-    assert np.isnan(harness._suite_inequalities(samples, None, 0.25, 0.4, 0.0, ["lsi"])["lsi"]["worst_margin"])
+    assert np.isnan(harness.run_suites(samples, None, 0.25, 0.4, 0.0, ["lsi"])["lsi"]["worst_margin"])
 
     # two family members first, then the four samples
     monkeypatch.setattr(harness, "barenblatt_family", lambda s, grid: iter([((1.0, 1.0, 0.0), None)] * 2))
     monkeypatch.setattr(transport, "gns_ratio", nan_at_call(2 + 2))
-    assert np.isnan(harness._suite_gns(samples, 0.25)["worst_margin"])
+    assert np.isnan(harness.run_suites(samples, None, 0.25, 0.4, 0.0, ["gns"])["gns"]["worst_margin"])
 
     lhs = nan_at_call(2)
     monkeypatch.setattr(transport, "interp_inequality", lambda u, grid, s, alpha, r: (lhs(), 1.0, None))
-    assert np.isnan(harness._suite_interp(samples, samples[0][1], 0.25)["empirical_constant"])
+    assert np.isnan(harness.run_suites(samples, samples[0][1], 0.25, 0.4, 0.0, ["interp"])["interp"]["empirical_constant"])
 
 
 def test_hwi_names_the_first_sample_failing_margin_or_terms(monkeypatch):
@@ -124,7 +124,7 @@ def test_hwi_names_the_first_sample_failing_margin_or_terms(monkeypatch):
         "hwi_terms",
         lambda rho, target, s, lam, eps: transport.InequalityReport(T1=next(t1s), T2=0.0, T3=0.0),
     )
-    result = harness._suite_inequalities(samples, None, 0.25, 0.4, 0.0, ["hwi"])["hwi"]
+    result = harness.run_suites(samples, None, 0.25, 0.4, 0.0, ["hwi"])["hwi"]
     assert result["pass"] is False
     assert result["violating_seed"] == samples[1][0].seed
 
@@ -521,6 +521,22 @@ class TestVerifyCli:
         assert main(["verify", "--eps", "0.01", "--samples", "3", "--out", str(out)]) == 0
         assert calls == [0.01]
         assert set(json.loads(out.read_text())["suites"]) == set(harness.VERIFY_SUITES) - {"lemmaE"}
+
+    def test_each_suite_reports_alone_what_it_reports_with_all(self, tmp_path):
+        """verify runs every suite on a sample before the next one, and the
+        operator keeps each sample's fields for all of them: neither couples
+        the suites, so each entry of an all-suites report is the report of
+        that suite run alone."""
+
+        def suites_of(names):
+            out = tmp_path / f"{names}.json"
+            assert main(["verify", "--suite", names, "--samples", "3", "--seed", "42", "--out", str(out)]) == 0
+            return json.loads(out.read_text())["suites"]
+
+        every = suites_of(",".join(harness.VERIFY_SUITES))
+        assert set(every) == set(harness.VERIFY_SUITES)
+        for name in harness.VERIFY_SUITES:
+            assert suites_of(name) == {name: every[name]}
 
     def test_report_names_corpus(self, tmp_path):
         out = tmp_path / "report.json"

@@ -10,7 +10,9 @@ from fracpme.riesz import (
     DIRECT,
     FAMILIES,
     MAX_SECTIONS,
+    MEMO_ARRAYS,
     SECTION_FAMILIES,
+    RieszWorkspace,
     _padded_length,
     _section_cells,
     frac_laplacian,
@@ -364,6 +366,83 @@ class TestSections:
             ws.section(cells)
         assert len(ws._sections) == MAX_SECTIONS
         assert max(ws._sections) == _section_cells(1016)  # the most recently used are kept
+
+
+class TestMemo:
+    """An operator keeps the transform and the outputs of its MEMO_ARRAYS
+    most recently used frozen inputs: read-only arrays that own their data,
+    as GridDensity.values. Other arrays are transformed on every call."""
+
+    @staticmethod
+    def outputs(ws, values):
+        return [ws.potential(values), ws.gradient(values), *(ws.apply(family, values) for family in FAMILIES)]
+
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.7])
+    def test_frozen_outputs_are_a_fresh_operators_and_read_only(self, s):
+        g = Grid.symmetric(4.0, 256)
+        values = random_density(DensitySpec(seed=5), g).values
+        ws = RieszWorkspace(g, s)
+        first = self.outputs(ws, values)
+        again = self.outputs(ws, values)
+        fresh = self.outputs(RieszWorkspace(g, s), values.copy())  # a writable copy: nothing kept
+        for kept, same, ref in zip(first, again, fresh):
+            assert same is kept and np.array_equal(kept, ref)
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[0] = 1.0
+        assert all(out.flags.writeable for out in fresh)
+
+    def test_frozen_input_is_transformed_once(self, monkeypatch):
+        import fracpme.riesz as riesz
+
+        g = Grid.symmetric(4.0, 64)
+        values = random_density(DensitySpec(seed=3), g).values
+        ws = RieszWorkspace(g, S)
+        ws.potential(values.copy())  # builds the weights and the spectrum
+        ws.gradient(values.copy())
+        calls = []
+        for name in ("rfft", "irfft"):
+            original = getattr(riesz, name)
+
+            def counted(x, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(x, *args, **kwargs)
+
+            monkeypatch.setattr(riesz, name, counted)
+        ws.potential(values)
+        ws.gradient(values)
+        assert calls == ["rfft", "irfft", "irfft"]
+        ws.potential(values)
+        ws.gradient(values)
+        assert calls == ["rfft", "irfft", "irfft"]
+
+    def test_writable_arrays_and_views_are_recomputed_after_a_change(self):
+        g = Grid.symmetric(4.0, 128)
+        ws = RieszWorkspace(g, S)
+        v = np.random.default_rng(2).uniform(0.5, 2.0, g.n)
+        view = v[:]
+        view.setflags(write=False)  # read-only, but the data is v's
+        for values in (v, view):
+            before = self.outputs(ws, values)
+            v[10:20] *= 3.0
+            after = self.outputs(ws, values)
+            ref = self.outputs(RieszWorkspace(g, S), v.copy())
+            for old, new, want in zip(before, after, ref):
+                assert np.array_equal(new, want) and not np.array_equal(new, old)
+        assert not ws._memo
+
+    def test_memo_keeps_the_most_recently_used_frozen_inputs(self):
+        g = Grid.symmetric(4.0, 64)
+        ws = RieszWorkspace(g, S)
+        target = random_density(DensitySpec(seed=0), g).values
+        samples = [random_density(DensitySpec(seed=k), g).values for k in range(1, 6)]
+        for values in samples:
+            ws.potential(target)
+            ws.gradient(values)
+            assert len(ws._memo) <= MEMO_ARRAYS
+        kept = [entry[0] for entry in ws._memo.values()]
+        assert len(kept) == MEMO_ARRAYS == 2
+        assert kept[0] is target and kept[1] is samples[-1]
 
 
 class TestNumpyTransforms:
