@@ -132,7 +132,7 @@ class _Stepper:
     The fields of a state are taken on its window (see fields), and every
     per-step sum and update then runs on that window: a method takes the
     whole state v and the window win that its field arrays cover. A
-    super-step runs all its stages on one wider window (see super_step).
+    super-step runs all its stages on one wider window (see step).
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -193,76 +193,58 @@ class _Stepper:
         return e, e + cfg.eps * h * float(energy_mod._entropy_density(vw).sum())
 
     def rates(self, v: np.ndarray, win: slice, dxi0: np.ndarray, hull: tuple[int, int]) -> tuple[float, float]:
-        """The local and the nonlocal rate of one explicit step from v.
+        """The advective and the diffusive share of the rate of one explicit
+        step from v (see step_size).
 
-        The local rate is the advective rate max|dxi0| / h plus the
-        linear-diffusive rate 2 eps / h^2. The advective maximum runs over
-        the hull of the mass only, from one cell before the first nonzero
-        cell to one after the last: a face between two empty cells carries
-        no flux, vel * 0 = 0, whatever its velocity, so the empty far field
-        (where lam x is largest) bounds nothing. A state with no mass takes
-        the whole window. hull is _hull of v[win], as fields returns it. The
-        nonlocal rate is rho_max sigma / 2 (see step_size).
+        The advective share is max|dxi0| / h. Its maximum runs over the hull
+        of the mass only, from one cell before the first nonzero cell to one
+        after the last: a face between two empty cells carries no flux,
+        vel * 0 = 0, whatever its velocity, so the empty far field (where
+        lam x is largest) bounds nothing. A state with no mass takes the
+        whole window. hull is _hull of v[win], as fields returns it.
+
+        The diffusive share is the nonlocal-diffusive rate rho_max sigma / 2
+        plus the linear-diffusive rate 2 eps / h^2. Frozen at density
+        rho_max, the linearised nonlocal diffusion has eigenvalues of modulus
+        at most rho_max sigma (sigma from the Fourier symbol, see __init__),
+        and explicit Euler is stable for dt rho_max sigma <= 2, which is
+        cfl = 1. It matters near a steady state, where upwind damping
+        vanishes and the advective bound alone lets grid oscillations grow.
         """
         h, vw = self.h, v[win]
         first, end = hull
         advective = float(np.abs(dxi0[max(first - 1, 0) : end + 1]).max())
-        return advective / h + self.linear, 0.5 * float(vw.max()) * self.sigma
-
-    def euler_step(self, rates: tuple[float, float], t: float) -> float:
-        """The explicit Euler step from time t: the fixed dt if one is set,
-        else cfl over the sum of the two rates of the state (see rates), cut
-        so the run ends at t_end.
-
-        The nonlocal-diffusive rate rho_max sigma / 2 bounds the stiff part of
-        the step: frozen at density rho_max, the linearised nonlocal diffusion
-        has eigenvalues of modulus at most rho_max sigma (sigma from the
-        Fourier symbol, see __init__), and explicit Euler is stable for
-        dt rho_max sigma <= 2, which is cfl = 1. It matters near a steady
-        state, where upwind damping vanishes and the advective bound alone
-        lets grid oscillations grow.
-        """
-        cfg = self.cfg
-        dt = cfg.dt
-        if dt is None:
-            dt = cfg.cfl / (rates[0] + rates[1])
-        return min(dt, cfg.t_end - t)
-
-    def shares(self, rates: tuple[float, float]) -> tuple[float, float]:
-        """The advective and the diffusive share of the rates: the linear-
-        diffusive rate 2 eps / h^2 moves from the local to the nonlocal rate,
-        since a super-step stabilises both diffusions alike."""
-        return rates[0] - self.linear, rates[1] + self.linear
+        return advective / h, 0.5 * float(vw.max()) * self.sigma + self.linear
 
     def step_size(self, rates: tuple[float, float], t: float, longest: float) -> tuple[float, int]:
         """The step from time t and its stage count (1: explicit Euler).
 
-        A fixed dt is an Euler step (see euler_step). An adaptive step takes
-        the candidate with the fewest field evaluations per unit time:
-        Euler, one evaluation for euler_step's dt, or an RKL2 step of
-        S >= 3 stages (see rkl2_step), S evaluations for the largest dt with
-        dt advective <= cfl and dt diffusive <= cfl (S^2 + S - 2) / 4, the
-        shares of the rates (see shares). Then dt is cut to longest and to
-        t_end, and S re-picked as the least that covers it (stage_count).
+        A fixed dt is an Euler step, cut so the run ends at t_end. An
+        adaptive step takes the candidate with the fewest field evaluations
+        per unit time: Euler, one evaluation for cfl over the sum of the two
+        shares of the rate (see rates), or an RKL2 step of S >= 3 stages
+        (see rkl2_step), S evaluations for the largest dt with
+        dt advective <= cfl and dt diffusive <= cfl (S^2 + S - 2) / 4. Then
+        dt is cut to longest and to t_end, and S re-picked as the least that
+        covers it (stage_count).
 
-        Stability, with the coefficients frozen: the diffusive share is
-        rho_max sigma / 2 + 2 eps / h^2, half the largest modulus of the
-        eigenvalues of the two diffusions (see euler_step), which are real
-        and nonpositive; so dt diffusive <= cfl (S^2 + S - 2) / 4 puts them in
-        [-(S^2 + S - 2) / 2, 0], where |R_S| <= 1. The advective share is
-        max|dxi0| / h, and dt advective <= cfl <= 1 keeps each stage's
-        upwind transport within a cell: the advection-diffusion use of
-        stabilised explicit steps of Verwer, Hundsdorfer and Sommeijer
-        (J. Comput. Phys. 201, 2004). S = 2 covers no more than Euler for
-        twice the evaluations, so it is never a candidate.
+        Stability, with the coefficients frozen: the diffusive share is half
+        the largest modulus of the eigenvalues of the two diffusions, which
+        are real and nonpositive; so dt diffusive <= cfl (S^2 + S - 2) / 4
+        puts them in [-(S^2 + S - 2) / 2, 0], where |R_S| <= 1. dt
+        advective <= cfl <= 1 keeps each stage's upwind transport within a
+        cell: the advection-diffusion use of stabilised explicit steps of
+        Verwer, Hundsdorfer and Sommeijer (J. Comput. Phys. 201, 2004).
+        S = 2 covers no more than Euler for twice the evaluations, so it is
+        never a candidate.
         """
         cfg = self.cfg
         if cfg.dt is not None:
-            return self.euler_step(rates, t), 1
+            return min(cfg.dt, cfg.t_end - t), 1
         cap = min(longest, cfg.t_end - t)
         cfl = cfg.cfl
-        advective, diffusive = self.shares(rates)
-        best, best_stages = cfl / (rates[0] + rates[1]), 1
+        advective, diffusive = rates
+        best, best_stages = cfl / (advective + diffusive), 1
         for stages in itertools.count(3):
             bound = max(advective, diffusive / stability_gain(stages))
             tau = cfl / bound
@@ -281,24 +263,34 @@ class _Stepper:
         cfl = self.cfg.cfl * (1 + 1e-9)
         if dt * (rates[0] + rates[1]) <= cfl:
             return 1
-        diffusive = self.shares(rates)[1]
         stages = 3
-        while dt * diffusive > cfl * stability_gain(stages):
+        while dt * rates[1] > cfl * stability_gain(stages):
             stages += 1
         return stages
 
-    def _flux(self, vw: np.ndarray, dxi0: np.ndarray) -> np.ndarray:
-        """The fluxes through the interior faces of a window whose values are
-        vw: upwind advection with face velocities averaged from dxi0 (the
-        diffusion-free part of the potential gradient on the window), minus
-        the centered linear-diffusive flux."""
+    def _drift(self, vw: np.ndarray, dxi0: np.ndarray, out: np.ndarray, dt: float | None = None) -> np.ndarray:
+        """Add dt times dy/dt of the upwind scheme on a window whose values
+        are vw to out, in place, and return out; with dt None, add dy/dt.
+
+        The fluxes through the interior faces are upwind advection with face
+        velocities averaged from dxi0 (the diffusion-free part of the
+        potential gradient on the window), minus the centered
+        linear-diffusive flux; no flux crosses the ends of the window.
+        """
         cfg, h = self.cfg, self.h
-        vel = -0.5 * (dxi0[:-1] + dxi0[1:])  # interior faces
-        upwind = np.where(vel >= 0.0, vw[:-1], vw[1:])
-        flux = vel * upwind
+        vel = dxi0[:-1] + dxi0[1:]
+        vel *= -0.5  # interior faces
+        flux = np.where(vel >= 0.0, vw[:-1], vw[1:])
+        flux *= vel
         if cfg.eps > 0:
-            flux = flux - cfg.eps * (vw[1:] - vw[:-1]) / h
-        return flux
+            flux -= cfg.eps * (vw[1:] - vw[:-1]) / h
+        if dt is None:
+            flux /= h
+        else:
+            flux *= dt / h
+        out[:-1] -= flux
+        out[1:] += flux
+        return out
 
     def _clamp(self, ow: np.ndarray) -> float:
         """Zero the negative cells of ow in place and return the mass that
@@ -313,66 +305,47 @@ class _Stepper:
             ow[neg] = 0.0
         return clamped
 
-    def advance(
-        self, v: np.ndarray, win: slice, dxi0: np.ndarray, dt: float, local_rate: float
+    def step(
+        self, v: np.ndarray, win: slice, dxi0: np.ndarray, rates: tuple[float, float], dt: float, stages: int
     ) -> tuple[np.ndarray, float]:
-        """One conservative upwind Euler step; returns new state and clamped
-        mass.
+        """One step of the upwind scheme from v, of this many stages (see
+        step_size); returns new state and clamped mass.
 
-        dxi0 is the diffusion-free part of the potential gradient on the
-        window win: the eps term enters through the centered diffusive flux,
-        not the velocity. No flux crosses the ends of the window, so the mass
-        outside it stays where it is (0 for a window from fields). dt may
-        not exceed cfl over local_rate, the local rate of v (see rates).
+        dxi0 is the diffusion-free part of the potential gradient of v on
+        the window win (the eps term enters through the centered diffusive
+        flux, not the velocity), and rates its shares (see rates). The mass
+        outside the step's window stays where it is (0 for a window from
+        fields). The stages are not clamped; the new state is.
+
+        stages = 1 is an explicit Euler step on win; dt may not exceed cfl
+        over advective + 2 eps / h^2, else CflViolation. stages >= 3 is an
+        RKL2 step (see rkl2_step). A stage moves mass at most one cell, so
+        the S stages stay within S cells of the hull of v, and the step runs
+        on one window (see _section): that hull widened by S + 2 cells, whose
+        2 end cells inside the grid stay 0 in every stage. Each later stage
+        takes its velocity on it (gradient: 2 transforms); the drift of v is
+        taken on its overlap with win, which holds the hull widened by 2.
         """
-        cfg, h = self.cfg, self.h
-        bound = cfg.cfl / local_rate
-        if dt > bound * (1 + 1e-9):
-            raise CflViolation(f"dt={dt} exceeds stability bound {bound}")
-        flux = self._flux(v[win], dxi0)
-        flux *= dt / h
         out = v.copy()
-        ow = out[win]  # a view: the updates below write into out
-        ow[:-1] -= flux
-        ow[1:] += flux
+        if stages == 1:
+            bound = self.cfg.cfl / (rates[0] + self.linear)
+            if dt > bound * (1 + 1e-9):
+                raise CflViolation(f"dt={dt} exceeds stability bound {bound}")
+            ow = self._drift(v[win], dxi0, out[win], dt)  # a view: the update writes into out
+        else:
+            swin, ws, _ = self._section(v, stages + 2)
+            lo, hi = max(win.start, swin.start), min(win.stop, swin.stop)
+            lam_x = self.cfg.lam * self.x[swin]
+
+            def stage(yw: np.ndarray) -> np.ndarray:
+                self.evaluations += 1
+                return self._drift(yw, ws.gradient(yw) + lam_x, np.zeros_like(yw))
+
+            f0 = np.zeros(swin.stop - swin.start)
+            self._drift(v[lo:hi], dxi0[lo - win.start : hi - win.start], f0[lo - swin.start : hi - swin.start])
+            ow = out[swin]
+            ow[:] = rkl2_step(v[swin], f0, dt, stages, stage)
         return out, self._clamp(ow)
-
-    def super_step(
-        self, v: np.ndarray, win: slice, dxi0: np.ndarray, dt: float, stages: int
-    ) -> tuple[np.ndarray, float]:
-        """One RKL2 step of the upwind scheme (see rkl2_step and step_size);
-        returns new state and clamped mass.
-
-        dxi0 on the window win is the field of v. A stage moves mass at most
-        one cell, so the S stages stay within S cells of the hull of v, and
-        the step runs on one window (see _section): that hull widened by
-        S + 2 cells, whose 2 end cells inside the grid stay 0 in every stage.
-        Each later stage takes its velocity on it (gradient: 2 transforms);
-        the drift of v is taken on its overlap with win, which holds the hull
-        widened by 2. The stages are not clamped; the new state is, as in
-        advance.
-        """
-        step, ws, _ = self._section(v, stages + 2)
-        lo, hi = max(win.start, step.start), min(win.stop, step.stop)
-        lam_x = self.cfg.lam * self.x[step]
-
-        def drift(yw: np.ndarray, dxi0: np.ndarray) -> np.ndarray:
-            """dy/dt of the upwind scheme on a window, no flux through its ends."""
-            flux = self._flux(yw, dxi0) / self.h
-            out = np.zeros_like(yw)
-            out[:-1] -= flux
-            out[1:] += flux
-            return out
-
-        def stage(yw: np.ndarray) -> np.ndarray:
-            self.evaluations += 1
-            return drift(yw, ws.gradient(yw) + lam_x)
-
-        f0 = np.zeros(step.stop - step.start)
-        f0[lo - step.start : hi - step.start] = drift(v[lo:hi], dxi0[lo - win.start : hi - win.start])
-        out = v.copy()
-        out[step] = rkl2_step(v[step], f0, dt, stages, stage)
-        return out, self._clamp(out[step])
 
 
 def fv_step(rho: GridDensity, cfg: SolverConfig, dt: float) -> GridDensity:
@@ -385,7 +358,7 @@ def fv_step(rho: GridDensity, cfg: SolverConfig, dt: float) -> GridDensity:
     stepper = _Stepper(cfg)
     v = rho.values
     win, _, dxi0, _, hull = stepper.fields(v)
-    out, _ = stepper.advance(v, win, dxi0, dt, stepper.rates(v, win, dxi0, hull)[0])
+    out, _ = stepper.step(v, win, dxi0, stepper.rates(v, win, dxi0, hull), dt, 1)
     return GridDensity(cfg.grid, out)
 
 
@@ -408,7 +381,7 @@ class Trajectory:
     (None when the density is zero everywhere).
     nonlocal_bound_steps counts the steps of chosen_dt taken from a state
     whose diffusive share was at least stability_gain(S) times its
-    advective share (see _Stepper.shares), S the step's stage count: on an
+    advective share (see _Stepper.rates), S the step's stage count: on an
     adaptive run, the steps whose stability limit the diffusive terms set,
     not the advective one. max_field_cells is the largest window, in cells,
     that fields were taken on, of an accepted or trial state or of the
@@ -542,10 +515,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         dt, stages = stepper.step_size(rates, t, min(2 * dt_accepted, cfg.snapshot_every))
         for halvings in range(MAX_HALVINGS + 1):
             try:
-                if stages == 1:
-                    trial, clamped = stepper.advance(v, win, dxi0, dt, rates[0])
-                else:
-                    trial, clamped = stepper.super_step(v, win, dxi0, dt, stages)
+                trial, clamped = stepper.step(v, win, dxi0, rates, dt, stages)
                 trial_fields = stepper.fields(trial)
                 trial_e = stepper.energies(trial, trial_fields[0], trial_fields[1])
                 margin = e_eps + LYAPUNOV_SLACK - trial_e[1]
@@ -566,7 +536,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         max_rise = max(max_rise, e_eps - e_eps_low)
         if dt < cfg.t_end - t:
             chosen_dt.append(dt)  # not cut short to land on t_end
-            advective, diffusive = stepper.shares(rates)
+            advective, diffusive = rates
             if diffusive >= stability_gain(stages) * advective:
                 nonlocal_bound += 1
         t += dt
@@ -714,13 +684,17 @@ def steady_state_eps(cfg: SolverConfig) -> GridDensity:
 
     Starts from the sampled sharp steady profile and marches until the
     eps-dissipation drops below 1e-10 or the state stops moving (no closed
-    form exists for eps > 0). The upwind/centered flux mix leaves a grid
-    floor in the cell-centered dissipation (O(h^2), around 1e-6 at n=1024),
-    so the genuine fixed point is detected by stationarity: the scheme
-    reaches flux balance to machine precision long before the dissipation
-    threshold could be met. The result is strictly positive everywhere,
-    unlike the compactly supported eps = 0 profile. Raises NotConverged when
-    neither happens by t_end.
+    form exists for eps > 0). It steps as integrate does, on
+    _Stepper.step_size with no cap: Euler steps, or RKL2 super-steps where
+    they need fewer field evaluations. It stops where the drift of the
+    scheme vanishes to round-off, a fixed point of either step, so the
+    result does not depend on the steps taken beyond round-off. The
+    upwind/centered flux mix leaves a grid floor in the cell-centered
+    dissipation (O(h^2), around 1e-6 at n=1024), so the genuine fixed point
+    is detected by stationarity: the scheme reaches flux balance to machine
+    precision long before the dissipation threshold could be met. The
+    result is strictly positive everywhere, unlike the compactly supported
+    eps = 0 profile. Raises NotConverged when neither happens by t_end.
     """
     if not 0.0 < cfg.eps < cfg.lam / (2 * np.pi):
         raise EpsilonOutOfRange(
@@ -744,8 +718,8 @@ def steady_state_eps(cfg: SolverConfig) -> GridDensity:
         if i_eps < EPS_STEADY_TOL:
             return GridDensity(cfg.grid, v)
         rates = stepper.rates(v, win, dxi0, hull)
-        dt = stepper.euler_step(rates, t)
-        v_new, _ = stepper.advance(v, win, dxi0, dt, rates[0])
+        dt, stages = stepper.step_size(rates, t, float("inf"))
+        v_new, _ = stepper.step(v, win, dxi0, rates, dt, stages)
         moved = float(np.abs(v_new - v).max()) / dt
         v = v_new
         t += dt

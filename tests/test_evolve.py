@@ -8,10 +8,13 @@ from fracpme.errors import (
     EpsilonOutOfRange,
     InsufficientSamples,
     NonpositiveQuantity,
+    NotConverged,
     PositivityLoss,
 )
 from fracpme.evolve import (
+    EPS_STEADY_TOL,
     LYAPUNOV_SLACK,
+    STALL_TOL,
     TO_PHYSICAL,
     TO_SELF_SIMILAR,
     SolverConfig,
@@ -96,7 +99,7 @@ class TestFvStep:
 
 
 class TestClamp:
-    """The clamp path of _Stepper.advance, behind its positivity fast path.
+    """The clamp path of _Stepper.step, behind its positivity fast path.
 
     At cfl = 1 a cell whose two faces both flow out can lose all its mass in
     one step; a dt 5e-10 over the bound (inside the 1e-9 slack of the CFL
@@ -115,7 +118,7 @@ class TestClamp:
         v = np.zeros(g.n)
         v[k] = peak
         dt = g.h * (1 + self.OVERSHOOT)  # the bound is cfl h / max|dxi0| = h
-        return g, k, v, stepper.advance(v, ALL, dxi0, dt, stepper.rates(v, ALL, dxi0, _hull(v))[0])
+        return g, k, v, stepper.step(v, ALL, dxi0, stepper.rates(v, ALL, dxi0, _hull(v)), dt, 1)
 
     def test_small_undershoot_is_zeroed_and_reported(self):
         peak = 1e-3
@@ -257,17 +260,39 @@ class TestStepSize:
         _, dens = barenblatt(S, LAM, mass=1.0, grid=g)
         target = normalize(dens)
         taken = []
-        advance = _Stepper.advance
+        step = _Stepper.step
 
-        def spy(self, v, win, dxi0, dt, local_rate):
-            taken.append(dt)
-            return advance(self, v, win, dxi0, dt, local_rate)
+        def spy(self, v, win, dxi0, rates, dt, stages):
+            taken.append((dt, stages))
+            return step(self, v, win, dxi0, rates, dt, stages)
 
-        monkeypatch.setattr(_Stepper, "advance", spy)
+        monkeypatch.setattr(_Stepper, "step", spy)
         cfg = SolverConfig(s=S, grid=g, lam=LAM, dt=2e-3, t_end=0.1, init=target)
         with pytest.raises(EnergyIncrease):
             integrate(cfg, target)
-        assert set(taken) == {2e-3}
+        assert set(taken) == {(2e-3, 1)}
+
+    def test_euler_guard_keeps_the_linear_diffusive_rate(self):
+        """At eps > 0 a fixed dt within the advective bound cfl / advective
+        but over cfl / (advective + 2 eps / h^2) fails the Euler step,
+        through fv_step and through a fixed-dt integrate; a dt at that bound
+        steps."""
+        g = Grid.symmetric(4.0, 256)
+        _, shifted = barenblatt(S, LAM, mass=1.0, x0=0.5, grid=g)
+        rho = normalize(shifted)
+        cfg = SolverConfig(s=S, grid=g, lam=LAM, eps=1e-2, init=rho)
+        stepper = _Stepper(cfg)
+        win, _, dxi0, _, hull = stepper.fields(rho.values)
+        advective = stepper.rates(rho.values, win, dxi0, hull)[0]
+        linear = 2 * cfg.eps / g.h**2
+        dt = cfg.cfl / (advective + 0.5 * linear)
+        assert dt * advective <= cfg.cfl < dt * (advective + linear)
+        fixed = SolverConfig(s=S, grid=g, lam=LAM, eps=cfg.eps, dt=dt, t_end=10 * dt, init=rho)
+        with pytest.raises(CflViolation):
+            fv_step(rho, fixed, dt)
+        with pytest.raises(CflViolation):
+            integrate(fixed, rho)
+        fv_step(rho, fixed, cfg.cfl / (advective + linear))
 
 
 class TestHullRule:
@@ -297,9 +322,9 @@ class TestHullRule:
 
     def test_dt_over_the_hull_bound_raises(self):
         g, stepper, v, dxi0 = self.state(4.0, 1024)
-        rate = stepper.rates(v, ALL, dxi0, _hull(v))[0]
+        rates = stepper.rates(v, ALL, dxi0, _hull(v))
         with pytest.raises(CflViolation):
-            stepper.advance(v, ALL, dxi0, 1.01 * stepper.cfg.cfl / rate, rate)
+            stepper.step(v, ALL, dxi0, rates, 1.01 * stepper.cfg.cfl / rates[0], 1)
 
     def test_dt_between_the_hull_and_full_grid_bounds_steps(self, steady_pair):
         _, target = steady_pair
@@ -366,7 +391,7 @@ class TestFieldWindow:
 
 
 class TestSuperStep:
-    """The RKL2 step (rkl2_step, _Stepper.super_step) and the step rule
+    """The RKL2 step (rkl2_step, _Stepper.step) and the step rule
     that picks it on adaptive runs."""
 
     @staticmethod
@@ -405,15 +430,15 @@ class TestSuperStep:
     def test_second_order_in_time(self):
         g, stepper, v = self.state()
         win, _, dxi0, _, hull = stepper.fields(v)
-        advective, diffusive = stepper.shares(stepper.rates(v, win, dxi0, hull))
+        advective, diffusive = stepper.rates(v, win, dxi0, hull)
         stages = 4
         tau = stepper.cfg.cfl / max(advective, diffusive / stability_gain(stages))
 
         def march(dt, steps):
             y = v
             for _ in range(steps):
-                win, _, dxi0, *_ = stepper.fields(y)
-                y, clamped = stepper.super_step(y, win, dxi0, dt, stages)
+                win, _, dxi0, _, hull = stepper.fields(y)
+                y, clamped = stepper.step(y, win, dxi0, stepper.rates(y, win, dxi0, hull), dt, stages)
                 assert clamped == 0.0
             return y
 
@@ -430,7 +455,7 @@ class TestSuperStep:
         dt, stages = stepper.step_size(rates, 0.0, float("inf"))
         assert stages >= 3
         before = stepper.evaluations
-        out, clamped = stepper.super_step(v, win, dxi0, dt, stages)
+        out, clamped = stepper.step(v, win, dxi0, rates, dt, stages)
         assert stepper.evaluations - before == stages - 1
         assert clamped == 0.0 and out.min() >= 0.0
         assert abs(g.h * out.sum() - g.h * v.sum()) <= 1e-14
@@ -447,7 +472,8 @@ class TestSuperStep:
         v = normalize(GridDensity(g, np.maximum(1.0 - (g.centers - 0.5) ** 2, 0.0))).values
         stepper = _Stepper(SolverConfig(s=s, grid=g, lam=LAM))
         win, _, dxi0, _, hull = stepper.fields(v)
-        dt, stages = stepper.step_size(stepper.rates(v, win, dxi0, hull), 0.0, float("inf"))
+        rates = stepper.rates(v, win, dxi0, hull)
+        dt, stages = stepper.step_size(rates, 0.0, float("inf"))
         assert stages >= least_stages
         ws = workspace(g, s)
 
@@ -468,7 +494,7 @@ class TestSuperStep:
 
         monkeypatch.setattr(type(ws), "gradient", recorded)
         before = stepper.evaluations
-        out, clamped = stepper.super_step(v, win, dxi0, dt, stages)
+        out, clamped = stepper.step(v, win, dxi0, rates, dt, stages)
         monkeypatch.undo()
         assert stepper.evaluations - before == stages - 1 == len(stage_values)
         assert clamped == 0.0
@@ -493,7 +519,7 @@ class TestSuperStep:
         g, stepper, v = self.state(0.1, 1024)
         win, _, dxi0, _, hull = stepper.fields(v)
         rates = stepper.rates(v, win, dxi0, hull)
-        advective, diffusive = stepper.shares(rates)
+        advective, diffusive = rates
         cfl = stepper.cfg.cfl
         per_evaluation = {1: cfl / sum(rates)}
         for stages in range(3, 40):
@@ -519,7 +545,7 @@ class TestSuperStep:
         while t < cfg.t_end - 1e-12:
             win, _, dxi0, _, hull = stepper.fields(v)
             dt = min(cfg.dt, cfg.t_end - t)
-            v, _ = stepper.advance(v, win, dxi0, dt, stepper.rates(v, win, dxi0, hull)[0])
+            v, _ = stepper.step(v, win, dxi0, stepper.rates(v, win, dxi0, hull), dt, 1)
             t += dt
         assert np.array_equal(traj.snapshots[-1].values, v)
 
@@ -611,6 +637,51 @@ class TestChangeOfVariables:
 
 
 class TestSteadyStateEps:
+    @staticmethod
+    def euler_march(cfg):
+        """steady_state_eps's march and stops, on Euler steps only: cfl over
+        the sum of the two shares of the rate."""
+        _, dens = barenblatt(cfg.s, cfg.lam, mass=1.0, grid=cfg.grid)
+        v = normalize(dens).values.copy()
+        stepper, h, t = _Stepper(cfg), cfg.grid.h, 0.0
+        while t < cfg.t_end:
+            win, _, dxi0, dxi, hull = stepper.fields(v)
+            if h * float((v[win] * dxi * dxi).sum()) < EPS_STEADY_TOL:
+                return v
+            rates = stepper.rates(v, win, dxi0, hull)
+            dt = min(cfg.cfl / (rates[0] + rates[1]), cfg.t_end - t)
+            v_new, _ = stepper.step(v, win, dxi0, rates, dt, 1)
+            moved = float(np.abs(v_new - v).max()) / dt
+            v, t = v_new, t + dt
+            if moved <= STALL_TOL * float(v.max()):
+                return v
+        raise NotConverged("the Euler march did not stop")
+
+    @pytest.mark.parametrize("eps", [1e-2, 0.9 * LAM / (2 * np.pi)])
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.4])
+    def test_shared_step_rule_reaches_the_euler_fixed_point(self, monkeypatch, s, eps):
+        g = Grid.symmetric(4.0, 128)
+        cfg = SolverConfig(s=s, grid=g, lam=LAM, eps=eps, t_end=80.0, cfl=0.8)
+        taken = []
+        step = _Stepper.step
+
+        def spy(self, v, win, dxi0, rates, dt, stages):
+            taken.append(stages)
+            return step(self, v, win, dxi0, rates, dt, stages)
+
+        monkeypatch.setattr(_Stepper, "step", spy)
+        res = steady_state_eps(cfg).values
+        monkeypatch.undo()
+        ref = self.euler_march(cfg)
+        assert np.max(np.abs(res - ref)) <= 1e-11 * np.max(ref)
+        if eps > 1e-2:
+            assert max(taken) >= 3  # near the top of the eps window the diffusion sets the step
+
+    def test_short_march_raises_not_converged(self):
+        cfg = SolverConfig(s=S, grid=Grid.symmetric(4.0, 128), lam=LAM, eps=1e-2, t_end=0.5, cfl=0.8)
+        with pytest.raises(NotConverged):
+            steady_state_eps(cfg)
+
     def test_eps_zero_rejected(self, grid1024):
         cfg = SolverConfig(s=S, grid=grid1024, lam=LAM, eps=0.0, t_end=1.0)
         with pytest.raises(EpsilonOutOfRange):

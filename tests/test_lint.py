@@ -134,8 +134,9 @@ def test_check_sees_an_unread_field(tmp_path):
 
 
 def uncalled_private_functions(package: list[Path]) -> list[str]:
-    """Module-level functions and methods of classes named _name that no
-    file of package loads, by name or as an attribute."""
+    """Module-level functions and methods named _name, and every method of
+    a class named _name, that no file of package loads, by name or as an
+    attribute. Dunder methods are left out."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in package}
     loads = set()
     for tree in trees.values():
@@ -147,9 +148,9 @@ def uncalled_private_functions(package: list[Path]) -> list[str]:
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     found = []
     for path, tree in trees.items():
-        defs = [(fn, fn.name) for fn in tree.body if isinstance(fn, functions)]
+        defs = [(fn, fn.name, fn.name.startswith("_")) for fn in tree.body if isinstance(fn, functions)]
         defs += [
-            (fn, f"{cls.name}.{fn.name}")
+            (fn, f"{cls.name}.{fn.name}", cls.name.startswith("_") or fn.name.startswith("_"))
             for cls in ast.walk(tree)
             if isinstance(cls, ast.ClassDef)
             for fn in cls.body
@@ -157,8 +158,8 @@ def uncalled_private_functions(package: list[Path]) -> list[str]:
         ]
         found += [
             f"{path.name}:{fn.lineno} {name}"
-            for fn, name in sorted(defs, key=lambda d: d[0].lineno)
-            if fn.name.startswith("_") and not fn.name.endswith("__") and fn.name not in loads
+            for fn, name, private in sorted(defs, key=lambda d: d[0].lineno)
+            if private and not fn.name.endswith("__") and fn.name not in loads
         ]
     return found
 
@@ -186,9 +187,20 @@ def test_check_sees_an_uncalled_private_function(tmp_path):
         "    def _called_method(self):\n"
         "        return 0\n"
         "    def _method(self):\n"
+        "        return 0\n"
+        "class _Private:\n"
+        "    def __init__(self):\n"
+        "        self.used()\n"
+        "    def used(self):\n"
+        "        return 0\n"
+        "    def unused(self):\n"
         "        return 0\n",
         encoding="utf-8",
     )
     reader = tmp_path / "reader.py"
     reader.write_text("import sample\nvalue = sample._by_attribute()\n", encoding="utf-8")
-    assert uncalled_private_functions([src, reader]) == ["sample.py:5 _uncalled", "sample.py:16 K._method"]
+    assert uncalled_private_functions([src, reader]) == [
+        "sample.py:5 _uncalled",
+        "sample.py:16 K._method",
+        "sample.py:23 _Private.unused",
+    ]
