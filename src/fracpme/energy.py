@@ -32,26 +32,17 @@ def _entropy_density(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0.0, v * np.log(np.maximum(v, LOG_FLOOR)), 0.0)
 
 
-def _velocity_fields(x: np.ndarray, h: float, v: np.ndarray, grad: np.ndarray, lam: float, eps: float):
-    """Gradients of the driving potential xi = (-Dxx)^{-s} rho + lam x^2/2
-    (+ eps log rho) at the values v of cells centered at x, h apart, from the
-    gradient grad of their Riesz potential: the diffusion-free part
-    dxi0 = grad + lam x and the full dxi (dxi0 plus the eps log-term
-    gradient). The flow velocity is -dxi."""
-    dxi0 = grad + lam * x
-    if eps > 0:
-        return dxi0, dxi0 + _eps_log_gradient(v, h, eps)
-    return dxi0, dxi0
-
-
 def potential_xi(rho: GridDensity, s: float, lam: float, eps: float = 0.0) -> np.ndarray:
-    """Spatial derivative dxi of the driving potential at the cell centers;
-    the velocity field of the flow is -dxi."""
+    """Spatial derivative dxi of the driving potential xi = (-Dxx)^{-s} rho
+    + lam x^2/2 (+ eps log rho) at the cell centers; the velocity field of
+    the flow is -dxi."""
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     require_normalized(rho)
-    grad = workspace(rho.grid, s).gradient(rho.values)
-    return _velocity_fields(rho.grid.centers, rho.grid.h, rho.values, grad, lam, eps)[1]
+    dxi = workspace(rho.grid, s).gradient(rho.values) + lam * rho.grid.centers
+    if eps > 0:
+        dxi += _eps_log_gradient(rho.values, rho.grid.h, eps)
+    return dxi
 
 
 @dataclass(frozen=True)

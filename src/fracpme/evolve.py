@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .transport import w2
 
 LYAPUNOV_SLACK = 1e-10
 CLAMP_BUDGET = 1e-12
-EPS_STEADY_TOL = 1e-10
 STALL_TOL = 1e-10
 MAX_HALVINGS = 20
 
@@ -126,13 +126,26 @@ def rkl2_step(y0: np.ndarray, f0: np.ndarray, tau: float, stages: int, f) -> np.
     return y0 + d
 
 
+class _State(NamedTuple):
+    """One evaluated state of a run (see _Stepper.state): its values v, the
+    window win its fields are taken on, on it the Riesz potential pot and
+    the diffusion-free potential gradient dxi0, and the two shares of the
+    rate of one explicit step from it (advective, diffusive)."""
+
+    v: np.ndarray
+    win: slice
+    pot: np.ndarray
+    dxi0: np.ndarray
+    rates: tuple[float, float]
+
+
 class _Stepper:
     """Per-step update of one run, on the shared Riesz operator of (grid, s).
 
-    The fields of a state are taken on its window (see fields), and every
+    The fields of a state are taken on its window (see state), and every
     per-step sum and update then runs on that window: a method takes the
-    whole state v and the window win that its field arrays cover. A
-    super-step runs all its stages on one wider window (see step).
+    _State that holds the window and the field arrays on it. A super-step
+    runs all its stages on one wider window (see step).
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -141,19 +154,19 @@ class _Stepper:
         self.x = cfg.grid.centers
         self.xx = self.x * self.x  # the confinement weight of the energy and the second moment
         self.h = cfg.grid.h
-        self.linear = 2 * cfg.eps / self.h**2  # the linear-diffusive rate (see rates)
+        self.linear = 2 * cfg.eps / self.h**2  # the linear-diffusive rate (see state)
         self.max_cells = 0  # the largest window the fields were taken on
-        self.evaluations = 0  # field evaluations: fields calls and super-step stages
+        self.evaluations = 0  # field evaluations: state calls and super-step stages
         # largest modulus of the symbol of delta -> (1/h) D_face(avg_face(G delta)),
         # the nonlocal diffusion of one step with the density frozen at 1: face
         # average then face difference has the symbol i sin(theta) / h
         theta, symbol = self.ws.gradient_symbol()
         self.sigma = float(np.max(np.abs(np.sin(theta) / self.h * symbol)))
 
-    def fields(self, v: np.ndarray):
-        """The window of a state, on it the Riesz potential and the
-        diffusion-free and full potential gradients, and the hull of the
-        mass counted from the window's first cell (see rates).
+    def state(self, v: np.ndarray) -> _State:
+        """The evaluated state of the values v: its window, on it the Riesz
+        potential and the diffusion-free potential gradient, and the shares
+        of the rate of one explicit step from it (see step_size).
 
         The window holds the hull of the mass widened by 2 cells on each
         side, clipped to the grid and rounded up to a section size of the
@@ -162,46 +175,13 @@ class _Stepper:
         density is 0 outside the window, and 0 on its 2 end cells that lie
         inside the grid, so the fields on it are those of the whole grid up
         to round-off.
-        """
-        win, ws, (first, end) = self._section(v, 2)
-        self.evaluations += 1
-        vw = v[win]
-        pot, grad = ws.potential_and_gradient(vw)
-        dxi0, dxi = energy_mod._velocity_fields(self.x[win], self.h, vw, grad, self.cfg.lam, self.cfg.eps)
-        return win, pot, dxi0, dxi, (first - win.start, end - win.start)
-
-    def _section(self, v: np.ndarray, widen: int):
-        """The hull of v widened by `widen` cells on each side, clipped to the
-        grid and rounded up to a section size (see fields), its operator,
-        and the hull (_hull of v)."""
-        n = v.size
-        first, end = _hull(v)
-        lo, hi = max(first - widen, 0), min(end + widen, n)
-        ws = self.ws.section(hi - lo)
-        lo = min(lo, n - ws.n)
-        self.max_cells = max(self.max_cells, ws.n)
-        return slice(lo, lo + ws.n), ws, (first, end)
-
-    def energies(self, v: np.ndarray, win: slice, pot: np.ndarray) -> tuple[float, float]:
-        """Free energy without and with the eps entropy term."""
-        cfg, h, vw = self.cfg, self.h, v[win]
-        inter = 0.5 * h * float((vw * pot).sum())
-        conf = cfg.lam / 2 * h * float((self.xx[win] * vw).sum())
-        e = inter + conf
-        if cfg.eps == 0:
-            return e, e
-        return e, e + cfg.eps * h * float(energy_mod._entropy_density(vw).sum())
-
-    def rates(self, v: np.ndarray, win: slice, dxi0: np.ndarray, hull: tuple[int, int]) -> tuple[float, float]:
-        """The advective and the diffusive share of the rate of one explicit
-        step from v (see step_size).
 
         The advective share is max|dxi0| / h. Its maximum runs over the hull
         of the mass only, from one cell before the first nonzero cell to one
         after the last: a face between two empty cells carries no flux,
         vel * 0 = 0, whatever its velocity, so the empty far field (where
         lam x is largest) bounds nothing. A state with no mass takes the
-        whole window. hull is _hull of v[win], as fields returns it.
+        whole window.
 
         The diffusive share is the nonlocal-diffusive rate rho_max sigma / 2
         plus the linear-diffusive rate 2 eps / h^2. Frozen at density
@@ -211,10 +191,60 @@ class _Stepper:
         cfl = 1. It matters near a steady state, where upwind damping
         vanishes and the advective bound alone lets grid oscillations grow.
         """
-        h, vw = self.h, v[win]
-        first, end = hull
-        advective = float(np.abs(dxi0[max(first - 1, 0) : end + 1]).max())
-        return advective / h, 0.5 * float(vw.max()) * self.sigma + self.linear
+        win, ws, (first, end) = self._section(v, 2)
+        self.evaluations += 1
+        vw = v[win]
+        pot, grad = ws.potential_and_gradient(vw)
+        dxi0 = grad + self.cfg.lam * self.x[win]
+        advective = float(np.abs(dxi0[max(first - 1 - win.start, 0) : end + 1 - win.start]).max())
+        return _State(v, win, pot, dxi0, (advective / self.h, 0.5 * float(vw.max()) * self.sigma + self.linear))
+
+    def _section(self, v: np.ndarray, widen: int):
+        """The hull of v widened by `widen` cells on each side, clipped to the
+        grid and rounded up to a section size (see state), its operator,
+        and the hull (_hull of v)."""
+        n = v.size
+        first, end = _hull(v)
+        lo, hi = max(first - widen, 0), min(end + widen, n)
+        ws = self.ws.section(hi - lo)
+        lo = min(lo, n - ws.n)
+        self.max_cells = max(self.max_cells, ws.n)
+        return slice(lo, lo + ws.n), ws, (first, end)
+
+    def energies(self, state: _State) -> tuple[float, float]:
+        """Free energy without and with the eps entropy term."""
+        cfg, h, vw = self.cfg, self.h, state.v[state.win]
+        inter = 0.5 * h * float((vw * state.pot).sum())
+        conf = cfg.lam / 2 * h * float((self.xx[state.win] * vw).sum())
+        e = inter + conf
+        if cfg.eps == 0:
+            return e, e
+        return e, e + cfg.eps * h * float(energy_mod._entropy_density(vw).sum())
+
+    def dissipation(self, state: _State) -> tuple[float, float]:
+        """The dissipation h sum rho dxi^2 without and with the eps term:
+        dxi is dxi0, or dxi0 plus the gradient of eps log rho."""
+        h, vw, dxi0 = self.h, state.v[state.win], state.dxi0
+        i0 = h * float((vw * dxi0 * dxi0).sum())
+        if self.cfg.eps == 0:
+            return i0, i0
+        dxi = dxi0 + energy_mod._eps_log_gradient(vw, h, self.cfg.eps)
+        return i0, h * float((vw * dxi * dxi).sum())
+
+    def fft_drift(self, state: _State, t: float) -> float:
+        """|direct - fft| / scale of the potential of a state at time t, the
+        direct pair sum being the fast path's reference, scale
+        max(1, max|direct|); raises Inconsistent over 1e-10. The direct sum
+        runs on the window, outside which the density is 0, with the central
+        2m - 1 potential weights, m the window's cells."""
+        v, win = state.v, state.win
+        n, m = v.size, win.stop - win.start
+        direct = toeplitz_apply(self.ws.weights("potential")[n - m : n + m - 1], v[win], DIRECT)
+        scale = max(1.0, float(np.abs(direct).max()))
+        err = float(np.abs(direct - state.pot).max())
+        if err > 1e-10 * scale:
+            raise Inconsistent(f"fast-path potential drifted from the direct sum at t={t}")
+        return err / scale
 
     def step_size(self, rates: tuple[float, float], t: float, longest: float) -> tuple[float, int]:
         """The step from time t and its stage count (1: explicit Euler).
@@ -222,7 +252,7 @@ class _Stepper:
         A fixed dt is an Euler step, cut so the run ends at t_end. An
         adaptive step takes the candidate with the fewest field evaluations
         per unit time: Euler, one evaluation for cfl over the sum of the two
-        shares of the rate (see rates), or an RKL2 step of S >= 3 stages
+        shares of the rate (see state), or an RKL2 step of S >= 3 stages
         (see rkl2_step), S evaluations for the largest dt with
         dt advective <= cfl and dt diffusive <= cfl (S^2 + S - 2) / 4. Then
         dt is cut to longest and to t_end, and S re-picked as the least that
@@ -305,30 +335,29 @@ class _Stepper:
             ow[neg] = 0.0
         return clamped
 
-    def step(
-        self, v: np.ndarray, win: slice, dxi0: np.ndarray, rates: tuple[float, float], dt: float, stages: int
-    ) -> tuple[np.ndarray, float]:
-        """One step of the upwind scheme from v, of this many stages (see
-        step_size); returns new state and clamped mass.
+    def step(self, state: _State, dt: float, stages: int) -> tuple[np.ndarray, float]:
+        """One step of the upwind scheme from a state, of this many stages
+        (see step_size); returns new values and clamped mass.
 
-        dxi0 is the diffusion-free part of the potential gradient of v on
-        the window win (the eps term enters through the centered diffusive
-        flux, not the velocity), and rates its shares (see rates). The mass
-        outside the step's window stays where it is (0 for a window from
-        fields). The stages are not clamped; the new state is.
+        The step's velocity at the state is its dxi0 (the eps term enters
+        through the centered diffusive flux, not the velocity). The mass
+        outside the step's window stays where it is (0 for the window of a
+        state). The stages are not clamped; the new values are.
 
-        stages = 1 is an explicit Euler step on win; dt may not exceed cfl
-        over advective + 2 eps / h^2, else CflViolation. stages >= 3 is an
-        RKL2 step (see rkl2_step). A stage moves mass at most one cell, so
-        the S stages stay within S cells of the hull of v, and the step runs
-        on one window (see _section): that hull widened by S + 2 cells, whose
-        2 end cells inside the grid stay 0 in every stage. Each later stage
-        takes its velocity on it (gradient: 2 transforms); the drift of v is
-        taken on its overlap with win, which holds the hull widened by 2.
+        stages = 1 is an explicit Euler step on the state's window; dt may
+        not exceed cfl over advective + 2 eps / h^2, else CflViolation.
+        stages >= 3 is an RKL2 step (see rkl2_step). A stage moves mass at
+        most one cell, so the S stages stay within S cells of the hull of v,
+        and the step runs on one window (see _section): that hull widened by
+        S + 2 cells, whose 2 end cells inside the grid stay 0 in every stage.
+        Each later stage takes its velocity on it (gradient: 2 transforms);
+        the drift of v is taken on its overlap with the state's window,
+        which holds the hull widened by 2.
         """
+        v, win, dxi0 = state.v, state.win, state.dxi0
         out = v.copy()
         if stages == 1:
-            bound = self.cfg.cfl / (rates[0] + self.linear)
+            bound = self.cfg.cfl / (state.rates[0] + self.linear)
             if dt > bound * (1 + 1e-9):
                 raise CflViolation(f"dt={dt} exceeds stability bound {bound}")
             ow = self._drift(v[win], dxi0, out[win], dt)  # a view: the update writes into out
@@ -356,9 +385,7 @@ def fv_step(rho: GridDensity, cfg: SolverConfig, dt: float) -> GridDensity:
     mass is preserved to round-off by the telescoping flux sum.
     """
     stepper = _Stepper(cfg)
-    v = rho.values
-    win, _, dxi0, _, hull = stepper.fields(v)
-    out, _ = stepper.step(v, win, dxi0, stepper.rates(v, win, dxi0, hull), dt, 1)
+    out, _ = stepper.step(stepper.state(rho.values), dt, 1)
     return GridDensity(cfg.grid, out)
 
 
@@ -381,10 +408,10 @@ class Trajectory:
     (None when the density is zero everywhere).
     nonlocal_bound_steps counts the steps of chosen_dt taken from a state
     whose diffusive share was at least stability_gain(S) times its
-    advective share (see _Stepper.rates), S the step's stage count: on an
+    advective share (see _Stepper.state), S the step's stage count: on an
     adaptive run, the steps whose stability limit the diffusive terms set,
     not the advective one. max_field_cells is the largest window, in cells,
-    that fields were taken on, of an accepted or trial state or of the
+    that the fields were taken on, of an accepted or trial state or of the
     stages of a super-step: n once the mass fills the grid. evaluations
     counts the field evaluations of the march: the initial state's, and for
     each accepted or discarded step its stages and its end state.
@@ -444,11 +471,10 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
     e_target = energy_mod.energy(target, cfg.s, cfg.lam, 0.0).total
     e_eps_target = energy_mod.energy(target, cfg.s, cfg.lam, cfg.eps).total
 
-    v = rho0.values.copy()
-    mass0 = h * float(v.sum())
+    state = stepper.state(rho0.values.copy())
+    mass0 = h * float(state.v.sum())
     t = 0.0
-    win, pot, dxi0, dxi, hull = stepper.fields(v)
-    e, e_eps = stepper.energies(v, win, pot)
+    e, e_eps = stepper.energies(state)
     retries = 0
     dt_accepted = float("inf")
 
@@ -470,9 +496,8 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
     next_snap = 0.0
 
     while True:
-        vw = v[win]
-        i0 = h * float((vw * dxi0 * dxi0).sum())
-        i_eps = i0 if cfg.eps == 0 else h * float((vw * dxi * dxi).sum())
+        v = state.v
+        i0, i_eps = stepper.dissipation(state)
         step_t.append(t)
         step_e.append(e_eps)
         step_i.append(i_eps)
@@ -481,15 +506,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         max_drift = max(max_drift, abs(mass - mass0))
 
         if t >= next_snap - 1e-12 or t >= cfg.t_end - 1e-12:
-            # the direct pair sum, the fast path's reference, checked at every
-            # checkpoint; it runs on win, outside which the density is 0
-            n, m = v.size, win.stop - win.start
-            direct = toeplitz_apply(stepper.ws.weights("potential")[n - m : n + m - 1], v[win], DIRECT)
-            scale = max(1.0, float(np.abs(direct).max()))
-            fft_err = float(np.abs(direct - pot).max())
-            if fft_err > 1e-10 * scale:
-                raise Inconsistent(f"fast-path potential drifted from the direct sum at t={t}")
-            max_fft_drift = max(max_fft_drift, fft_err / scale)
+            max_fft_drift = max(max_fft_drift, stepper.fft_drift(state, t))
             snap = GridDensity(cfg.grid, v)
             times.append(t)
             snapshots.append(snap)
@@ -510,14 +527,14 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         if t >= cfg.t_end - 1e-12:
             break
 
-        rates = stepper.rates(v, win, dxi0, hull)
+        rates = state.rates
         # a step longer than the snapshot spacing would skip a snapshot
         dt, stages = stepper.step_size(rates, t, min(2 * dt_accepted, cfg.snapshot_every))
         for halvings in range(MAX_HALVINGS + 1):
             try:
-                trial, clamped = stepper.step(v, win, dxi0, rates, dt, stages)
-                trial_fields = stepper.fields(trial)
-                trial_e = stepper.energies(trial, trial_fields[0], trial_fields[1])
+                trial, clamped = stepper.step(state, dt, stages)
+                trial_state = stepper.state(trial)
+                trial_e = stepper.energies(trial_state)
                 margin = e_eps + LYAPUNOV_SLACK - trial_e[1]
                 if margin < 0:
                     raise EnergyIncrease(f"E_eps rose by {trial_e[1] - e_eps} at t={t + dt}")
@@ -528,7 +545,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
                 dt *= 0.5
                 stages = stepper.stage_count(rates, dt)
                 retries += 1
-        v, (win, pot, dxi0, dxi, hull), (e, e_eps) = trial, trial_fields, trial_e
+        state, (e, e_eps) = trial_state, trial_e
         max_stages = max(max_stages, stages)
         max_clamped = max(max_clamped, clamped)
         min_margin = min(min_margin, margin)
@@ -569,14 +586,18 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
     )
 
 
-def default_interp_order(s: float) -> float:
-    """Negative-Sobolev weight sigma_1 used in the L2/L1 decay envelopes.
-
-    The interpolation inequality leaves r < alpha/2 free; the artifact pins
-    alpha to the profile's edge regularity 1-s and r to 0.49 alpha.
-    """
+def interp_orders(s: float) -> tuple[float, float]:
+    """The Holder order alpha and the Sobolev order r of the interpolation
+    inequality. It leaves r < alpha/2 free; the artifact pins alpha to the
+    profile's edge regularity 1-s and r to 0.49 alpha."""
     alpha = 1.0 - s
-    r = 0.49 * alpha
+    return alpha, 0.49 * alpha
+
+
+def default_interp_order(s: float) -> float:
+    """Negative-Sobolev weight sigma_1 = r / (s + r) used in the L2/L1 decay
+    envelopes, at the orders of interp_orders."""
+    r = interp_orders(s)[1]
     return r / (s + r)
 
 
@@ -683,18 +704,19 @@ def steady_state_eps(cfg: SolverConfig) -> GridDensity:
     """Minimizer of the eps-regularized energy by long-time integration.
 
     Starts from the sampled sharp steady profile and marches until the
-    eps-dissipation drops below 1e-10 or the state stops moving (no closed
-    form exists for eps > 0). It steps as integrate does, on
+    state stops moving: max|dv/dt| of a step at most 1e-10 max rho (no
+    closed form exists for eps > 0). It steps as integrate does, on
     _Stepper.step_size with no cap: Euler steps, or RKL2 super-steps where
     they need fewer field evaluations. It stops where the drift of the
     scheme vanishes to round-off, a fixed point of either step, so the
     result does not depend on the steps taken beyond round-off. The
-    upwind/centered flux mix leaves a grid floor in the cell-centered
-    dissipation (O(h^2), around 1e-6 at n=1024), so the genuine fixed point
-    is detected by stationarity: the scheme reaches flux balance to machine
-    precision long before the dissipation threshold could be met. The
-    result is strictly positive everywhere, unlike the compactly supported
-    eps = 0 profile. Raises NotConverged when neither happens by t_end.
+    cell-centered eps-dissipation is no stop: the upwind/centered flux mix
+    leaves a grid floor in it (7.4e-7 to 2.3e-4 at the stall for s 0.1 to
+    0.4, eps 1e-3 to 0.9 lam/(2 pi), lam 0.4, n 128 and 1024). The result
+    is strictly positive everywhere, unlike the compactly supported eps = 0
+    profile.
+    Raises NotConverged, with the last motion, when the state still moves
+    at t_end.
     """
     if not 0.0 < cfg.eps < cfg.lam / (2 * np.pi):
         raise EpsilonOutOfRange(
@@ -708,21 +730,14 @@ def steady_state_eps(cfg: SolverConfig) -> GridDensity:
         _, dens = barenblatt(cfg.s, cfg.lam, mass=1.0, grid=cfg.grid)
         v = normalize(dens).values.copy()
     stepper = _Stepper(cfg)
-    h = cfg.grid.h
     t = 0.0
-    i_eps = float("inf")
+    moved = float("inf")
     while t < cfg.t_end:
-        win, _, dxi0, dxi, hull = stepper.fields(v)
-        vw = v[win]
-        i_eps = h * float((vw * dxi * dxi).sum())
-        if i_eps < EPS_STEADY_TOL:
-            return GridDensity(cfg.grid, v)
-        rates = stepper.rates(v, win, dxi0, hull)
-        dt, stages = stepper.step_size(rates, t, float("inf"))
-        v_new, _ = stepper.step(v, win, dxi0, rates, dt, stages)
-        moved = float(np.abs(v_new - v).max()) / dt
-        v = v_new
+        state = stepper.state(v)
+        dt, stages = stepper.step_size(state.rates, t, float("inf"))
+        v, _ = stepper.step(state, dt, stages)
+        moved = float(np.abs(v - state.v).max()) / dt
         t += dt
         if moved <= STALL_TOL * float(v.max()):
             return GridDensity(cfg.grid, v)
-    raise NotConverged(f"I_eps = {i_eps} > {EPS_STEADY_TOL} at t_max = {cfg.t_end}")
+    raise NotConverged(f"max|dv/dt| = {moved} > {STALL_TOL} max rho at t_max = {cfg.t_end}")

@@ -234,12 +234,6 @@ def _gns_family(s: float) -> dict:
     return {"family_spread": spread, "family_constant": float(ratios.max()), "family": fam}
 
 
-def _interp_orders(s: float) -> tuple[float, float]:
-    """The Holder order alpha and the Sobolev order r of the interp suite."""
-    alpha = 1.0 - s
-    return alpha, 0.49 * alpha
-
-
 def _sample_rows(spec, rho, target, s, lam, eps, names, gns) -> dict[str, dict]:
     """The row of every suite in names on one sample.
 
@@ -270,7 +264,8 @@ def _sample_rows(spec, rho, target, s, lam, eps, names, gns) -> dict[str, dict]:
         margin = ratio - gns["family_constant"] * (1 - GNS_FUZZ_SLACK)
         rows["gns"] = {"seed": spec.seed, "ratio": ratio, "margin": margin}
     if "interp" in names:
-        lhs, rhs, _ = transport.interp_inequality(rho.values - target.values, rho.grid, s, *_interp_orders(s))
+        alpha, r = evolve.interp_orders(s)
+        lhs, rhs, _ = transport.interp_inequality(rho.values - target.values, rho.grid, s, alpha, r)
         ratio = lhs / rhs if rhs > 0 else float("inf")
         rows["interp"] = {"seed": spec.seed, "lhs": lhs, "rhs_unnormalized": rhs, "ratio": ratio}
     return rows
@@ -301,7 +296,7 @@ def _suite_verdict(name: str, rows: list[dict], s: float, eps: float, gns) -> di
         out = _verdict(rows, lambda r: r["margin"] >= 0, worst_margin=worst, **gns)
         out["pass"] = out["pass"] and gns["family_spread"] <= GNS_FAMILY_TOL
         return out
-    alpha, r = _interp_orders(s)
+    alpha, r = evolve.interp_orders(s)
     return _verdict(
         rows,
         lambda row: np.isfinite(row["ratio"]),

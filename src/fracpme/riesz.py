@@ -58,7 +58,7 @@ q 2^e with q in 4..7, so its FFT length is 2m. The grid's operator holds
 its MAX_SECTIONS most recently used sections and builds their spectra when
 it makes them. The stepper takes the fields of a compactly supported state
 on the section that holds the hull of the mass and 2 empty cells at each
-interior end (see evolve._Stepper.fields): the other cells are 0, so the
+interior end (see evolve._Stepper.state): the other cells are 0, so the
 fields are the whole grid's on it but for round-off (at length 2m rather
 than 2n), and the edge correction is the grid's own, skipped at an
 interior end. A section, like its grid's operator, writes into scratch

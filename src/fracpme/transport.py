@@ -6,6 +6,7 @@ Gagliardo-Nirenberg-Sobolev ratio, and the interpolation inequality."""
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -23,10 +24,18 @@ from .riesz import neg_sobolev_norm, regularity_warning, workspace
 
 W2_NODES_PER_CELL = 10
 
-# (density, m, nodes, its quantiles at the nodes) of the last second argument
-# of w2: a run measures every state against one target. GridDensity is
-# immutable, so the entry holds while it is the same object.
-_w2_target: tuple = (None, 0, None, None)
+
+@functools.lru_cache(maxsize=1)
+def _quantile_nodes(rho2: GridDensity, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m midpoint nodes of the quantile variable and the quantiles of
+    rho2 at them, read-only. A run measures every state against one target,
+    so the last (rho2, m) is kept; GridDensity is immutable and hashes by
+    identity, so the entry holds while rho2 is the same object."""
+    q = (np.arange(m) + 0.5) / m
+    q2 = cdf_quantile(rho2)(q)
+    q.setflags(write=False)
+    q2.setflags(write=False)
+    return q, q2
 
 
 def w2(rho1: GridDensity, rho2: GridDensity) -> float:
@@ -36,17 +45,10 @@ def w2(rho1: GridDensity, rho2: GridDensity) -> float:
     (at least 10 nodes per grid cell). The quantiles of rho2 are kept from
     one call to the next while rho2 is the same object.
     """
-    global _w2_target
     require_normalized(rho1)
     require_normalized(rho2)
     m = W2_NODES_PER_CELL * max(rho1.grid.n, rho2.grid.n)
-    cached, cached_m, q, q2 = _w2_target
-    if cached is not rho2 or cached_m != m:
-        q = (np.arange(m) + 0.5) / m
-        q2 = cdf_quantile(rho2)(q)
-        q.setflags(write=False)
-        q2.setflags(write=False)
-        _w2_target = (rho2, m, q, q2)
+    q, q2 = _quantile_nodes(rho2, m)
     diff = cdf_quantile(rho1)(q) - q2
     return float(np.sqrt(np.sum(diff * diff) / m))
 

@@ -2,24 +2,25 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import legval
 
+from fracpme.energy import dissipation, energy
 from fracpme.errors import (
     CflViolation,
     EnergyIncrease,
     EpsilonOutOfRange,
+    Inconsistent,
     InsufficientSamples,
     NonpositiveQuantity,
     NotConverged,
     PositivityLoss,
 )
 from fracpme.evolve import (
-    EPS_STEADY_TOL,
     LYAPUNOV_SLACK,
     STALL_TOL,
     TO_PHYSICAL,
     TO_SELF_SIMILAR,
     SolverConfig,
     Trajectory,
-    _hull,
+    _State,
     _Stepper,
     change_of_variables,
     fit_decay,
@@ -35,7 +36,6 @@ from fracpme.riesz import gradient_slope_weights, gradient_weights, workspace
 from fracpme.steady import barenblatt
 
 S, LAM = 0.25, 0.4
-ALL = slice(None)  # the whole grid as the window of the stepper's fields
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +103,8 @@ class TestClamp:
 
     At cfl = 1 a cell whose two faces both flow out can lose all its mass in
     one step; a dt 5e-10 over the bound (inside the 1e-9 slack of the CFL
-    check) drives it to -5e-10 times its value.
+    check) drives it to -5e-10 times its value. The state is hand-built:
+    its advective share is max|dxi0| / h = 1 / h.
     """
 
     OVERSHOOT = 5e-10
@@ -118,7 +119,8 @@ class TestClamp:
         v = np.zeros(g.n)
         v[k] = peak
         dt = g.h * (1 + self.OVERSHOOT)  # the bound is cfl h / max|dxi0| = h
-        return g, k, v, stepper.step(v, ALL, dxi0, stepper.rates(v, ALL, dxi0, _hull(v)), dt, 1)
+        state = _State(v, slice(0, g.n), None, dxi0, (1.0 / g.h, 0.0))
+        return g, k, v, stepper.step(state, dt, 1)
 
     def test_small_undershoot_is_zeroed_and_reported(self):
         peak = 1e-3
@@ -202,15 +204,17 @@ class TestIntegrate:
         assert np.min(short_run.diagnostics["min_rho"]) >= 0.0
 
     def test_checkpoint_direct_sum_on_the_window(self, grid1024):
-        """The checkpoint gate's reference: the direct sum on the window with
-        the central 2m - 1 potential weights is the whole grid's direct sum
-        on the window, and its scale max(1, max|direct|) is no larger."""
+        """The checkpoint gate's reference (_Stepper.fft_drift): the direct
+        sum on the window with the central 2m - 1 potential weights is the
+        whole grid's direct sum on the window, and its scale
+        max(1, max|direct|) is no larger."""
         from fracpme.riesz import DIRECT, toeplitz_apply
 
         _, shifted = barenblatt(S, LAM, mass=1.0, x0=0.5, grid=grid1024)
         v = normalize(shifted).values
         stepper = _Stepper(SolverConfig(s=S, grid=grid1024, lam=LAM))
-        win, pot, *_ = stepper.fields(v)
+        state = stepper.state(v)
+        win, pot = state.win, state.pot
         n, m = grid1024.n, win.stop - win.start
         assert m < n
         weights = stepper.ws.weights("potential")
@@ -220,6 +224,10 @@ class TestIntegrate:
         scale = max(1.0, float(np.abs(windowed).max()))
         assert scale <= max(1.0, float(np.abs(whole).max()))
         assert np.max(np.abs(windowed - pot)) <= 1e-10 * scale
+        assert stepper.fft_drift(state, 0.0) == float(np.abs(windowed - pot).max()) / scale
+        drifted = state._replace(pot=pot + 2e-10 * scale)
+        with pytest.raises(Inconsistent):
+            stepper.fft_drift(drifted, 0.0)
 
     def test_snapshot_schema(self, short_run):
         for key in ("E", "E_eps", "I", "I_eps", "W2", "L2", "L1", "mass", "m2", "min_rho"):
@@ -227,7 +235,6 @@ class TestIntegrate:
             assert short_run.diagnostics[key].shape == short_run.times.shape
 
     def test_energy_gap_dominates_sobolev_distance_along_run(self, grid1024, minimizer_target):
-        from fracpme.energy import energy
         from fracpme.riesz import neg_sobolev_norm
 
         _, shifted = barenblatt(S, LAM, mass=1.0, x0=0.5, grid=grid1024)
@@ -262,9 +269,9 @@ class TestStepSize:
         taken = []
         step = _Stepper.step
 
-        def spy(self, v, win, dxi0, rates, dt, stages):
+        def spy(self, state, dt, stages):
             taken.append((dt, stages))
-            return step(self, v, win, dxi0, rates, dt, stages)
+            return step(self, state, dt, stages)
 
         monkeypatch.setattr(_Stepper, "step", spy)
         cfg = SolverConfig(s=S, grid=g, lam=LAM, dt=2e-3, t_end=0.1, init=target)
@@ -281,9 +288,7 @@ class TestStepSize:
         _, shifted = barenblatt(S, LAM, mass=1.0, x0=0.5, grid=g)
         rho = normalize(shifted)
         cfg = SolverConfig(s=S, grid=g, lam=LAM, eps=1e-2, init=rho)
-        stepper = _Stepper(cfg)
-        win, _, dxi0, _, hull = stepper.fields(rho.values)
-        advective = stepper.rates(rho.values, win, dxi0, hull)[0]
+        advective = _Stepper(cfg).state(rho.values).rates[0]
         linear = 2 * cfg.eps / g.h**2
         dt = cfg.cfl / (advective + 0.5 * linear)
         assert dt * advective <= cfg.cfl < dt * (advective + linear)
@@ -300,40 +305,44 @@ class TestHullRule:
     first and the last nonzero cell, not over the empty far field."""
 
     def state(self, xmax, n):
+        """The grid, the stepper and the state of a shifted profile, and
+        the whole grid's dxi0 of the same values."""
         g = Grid.symmetric(xmax, n)
         _, shifted = barenblatt(S, LAM, mass=1.0, x0=0.5, grid=g)
         stepper = _Stepper(SolverConfig(s=S, grid=g, lam=LAM))
         v = normalize(shifted).values
         dxi0 = workspace(g, S).gradient(v) + LAM * g.centers
-        return g, stepper, v, dxi0
+        return g, stepper, stepper.state(v), dxi0
 
     def test_rate_does_not_depend_on_the_domain_truncation(self):
-        g4, stepper4, v4, dxi4 = self.state(4.0, 1024)
-        g8, stepper8, v8, dxi8 = self.state(8.0, 2048)
+        g4, stepper4, state4, dxi4 = self.state(4.0, 1024)
+        g8, _, state8, dxi8 = self.state(8.0, 2048)
         assert g4.h == g8.h
-        rate4 = stepper4.rates(v4, ALL, dxi4, _hull(v4))[0]
-        rate8 = stepper8.rates(v8, ALL, dxi8, _hull(v8))[0]
+        rate4, rate8 = state4.rates[0], state8.rates[0]
         assert abs(rate8 - rate4) <= 1e-12 * rate4
+        nonzero = np.flatnonzero(state4.v)
+        hull4 = np.abs(dxi4[nonzero[0] - 1 : nonzero[-1] + 2]).max() / g4.h
+        assert abs(rate4 - hull4) <= 1e-12 * rate4
         full4, full8 = np.abs(dxi4).max(), np.abs(dxi8).max()
         assert 1.9 <= full8 / full4 <= 2.1
         assert full4 / g4.h > 2 * rate4
-        empty = np.zeros(g4.n)
-        assert stepper4.rates(empty, ALL, dxi4, _hull(empty))[0] == full4 / g4.h  # no mass: the whole grid
+        # no mass: the whole grid, where dxi0 is lam x
+        assert stepper4.state(np.zeros(g4.n)).rates[0] == np.abs(LAM * g4.centers).max() / g4.h
 
     def test_dt_over_the_hull_bound_raises(self):
-        g, stepper, v, dxi0 = self.state(4.0, 1024)
-        rates = stepper.rates(v, ALL, dxi0, _hull(v))
+        g, stepper, state, dxi0 = self.state(4.0, 1024)
+        whole = _State(state.v, slice(0, g.n), None, dxi0, state.rates)
         with pytest.raises(CflViolation):
-            stepper.step(v, ALL, dxi0, rates, 1.01 * stepper.cfg.cfl / rates[0], 1)
+            stepper.step(whole, 1.01 * stepper.cfg.cfl / state.rates[0], 1)
 
     def test_dt_between_the_hull_and_full_grid_bounds_steps(self, steady_pair):
         _, target = steady_pair
-        g, stepper, v, dxi0 = self.state(4.0, 1024)
-        hull_bound = stepper.cfg.cfl / stepper.rates(v, ALL, dxi0, _hull(v))[0]
+        g, stepper, state, dxi0 = self.state(4.0, 1024)
+        hull_bound = stepper.cfg.cfl / state.rates[0]
         full_bound = stepper.cfg.cfl * g.h / np.abs(dxi0).max()
         dt = float(np.sqrt(hull_bound * full_bound))
         assert full_bound < dt < hull_bound
-        cfg = SolverConfig(s=S, grid=g, lam=LAM, dt=dt, t_end=10.5 * dt, init=GridDensity(g, v))
+        cfg = SolverConfig(s=S, grid=g, lam=LAM, dt=dt, t_end=10.5 * dt, init=GridDensity(g, state.v))
         traj = integrate(cfg, target)
         assert traj.steps == 11
         assert traj.max_clamped == 0.0
@@ -350,7 +359,8 @@ class TestFieldWindow:
         _, shifted = barenblatt(S, LAM, mass=1.0, x0=0.5, grid=g)
         v = normalize(shifted).values
         stepper = _Stepper(SolverConfig(s=S, grid=g, lam=LAM))
-        win, pot, dxi0, *_ = stepper.fields(v)
+        state = stepper.state(v)
+        win, pot, dxi0 = state.win, state.pot, state.dxi0
         nonzero = np.flatnonzero(v)
         assert win.start <= nonzero[0] - 2 and nonzero[-1] + 2 < win.stop <= g.n
         assert win.stop - win.start == stepper.max_cells < g.n
@@ -360,31 +370,43 @@ class TestFieldWindow:
         assert np.max(np.abs(dxi0 - dxi_ref[win])) <= 1e-12 * np.max(np.abs(dxi_ref))
 
     @pytest.mark.parametrize("x0", [0.5, 3.5])
-    def test_fields_return_the_hull_of_the_window(self, x0):
-        """fields hands rates the hull it found for the window, counted from
-        the window's first cell: _hull of v[win], here with the window inside
-        the grid and against its right end; a state with no mass has the
-        whole grid as its hull."""
+    def test_advective_share_runs_over_the_hull_on_the_window(self, x0):
+        """The advective share reads the hull of the mass, counted from the
+        window's first cell, here with the window inside the grid and
+        against its right end; a state with no mass reads its whole
+        window, the grid."""
         g = Grid.symmetric(4.0, 1024)
         _, shifted = barenblatt(S, LAM, mass=1.0, x0=x0, grid=g)
         v = normalize(shifted).values
         stepper = _Stepper(SolverConfig(s=S, grid=g, lam=LAM))
-        win, *_, hull = stepper.fields(v)
-        nonzero = np.flatnonzero(v)
-        assert hull == (nonzero[0] - win.start, nonzero[-1] + 1 - win.start)
-        assert hull == _hull(v[win])
-        assert stepper.fields(np.zeros(g.n))[-1] == (0, g.n)
+        state = stepper.state(v)
+        nonzero = np.flatnonzero(v) - state.win.start
+        first, end = nonzero[0], nonzero[-1] + 1
+        assert 0 < first and (state.win.stop == g.n) == (x0 > 3.0)
+        assert state.rates[0] == np.abs(state.dxi0[first - 1 : end + 1]).max() / g.h
+        empty = stepper.state(np.zeros(g.n))
+        assert (empty.win.start, empty.win.stop) == (0, g.n)
+        assert empty.rates[0] == np.abs(empty.dxi0).max() / g.h
 
     @pytest.mark.parametrize("eps", [0.0, 0.01])
     def test_whole_grid_window_is_bitwise_the_whole_grid_path(self, eps):
         g = Grid.symmetric(4.0, 256)
         v = normalize(GridDensity(g, np.exp(-g.centers**2))).values
         stepper = _Stepper(SolverConfig(s=S, grid=g, lam=LAM, eps=eps))
-        win, pot, dxi0, dxi, _ = stepper.fields(v)
-        assert (win.start, win.stop) == (0, g.n) and stepper.max_cells == g.n
+        state = stepper.state(v)
+        assert (state.win.start, state.win.stop) == (0, g.n) and stepper.max_cells == g.n
         ref_pot, ref_grad = workspace(g, S).potential_and_gradient(v)
-        assert np.array_equal(pot, ref_pot)
-        assert np.array_equal(dxi0, ref_grad + LAM * g.centers)
+        assert np.array_equal(state.pot, ref_pot)
+        assert np.array_equal(state.dxi0, ref_grad + LAM * g.centers)
+        # the stepper's sums against the whole-grid functionals
+        rho = GridDensity(g, v)
+        i0, i_eps = stepper.dissipation(state)
+        assert i0 == pytest.approx(dissipation(rho, S, LAM), rel=1e-12)
+        assert i_eps == pytest.approx(dissipation(rho, S, LAM, eps), rel=1e-12)
+        assert (i0 == i_eps) == (eps == 0)
+        e, e_eps = stepper.energies(state)
+        assert e == pytest.approx(energy(rho, S, LAM).total, rel=1e-12)
+        assert e_eps == pytest.approx(energy(rho, S, LAM, eps).total, rel=1e-12)
 
     def test_max_field_cells(self, short_run, grid1024):
         assert short_run.max_field_cells == 448 < grid1024.n
@@ -429,16 +451,14 @@ class TestSuperStep:
 
     def test_second_order_in_time(self):
         g, stepper, v = self.state()
-        win, _, dxi0, _, hull = stepper.fields(v)
-        advective, diffusive = stepper.rates(v, win, dxi0, hull)
+        advective, diffusive = stepper.state(v).rates
         stages = 4
         tau = stepper.cfg.cfl / max(advective, diffusive / stability_gain(stages))
 
         def march(dt, steps):
             y = v
             for _ in range(steps):
-                win, _, dxi0, _, hull = stepper.fields(y)
-                y, clamped = stepper.step(y, win, dxi0, stepper.rates(y, win, dxi0, hull), dt, stages)
+                y, clamped = stepper.step(stepper.state(y), dt, stages)
                 assert clamped == 0.0
             return y
 
@@ -450,12 +470,11 @@ class TestSuperStep:
     @pytest.mark.parametrize("s", [0.1, 0.25])
     def test_conserves_mass_and_counts_stage_evaluations(self, s):
         g, stepper, v = self.state(s, 1024)
-        win, _, dxi0, _, hull = stepper.fields(v)
-        rates = stepper.rates(v, win, dxi0, hull)
-        dt, stages = stepper.step_size(rates, 0.0, float("inf"))
+        state = stepper.state(v)
+        dt, stages = stepper.step_size(state.rates, 0.0, float("inf"))
         assert stages >= 3
         before = stepper.evaluations
-        out, clamped = stepper.step(v, win, dxi0, rates, dt, stages)
+        out, clamped = stepper.step(state, dt, stages)
         assert stepper.evaluations - before == stages - 1
         assert clamped == 0.0 and out.min() >= 0.0
         assert abs(g.h * out.sum() - g.h * v.sum()) <= 1e-14
@@ -471,9 +490,8 @@ class TestSuperStep:
         g = Grid.symmetric(4.0, 1024)
         v = normalize(GridDensity(g, np.maximum(1.0 - (g.centers - 0.5) ** 2, 0.0))).values
         stepper = _Stepper(SolverConfig(s=s, grid=g, lam=LAM))
-        win, _, dxi0, _, hull = stepper.fields(v)
-        rates = stepper.rates(v, win, dxi0, hull)
-        dt, stages = stepper.step_size(rates, 0.0, float("inf"))
+        state = stepper.state(v)
+        dt, stages = stepper.step_size(state.rates, 0.0, float("inf"))
         assert stages >= least_stages
         ws = workspace(g, s)
 
@@ -494,7 +512,7 @@ class TestSuperStep:
 
         monkeypatch.setattr(type(ws), "gradient", recorded)
         before = stepper.evaluations
-        out, clamped = stepper.step(v, win, dxi0, rates, dt, stages)
+        out, clamped = stepper.step(state, dt, stages)
         monkeypatch.undo()
         assert stepper.evaluations - before == stages - 1 == len(stage_values)
         assert clamped == 0.0
@@ -517,8 +535,7 @@ class TestSuperStep:
 
     def test_step_rule_takes_the_fewest_evaluations_per_unit_time(self):
         g, stepper, v = self.state(0.1, 1024)
-        win, _, dxi0, _, hull = stepper.fields(v)
-        rates = stepper.rates(v, win, dxi0, hull)
+        rates = stepper.state(v).rates
         advective, diffusive = rates
         cfl = stepper.cfg.cfl
         per_evaluation = {1: cfl / sum(rates)}
@@ -543,9 +560,8 @@ class TestSuperStep:
         assert traj.evaluations == traj.steps + 1
         stepper, v, t = _Stepper(cfg), normalize(shifted).values, 0.0
         while t < cfg.t_end - 1e-12:
-            win, _, dxi0, _, hull = stepper.fields(v)
             dt = min(cfg.dt, cfg.t_end - t)
-            v, _ = stepper.step(v, win, dxi0, stepper.rates(v, win, dxi0, hull), dt, 1)
+            v, _ = stepper.step(stepper.state(v), dt, 1)
             t += dt
         assert np.array_equal(traj.snapshots[-1].values, v)
 
@@ -639,18 +655,15 @@ class TestChangeOfVariables:
 class TestSteadyStateEps:
     @staticmethod
     def euler_march(cfg):
-        """steady_state_eps's march and stops, on Euler steps only: cfl over
-        the sum of the two shares of the rate."""
+        """steady_state_eps's march and stall stop, on Euler steps only: cfl
+        over the sum of the two shares of the rate."""
         _, dens = barenblatt(cfg.s, cfg.lam, mass=1.0, grid=cfg.grid)
         v = normalize(dens).values.copy()
-        stepper, h, t = _Stepper(cfg), cfg.grid.h, 0.0
+        stepper, t = _Stepper(cfg), 0.0
         while t < cfg.t_end:
-            win, _, dxi0, dxi, hull = stepper.fields(v)
-            if h * float((v[win] * dxi * dxi).sum()) < EPS_STEADY_TOL:
-                return v
-            rates = stepper.rates(v, win, dxi0, hull)
-            dt = min(cfg.cfl / (rates[0] + rates[1]), cfg.t_end - t)
-            v_new, _ = stepper.step(v, win, dxi0, rates, dt, 1)
+            state = stepper.state(v)
+            dt = min(cfg.cfl / sum(state.rates), cfg.t_end - t)
+            v_new, _ = stepper.step(state, dt, 1)
             moved = float(np.abs(v_new - v).max()) / dt
             v, t = v_new, t + dt
             if moved <= STALL_TOL * float(v.max()):
@@ -665,9 +678,9 @@ class TestSteadyStateEps:
         taken = []
         step = _Stepper.step
 
-        def spy(self, v, win, dxi0, rates, dt, stages):
+        def spy(self, state, dt, stages):
             taken.append(stages)
-            return step(self, v, win, dxi0, rates, dt, stages)
+            return step(self, state, dt, stages)
 
         monkeypatch.setattr(_Stepper, "step", spy)
         res = steady_state_eps(cfg).values
@@ -679,7 +692,7 @@ class TestSteadyStateEps:
 
     def test_short_march_raises_not_converged(self):
         cfg = SolverConfig(s=S, grid=Grid.symmetric(4.0, 128), lam=LAM, eps=1e-2, t_end=0.5, cfl=0.8)
-        with pytest.raises(NotConverged):
+        with pytest.raises(NotConverged, match=r"max\|dv/dt\| = .* > 1e-10 max rho at t_max = 0.5"):
             steady_state_eps(cfg)
 
     def test_eps_zero_rejected(self, grid1024):

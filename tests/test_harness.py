@@ -34,6 +34,14 @@ class TestExitCodes:
         assert "--suite names no suite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps", ["0.07", "-0.01"])
+    def test_eps_outside_the_window_is_config_error(self, tmp_path, capsys, eps):
+        # at lambda 0.4 the window is (0, lambda / (2 pi)) = (0, 0.0637)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--lambda", "0.4", f"--eps={eps}", "--samples", "1", "--out", str(out)]) == 2
+        assert "eps must be in (0, lam/(2 pi))" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_unusable_samples_is_config_error(self, tmp_path, capsys, samples):
         assert main(["verify", "--samples", samples, "--out", str(tmp_path / "report.json")]) == 2

@@ -60,11 +60,15 @@ def test_check_sees_an_unread_parameter(tmp_path):
     assert unused_parameters(src) == ["sample.py:1 f(a)", "sample.py:1 f(rest)"]
 
 
-def _is_dataclass(cls: ast.ClassDef) -> bool:
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass, or a typing.NamedTuple class."""
     return any(
         (isinstance(d, ast.Name) and d.id == "dataclass")
         or (isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass")
         for d in cls.decorator_list
+    ) or any(
+        (isinstance(b, ast.Name) and b.id == "NamedTuple") or (isinstance(b, ast.Attribute) and b.attr == "NamedTuple")
+        for b in cls.bases
     )
 
 
@@ -86,14 +90,14 @@ def _attribute_reads(tree: ast.AST) -> set[str]:
 
 
 def unread_fields(package: list[Path], readers: list[Path]) -> list[str]:
-    """Annotated fields of the dataclasses in package whose name no file of
-    package or readers loads as an attribute."""
+    """Annotated fields of the dataclasses and NamedTuple classes in package
+    whose name no file of package or readers loads as an attribute."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in {*package, *readers}}
     reads = set().union(*(_attribute_reads(tree) for tree in trees.values()))
     found = []
     for path in package:
         for cls in ast.walk(trees[path]):
-            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+            if not (isinstance(cls, ast.ClassDef) and _is_record(cls)):
                 continue
             found += [
                 f"{cls.name}.{stmt.target.id}"
@@ -113,6 +117,7 @@ def test_every_dataclass_field_is_read():
 def test_check_sees_an_unread_field(tmp_path):
     src = tmp_path / "sample.py"
     src.write_text(
+        "import typing\n"
         "from dataclasses import dataclass\n"
         "@dataclass(frozen=True)\n"
         "class A:\n"
@@ -124,13 +129,16 @@ def test_check_sees_an_unread_field(tmp_path):
         "    also_unread: float = 0.0\n"
         "class Plain:\n"
         "    ignored: float\n"
-        "def use(a):\n"
-        "    return a.kept, getattr(a, 'named')\n",
+        "class C(typing.NamedTuple):\n"
+        "    tuple_kept: float\n"
+        "    tuple_unread: float\n"
+        "def use(a, c):\n"
+        "    return a.kept, getattr(a, 'named'), c.tuple_kept\n",
         encoding="utf-8",
     )
     reader = tmp_path / "reader.py"
     reader.write_text("def f(b):\n    b.unread = 1\n", encoding="utf-8")  # a store is no read
-    assert unread_fields([src], [reader]) == ["A.unread", "B.also_unread"]
+    assert unread_fields([src], [reader]) == ["A.unread", "B.also_unread", "C.tuple_unread"]
 
 
 def uncalled_private_functions(package: list[Path]) -> list[str]:
