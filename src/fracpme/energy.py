@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NegativeRemainder
 from .grid import GridDensity, moment, require_normalized
-from .riesz import workspace
+from .riesz import kept_field, riesz_gradient, riesz_potential, workspace
 
 LOG_FLOOR = 1e-300
 EPS_TERM_FLOOR = 1e-12
@@ -39,7 +39,7 @@ def potential_xi(rho: GridDensity, s: float, lam: float, eps: float = 0.0) -> np
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     require_normalized(rho)
-    dxi = workspace(rho.grid, s).gradient(rho.values) + lam * rho.grid.centers
+    dxi = riesz_gradient(rho, s) + lam * rho.grid.centers
     if eps > 0:
         dxi += _eps_log_gradient(rho.values, rho.grid.h, eps)
     return dxi
@@ -66,8 +66,7 @@ def boltzmann_entropy(rho: GridDensity) -> float:
 
 def interaction_energy(rho: GridDensity, s: float) -> float:
     """(1/2) h sum rho * (-Dxx)^{-s} rho, with exact cell kernel weights."""
-    potential = workspace(rho.grid, s).potential(rho.values)
-    return 0.5 * rho.grid.h * float(np.sum(rho.values * potential))
+    return 0.5 * rho.grid.h * float(np.sum(rho.values * riesz_potential(rho, s)))
 
 
 def energy(
@@ -108,7 +107,7 @@ def remainder_R(rho: GridDensity, s: float, lam: float) -> float:
     v, d = rho.values, potential_xi(rho, s, lam, 0.0)
     ws = workspace(g, s)
     c_plus = ws.kernel.c_plus
-    conv_v = ws.apply("hessian", v)
+    conv_v = kept_field(rho, s, "hessian")
     conv_vd = ws.apply("hessian", v * d)
     conv_vd2 = ws.apply("hessian", v * d * d)
     t1 = float(np.sum(v * d * d * conv_v))
@@ -123,10 +122,9 @@ def remainder_R(rho: GridDensity, s: float, lam: float) -> float:
 
 def virial_check(rho: GridDensity, s: float) -> tuple[float, float]:
     """Both sides of -2 int rho x d/dx (-Dxx)^{-s} rho = (1-2s) int rho (-Dxx)^{-s} rho."""
-    ws = workspace(rho.grid, s)
     h = rho.grid.h
-    grad = ws.gradient(rho.values)
-    pot = ws.potential(rho.values)
+    grad = riesz_gradient(rho, s)
+    pot = riesz_potential(rho, s)
     lhs = -2.0 * h * float(np.sum(rho.values * rho.x * grad))
     rhs = (1 - 2 * s) * h * float(np.sum(rho.values * pot))
     return lhs, rhs

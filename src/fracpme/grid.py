@@ -57,10 +57,13 @@ class GridDensity:
     """Nonnegative density (per unit length) at the cell centers of a Grid.
 
     Values are frozen after construction; the cached mass is exactly
-    h * sum(values) under numpy's fixed summation order.
+    h * sum(values) under numpy's fixed summation order. `kept` holds the
+    arrays other modules derive from the values (riesz.kept_field, the
+    quantiles of transport.w2), each computed once and kept read-only for
+    as long as the density lives.
     """
 
-    __slots__ = ("grid", "values", "mass")
+    __slots__ = ("grid", "values", "mass", "kept")
 
     def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -73,6 +76,7 @@ class GridDensity:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mass", grid.h * float(np.sum(values)))
+        object.__setattr__(self, "kept", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("GridDensity is immutable")

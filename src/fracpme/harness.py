@@ -238,10 +238,7 @@ def _sample_rows(spec, rho, target, s, lam, eps, names, gns) -> dict[str, dict]:
     """The row of every suite in names on one sample.
 
     The gap suites share one inequality report, and hwi adds its three
-    terms. They run first: inequality_report takes the target's energy
-    before the sample's, so the operator's memo of frozen inputs, which
-    keeps the two most recently used, still holds the target when the next
-    sample comes (see riesz.RieszWorkspace).
+    terms.
     """
     rows = {}
     gap = [name for name in names if name in GAP_SUITES]
@@ -311,10 +308,9 @@ def run_suites(samples, target, s, lam, eps, names) -> dict[str, dict]:
     """The verdict of every suite in names on the corpus.
 
     samples is an iterable of (spec, density) pairs, read once: every suite
-    takes its row of one sample before the next is read, so the fields of a
-    density are computed once for all suites (the operator keeps them while
-    the density is among its last two frozen inputs) and the corpus is never
-    held whole. The verdicts come in the order of names.
+    takes its row of one sample before the next is read, and the corpus is
+    never held whole. A density keeps its fields (riesz.kept_field), so they
+    are computed once for all suites. The verdicts come in the order of names.
     """
     gns = _gns_family(s) if "gns" in names else None
     rows: dict[str, list] = {name: [] for name in names}

@@ -21,17 +21,14 @@ builds each weight family and its FFT spectrum the first time it is used,
 keeps them read-only, and is shared by every module. The free functions below
 delegate to it.
 
-The operator also keeps the inputs it last saw: for its MEMO_ARRAYS (2)
-most recently used frozen inputs, the rfft of the values and every output
-`apply`, `potential` and `gradient` already took from it. A frozen input is
-a read-only array that owns its data, as GridDensity.values is; the memo is
-keyed on the array object and holds it, so no other array can take its id
-while it is kept, and such an array must not be made writable again. Kept
-outputs are returned read-only. Writable arrays and views (the stepper's
-window slices among them) are transformed on every call and nothing of them
-is kept; potential_and_gradient keeps nothing either. A run that measures
-many densities against one target, taking several fields of each, thus
-transforms each density once.
+The operator keeps nothing of the arrays it is applied to: `apply`,
+`potential`, `gradient` and potential_and_gradient transform the values on
+every call. A density keeps its own fields instead: kept_field(rho, s, key)
+takes the rfft of rho.values once per density (its padded length depends on
+the grid alone, so one transform serves every s), takes each field asked
+for from it once, and keeps both in rho.kept, read-only, for as long as the
+density lives. A run that measures many densities against one target,
+taking several fields of each, thus transforms each density once.
 
 The FFT path (numpy.fft) pads every sum to one length, the smallest
 11-smooth number of at least 2n (no prime factor above 11; the length
@@ -234,8 +231,6 @@ FAMILIES = ("potential", "gradient", "gradient_slope", "hessian", "hessian_slope
 # the families of potential_and_gradient, which a section takes from its parent
 SECTION_FAMILIES = ("potential", "gradient", "gradient_slope")
 MAX_SECTIONS = 4
-# frozen inputs whose transform and outputs an operator keeps: a sample and its target
-MEMO_ARRAYS = 2
 
 
 def _section_cells(cells: int) -> int:
@@ -258,11 +253,9 @@ class RieszWorkspace:
     instance, together with the sections it holds (see section), must not
     be used from several threads at once.
 
-    `apply`, `potential` and `gradient` keep the rfft and the outputs of
-    the MEMO_ARRAYS most recently used frozen inputs (read-only arrays that
-    own their data, keyed on the array object), and return those outputs
-    read-only; any other input is transformed afresh (see the module
-    docstring).
+    It holds only what depends on (grid, s): `apply`, `potential` and
+    `gradient` transform their input on every call and keep nothing of it
+    (a density keeps its own fields; see kept_field).
 
     `cells` makes the operator of that many consecutive cells of grid (all
     of them by default): the sums are translation invariant, so any run of
@@ -279,7 +272,6 @@ class RieszWorkspace:
         self._cache: dict = {}
         self._products: dict = {}  # scratch of _window, overwritten by every call
         self._sections: dict = {}  # section size -> operator, least recently used first
-        self._memo: dict = {}  # id of a frozen input -> (input, its rfft, outputs), least recently used first
 
     def _cached(self, key, build) -> np.ndarray:
         value = self._cache.get(key)
@@ -315,34 +307,16 @@ class RieszWorkspace:
         np.multiply(spectrum, values_hat, out=product)
         return irfft(product, self._nfft, axis=-1)[..., n - 1 : 2 * n - 1]
 
-    def _memoised(self, key: str, values: np.ndarray, compute) -> np.ndarray:
-        """compute(rfft of values), or the output kept under key for a frozen
-        values array (read-only and owning its data; see the class
-        docstring). Any other array is transformed afresh and nothing of it
-        is kept."""
-        flags = values.flags
-        if flags.writeable or not flags.owndata:
-            return compute(rfft(values, self._nfft))
-        memo = self._memo
-        # the entry holds values, so no other live array can have its id
-        entry = memo.pop(id(values), None)  # reinserted below as the most recently used
-        if entry is None:
-            values_hat = rfft(values, self._nfft)
-            values_hat.setflags(write=False)
-            entry = (values, values_hat, {})
-            if len(memo) >= MEMO_ARRAYS:
-                del memo[next(iter(memo))]
-        memo[id(values)] = entry
-        _, values_hat, outputs = entry
-        out = outputs.get(key)
-        if out is None:
-            out = outputs[key] = compute(values_hat)
-            out.setflags(write=False)
-        return out
+    def _field(self, key: str, values: np.ndarray, values_hat: np.ndarray) -> np.ndarray:
+        """The field key of values from values_hat, their rfft: the Toeplitz
+        sum of the family key, or at key "gradient_combined" the gradient."""
+        if key == "gradient_combined":
+            return self._edge_corrected(values, self._window(self._gradient_spectrum(), values_hat))
+        return self._window(self.spectrum(key), values_hat)
 
     def apply(self, family: str, values: np.ndarray) -> np.ndarray:
         """Toeplitz sum of one weight family, by FFT."""
-        return self._memoised(family, values, lambda values_hat: self._window(self.spectrum(family), values_hat))
+        return self._field(family, values, rfft(values, self._nfft))
 
     def potential(self, values: np.ndarray) -> np.ndarray:
         return self.apply("potential", values)
@@ -350,11 +324,7 @@ class RieszWorkspace:
     def gradient(self, values: np.ndarray) -> np.ndarray:
         """W_grad * values + W_slope * np.gradient(values) in 2 transforms
         (see potential_and_gradient)."""
-
-        def compute(values_hat):
-            return self._edge_corrected(values, self._window(self._gradient_spectrum(), values_hat))
-
-        return self._memoised("gradient_combined", values, compute)
+        return self._field("gradient_combined", values, rfft(values, self._nfft))
 
     def _theta(self) -> np.ndarray:
         """The rfft bins theta_k = 2 pi k / nfft."""
@@ -468,25 +438,48 @@ def workspace(grid: Grid, s: float) -> RieszWorkspace:
     return RieszWorkspace(grid, s)
 
 
+def kept_field(rho: GridDensity, s: float, key: str) -> np.ndarray:
+    """The field key of rho under the operator of (rho.grid, s), read-only:
+    the Toeplitz sum of a family in FAMILIES, or at key "gradient_combined"
+    the gradient RieszWorkspace.gradient takes.
+
+    rho keeps the rfft of its values (one per density: the padded length
+    depends on the grid alone) and every field taken from it, so each is
+    computed once however often it is asked for.
+    """
+    kept = rho.kept
+    out = kept.get((s, key))
+    if out is None:
+        ws = workspace(rho.grid, s)
+        values_hat = kept.get("rfft")
+        if values_hat is None:
+            values_hat = kept["rfft"] = rfft(rho.values, ws._nfft)
+            values_hat.setflags(write=False)
+        out = kept[s, key] = ws._field(key, rho.values, values_hat)
+        out.setflags(write=False)
+    return out
+
+
 def riesz_potential(rho: GridDensity, s: float) -> np.ndarray:
-    """Inverse fractional Laplacian of a density at the cell centers.
+    """Inverse fractional Laplacian of a density at the cell centers,
+    read-only (see kept_field).
 
     For s >= 1/2 the kernel does not decay, so values depend on the domain
     truncation; differences and derivatives remain truncation-robust because
     the density itself is tail-checked.
     """
-    return workspace(rho.grid, s).potential(rho.values)
+    return kept_field(rho, s, "potential")
 
 
 def riesz_gradient(rho: GridDensity, s: float) -> np.ndarray:
-    """Spatial derivative of the Riesz potential.
+    """Spatial derivative of the Riesz potential, read-only (see kept_field).
 
     Densities vanish outside the grid, which makes the difference form
     (s <= 1/2) and the plain convolution (s > 1/2) agree; the within-cell
     variation enters through a first-order derivative term whose coefficient
     is continuous across s = 1/2.
     """
-    return workspace(rho.grid, s).gradient(rho.values)
+    return kept_field(rho, s, "gradient_combined")
 
 
 def regularity_warning(rho: GridDensity, s: float) -> None:

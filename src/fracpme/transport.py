@@ -6,7 +6,6 @@ Gagliardo-Nirenberg-Sobolev ratio, and the interpolation inequality."""
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,35 +19,27 @@ from .grid import (
     holder_seminorm,
     require_normalized,
 )
-from .riesz import neg_sobolev_norm, regularity_warning, workspace
+from .riesz import kept_field, neg_sobolev_norm, regularity_warning, riesz_gradient, riesz_potential, workspace
 
 W2_NODES_PER_CELL = 10
-
-
-@functools.lru_cache(maxsize=1)
-def _quantile_nodes(rho2: GridDensity, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m midpoint nodes of the quantile variable and the quantiles of
-    rho2 at them, read-only. A run measures every state against one target,
-    so the last (rho2, m) is kept; GridDensity is immutable and hashes by
-    identity, so the entry holds while rho2 is the same object."""
-    q = (np.arange(m) + 0.5) / m
-    q2 = cdf_quantile(rho2)(q)
-    q.setflags(write=False)
-    q2.setflags(write=False)
-    return q, q2
 
 
 def w2(rho1: GridDensity, rho2: GridDensity) -> float:
     """Quadratic-cost transport distance via quantile functions.
 
     Exact in 1D up to the composite midpoint rule in the quantile variable
-    (at least 10 nodes per grid cell). The quantiles of rho2 are kept from
-    one call to the next while rho2 is the same object.
+    (at least 10 nodes per grid cell). rho2 keeps its quantiles at the m
+    nodes (in rho2.kept), so measuring many densities against one target
+    inverts its CDF once.
     """
     require_normalized(rho1)
     require_normalized(rho2)
     m = W2_NODES_PER_CELL * max(rho1.grid.n, rho2.grid.n)
-    q, q2 = _quantile_nodes(rho2, m)
+    q = (np.arange(m) + 0.5) / m
+    q2 = rho2.kept.get(("w2_quantiles", m))
+    if q2 is None:
+        q2 = rho2.kept["w2_quantiles", m] = cdf_quantile(rho2)(q)
+        q2.setflags(write=False)
     diff = cdf_quantile(rho1)(q) - q2
     return float(np.sqrt(np.sum(diff * diff) / m))
 
@@ -110,7 +101,7 @@ def _pv_map_term(rho: GridDensity, theta: np.ndarray, s: float) -> float:
     ws = workspace(rho.grid, s)
     v = rho.values
     phi = theta - rho.x
-    conv_v = ws.apply("gradient", v)
+    conv_v = kept_field(rho, s, "gradient")
     conv_phiv = ws.apply("gradient", phi * v)
     return 0.5 * rho.grid.h * float(np.sum(phi * v * conv_v) - np.sum(v * conv_phiv))
 
@@ -184,9 +175,6 @@ def inequality_report(
     require_normalized(rho)
     require_normalized(target)
 
-    # the target first: a caller that measures many samples against one
-    # target then finds it still among the operator's kept inputs
-    # (riesz.MEMO_ARRAYS) when the next sample comes
     e_tgt = energy_mod.energy(target, s, lam, eps).total
     e_rho = energy_mod.energy(rho, s, lam, eps).total
     gap = e_rho - e_tgt
@@ -227,12 +215,11 @@ def gns_ratio(rho: GridDensity, s: float) -> float:
     """
     if not s < 0.5:
         raise ParameterOrder(f"gns ratio requires s < 1/2, got {s}")
-    ws = workspace(rho.grid, s)
     h = rho.grid.h
-    lhs = h * float(np.sum(rho.values * ws.potential(rho.values)))
+    lhs = h * float(np.sum(rho.values * riesz_potential(rho, s)))
     if lhs <= 0:
         raise DegenerateDenominator(f"interaction integral {lhs!r} <= 0 at s < 1/2")
-    grad = ws.gradient(rho.values)
+    grad = riesz_gradient(rho, s)
     grad_term = h * float(np.sum(rho.values * grad**2))
     theta = gns_theta(s)
     return float(rho.mass ** (2 - 3 * theta) * grad_term**theta / lhs)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import legval
@@ -689,6 +691,22 @@ class TestSteadyStateEps:
         assert np.max(np.abs(res - ref)) <= 1e-11 * np.max(ref)
         if eps > 1e-2:
             assert max(taken) >= 3  # near the top of the eps window the diffusion sets the step
+
+    def test_restart_from_its_result_stops_after_one_step(self, monkeypatch):
+        g = Grid.symmetric(4.0, 128)
+        cfg = SolverConfig(s=S, grid=g, lam=LAM, eps=1e-2, t_end=80.0, cfl=0.8)
+        first = steady_state_eps(cfg)
+        taken = []
+        step = _Stepper.step
+
+        def spy(self, state, dt, stages):
+            taken.append(stages)
+            return step(self, state, dt, stages)
+
+        monkeypatch.setattr(_Stepper, "step", spy)
+        again = steady_state_eps(dataclasses.replace(cfg, init=first))
+        assert len(taken) == 1
+        assert np.max(np.abs(again.values - first.values)) <= 1e-11 * np.max(first.values)
 
     def test_short_march_raises_not_converged(self):
         cfg = SolverConfig(s=S, grid=Grid.symmetric(4.0, 128), lam=LAM, eps=1e-2, t_end=0.5, cfl=0.8)

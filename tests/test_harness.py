@@ -258,6 +258,28 @@ class TestSimulate:
         assert fit["bound_satisfied"] is True
         assert fit["rate"] == pytest.approx(-0.8, abs=0.05)
 
+    def test_decay_fit_of_w2_takes_the_talagrand_prefactor(self, sim_dir, tmp_path):
+        out = tmp_path / "fit.json"
+        argv = ["decay-fit", "--traj", str(sim_dir / "trajectory.csv"), "--quantity", "W2"]
+        assert main([*argv, "--window", "0.2:1.0", "--out", str(out)]) == 0
+        fit = json.loads(out.read_text())
+        cfg = json.loads((sim_dir / "manifest.json").read_text())["config"]
+        s, lam = cfg["s"], cfg["lambda"]
+        _, dens = barenblatt(s, lam, mass=1.0, grid=Grid.symmetric(cfg["xmax"], cfg["grid_n"]))
+        e_target = energy_mod.energy(normalize(dens), s, lam, 0.0).total
+        e0 = float((sim_dir / "trajectory.csv").read_text().splitlines()[1].split(",")[1])
+        assert fit["prefactor"] == np.sqrt(2 / lam * max(e0 - e_target, 0.0))
+        assert fit["prefactor"] == pytest.approx(0.5, rel=1e-6)  # the shift of the initial profile
+        assert fit["bound_rate"] == lam
+
+    def test_solver_invariant_failure_exits_3_and_writes_no_results(self, tmp_path, capsys):
+        out = tmp_path / "cfl"
+        argv = ["simulate", "--s", "0.25", "--grid-n", "128", "--dt", "0.5", "--t-end", "1", "--out-dir", str(out)]
+        assert main(argv) == 3
+        assert "solver invariant failure (CflViolation)" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+        assert not (out / "stats.json").exists()
+
     def test_eps_run_and_fixed_dt(self, tmp_path):
         out = tmp_path / "eps"
         code = main(
@@ -545,6 +567,18 @@ class TestVerifyCli:
         assert set(every) == set(harness.VERIFY_SUITES)
         for name in harness.VERIFY_SUITES:
             assert suites_of(name) == {name: every[name]}
+
+    def test_failing_suite_exits_3_and_names_its_first_seed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "VIRIAL_TOL", 0.0)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--suite", "lsi,virial", "--samples", "2", "--seed", "42", "--out", str(out)]) == 3
+        report = json.loads(out.read_text())
+        assert report["pass"] is False
+        assert report["suites"]["lsi"]["pass"] is True
+        virial = report["suites"]["virial"]
+        assert virial["pass"] is False and virial["violating_seed"] == 42
+        err = capsys.readouterr().err
+        assert "suite virial violated at sample seed 42" in err and "suite lsi" not in err
 
     def test_report_names_corpus(self, tmp_path):
         out = tmp_path / "report.json"

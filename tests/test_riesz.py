@@ -10,13 +10,13 @@ from fracpme.riesz import (
     DIRECT,
     FAMILIES,
     MAX_SECTIONS,
-    MEMO_ARRAYS,
     SECTION_FAMILIES,
     RieszWorkspace,
     _padded_length,
     _section_cells,
     frac_laplacian,
     hdot_seminorm,
+    kept_field,
     neg_sobolev_norm,
     riesz_constant,
     riesz_gradient,
@@ -369,37 +369,20 @@ class TestSections:
 
 
 class TestMemo:
-    """An operator keeps the transform and the outputs of its MEMO_ARRAYS
-    most recently used frozen inputs: read-only arrays that own their data,
-    as GridDensity.values. Other arrays are transformed on every call."""
+    """A density keeps the rfft of its frozen values and every field taken
+    from it (riesz.kept_field), read-only; the operator keeps nothing of the
+    arrays it is applied to."""
+
+    KEYS = ("gradient_combined", *FAMILIES)
 
     @staticmethod
     def outputs(ws, values):
-        return [ws.potential(values), ws.gradient(values), *(ws.apply(family, values) for family in FAMILIES)]
+        return [ws.gradient(values), *(ws.apply(family, values) for family in FAMILIES)]
 
-    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.7])
-    def test_frozen_outputs_are_a_fresh_operators_and_read_only(self, s):
-        g = Grid.symmetric(4.0, 256)
-        values = random_density(DensitySpec(seed=5), g).values
-        ws = RieszWorkspace(g, s)
-        first = self.outputs(ws, values)
-        again = self.outputs(ws, values)
-        fresh = self.outputs(RieszWorkspace(g, s), values.copy())  # a writable copy: nothing kept
-        for kept, same, ref in zip(first, again, fresh):
-            assert same is kept and np.array_equal(kept, ref)
-            assert not kept.flags.writeable
-            with pytest.raises(ValueError):
-                kept[0] = 1.0
-        assert all(out.flags.writeable for out in fresh)
-
-    def test_frozen_input_is_transformed_once(self, monkeypatch):
+    @staticmethod
+    def count_transforms(monkeypatch):
         import fracpme.riesz as riesz
 
-        g = Grid.symmetric(4.0, 64)
-        values = random_density(DensitySpec(seed=3), g).values
-        ws = RieszWorkspace(g, S)
-        ws.potential(values.copy())  # builds the weights and the spectrum
-        ws.gradient(values.copy())
         calls = []
         for name in ("rfft", "irfft"):
             original = getattr(riesz, name)
@@ -409,16 +392,45 @@ class TestMemo:
                 return _original(x, *args, **kwargs)
 
             monkeypatch.setattr(riesz, name, counted)
-        ws.potential(values)
-        ws.gradient(values)
-        assert calls == ["rfft", "irfft", "irfft"]
-        ws.potential(values)
-        ws.gradient(values)
-        assert calls == ["rfft", "irfft", "irfft"]
+        return calls
+
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.7])
+    def test_frozen_outputs_are_a_fresh_operators_and_read_only(self, s):
+        g = Grid.symmetric(4.0, 256)
+        rho = random_density(DensitySpec(seed=5), g)
+        kept = [kept_field(rho, s, key) for key in self.KEYS]
+        fresh = self.outputs(RieszWorkspace(g, s), rho.values)
+        for key, field, ref in zip(self.KEYS, kept, fresh):
+            assert kept_field(rho, s, key) is field and np.array_equal(field, ref)
+            assert not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[0] = 1.0
+        assert all(out.flags.writeable for out in fresh)
+        assert riesz_potential(rho, s) is kept[1] and riesz_gradient(rho, s) is kept[0]
+
+    def test_frozen_input_is_transformed_once(self, monkeypatch):
+        """One rfft serves every field of a density, at every s."""
+        g = Grid.symmetric(4.0, 64)
+        warm, rho = (random_density(DensitySpec(seed=k), g) for k in (2, 3))
+        for s in (S, 0.6):  # builds the weights and spectra of both operators
+            riesz_potential(warm, s)
+            riesz_gradient(warm, s)
+        calls = self.count_transforms(monkeypatch)
+        for _ in range(2):
+            for s in (S, 0.6):
+                riesz_potential(rho, s)
+                riesz_gradient(rho, s)
+        assert calls == ["rfft", "irfft", "irfft", "irfft", "irfft"]
 
     def test_writable_arrays_and_views_are_recomputed_after_a_change(self):
+        """Operator methods keep nothing, not even of a density's frozen values."""
         g = Grid.symmetric(4.0, 128)
         ws = RieszWorkspace(g, S)
+        rho = random_density(DensitySpec(seed=4), g)
+        first, again = self.outputs(ws, rho.values), self.outputs(ws, rho.values)
+        for a, b in zip(first, again):
+            assert a is not b and np.array_equal(a, b) and a.flags.writeable
+        assert not rho.kept
         v = np.random.default_rng(2).uniform(0.5, 2.0, g.n)
         view = v[:]
         view.setflags(write=False)  # read-only, but the data is v's
@@ -429,20 +441,19 @@ class TestMemo:
             ref = self.outputs(RieszWorkspace(g, S), v.copy())
             for old, new, want in zip(before, after, ref):
                 assert np.array_equal(new, want) and not np.array_equal(new, old)
-        assert not ws._memo
 
-    def test_memo_keeps_the_most_recently_used_frozen_inputs(self):
+    def test_round_robin_densities_are_transformed_once(self, monkeypatch):
+        """Densities used in turn, a, b, c and a again: a still holds its
+        fields, however many others were transformed in between."""
         g = Grid.symmetric(4.0, 64)
-        ws = RieszWorkspace(g, S)
-        target = random_density(DensitySpec(seed=0), g).values
-        samples = [random_density(DensitySpec(seed=k), g).values for k in range(1, 6)]
-        for values in samples:
-            ws.potential(target)
-            ws.gradient(values)
-            assert len(ws._memo) <= MEMO_ARRAYS
-        kept = [entry[0] for entry in ws._memo.values()]
-        assert len(kept) == MEMO_ARRAYS == 2
-        assert kept[0] is target and kept[1] is samples[-1]
+        a, b, c, warm = (random_density(DensitySpec(seed=k), g) for k in range(4))
+        riesz_potential(warm, S)  # builds the weights and spectra
+        riesz_gradient(warm, S)
+        calls = self.count_transforms(monkeypatch)
+        for rho in (a, b, c, a):
+            riesz_potential(rho, S)
+            riesz_gradient(rho, S)
+        assert calls.count("rfft") == 3
 
 
 class TestNumpyTransforms:

@@ -85,6 +85,8 @@ class TestW2:
         assert w2(fine, t) == uncached(fine, t)  # more quantile nodes
         assert w2(a, copy) == expect
         assert w2(a, t) == expect
+        assert not a.kept and not b.kept  # the target keeps its quantiles, a source nothing
+        assert set(t.kept) == {("w2_quantiles", 1280), ("w2_quantiles", 2560)}
         assert w2(t, a) == uncached(t, a)
 
     def test_triangle_inequality_on_corpus(self, grid1024, corpus40):
