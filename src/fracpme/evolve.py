@@ -5,7 +5,9 @@ trajectory diagnostics, and exponential-decay fitting."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from array import array
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -126,6 +128,62 @@ def rkl2_step(y0: np.ndarray, f0: np.ndarray, tau: float, stages: int, f) -> np.
     return y0 + d
 
 
+@dataclass
+class RunStats:
+    """The counters of one run, counted as it goes: by the stepper
+    (evaluations, max_field_cells) and by integrate (the rest).
+
+    steps counts the accepted steps and retries the trial steps discarded on
+    the way. chosen_dt holds the accepted step sizes the step rule chose:
+    every step but a last one cut short to land on t_end. max_fft_drift is
+    the largest checkpoint |direct - fft| / scale of the potential (gated at
+    1e-10). min_lyapunov_margin is the smallest E_eps(before) + 1e-10 -
+    E_eps(after) over the accepted steps: how close the run came to the
+    Lyapunov gate. max_energy_rise is the largest E_eps(t) - min_{t' <= t}
+    E_eps(t') over the accepted states: how far the energy crept up under
+    the per-step slack. min_positive is the smallest positive density value
+    at the end (None when the density is zero everywhere).
+    nonlocal_bound_steps counts the steps of chosen_dt taken from a state
+    whose diffusive share was at least stability_gain(S) times its
+    advective share (see _Stepper.state), S the step's stage count: on an
+    adaptive run, the steps whose stability limit the diffusive terms set,
+    not the advective one. max_field_cells is the largest window, in cells,
+    that the fields were taken on, of an accepted or trial state or of the
+    stages of a super-step: n once the mass fills the grid. evaluations
+    counts the field evaluations of the march: the initial state's, and for
+    each accepted or discarded step its stages and its end state.
+    max_stages is the largest stage count of an accepted step, 1 for Euler.
+    """
+
+    steps: int = 0
+    retries: int = 0
+    chosen_dt: array = field(default_factory=lambda: array("d"))
+    max_mass_drift: float = 0.0
+    max_clamped: float = 0.0
+    max_fft_drift: float = 0.0
+    min_lyapunov_margin: float = float("inf")
+    max_energy_rise: float = 0.0
+    min_positive: float | None = None
+    nonlocal_bound_steps: int = 0
+    max_field_cells: int = 0
+    evaluations: int = 0
+    max_stages: int = 0
+
+    def summary(self) -> dict:
+        """The counters as strict JSON values: chosen_dt as its dt_min,
+        dt_median and dt_max (null when it is empty), and a float that is
+        not finite (min_lyapunov_margin of a run with no step) as null."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "chosen_dt":
+                for key, reduce in (("dt_min", np.min), ("dt_median", np.median), ("dt_max", np.max)):
+                    out[key] = float(reduce(value)) if value else None
+            else:
+                out[f.name] = None if isinstance(value, float) and not math.isfinite(value) else value
+        return out
+
+
 class _State(NamedTuple):
     """One evaluated state of a run (see _Stepper.state): its values v, the
     window win its fields are taken on, on it the Riesz potential pot and
@@ -155,8 +213,7 @@ class _Stepper:
         self.xx = self.x * self.x  # the confinement weight of the energy and the second moment
         self.h = cfg.grid.h
         self.linear = 2 * cfg.eps / self.h**2  # the linear-diffusive rate (see state)
-        self.max_cells = 0  # the largest window the fields were taken on
-        self.evaluations = 0  # field evaluations: state calls and super-step stages
+        self.stats = RunStats()  # counts evaluations and max_field_cells
         # largest modulus of the symbol of delta -> (1/h) D_face(avg_face(G delta)),
         # the nonlocal diffusion of one step with the density frozen at 1: face
         # average then face difference has the symbol i sin(theta) / h
@@ -192,7 +249,7 @@ class _Stepper:
         vanishes and the advective bound alone lets grid oscillations grow.
         """
         win, ws, (first, end) = self._section(v, 2)
-        self.evaluations += 1
+        self.stats.evaluations += 1
         vw = v[win]
         pot, grad = ws.potential_and_gradient(vw)
         dxi0 = grad + self.cfg.lam * self.x[win]
@@ -208,7 +265,7 @@ class _Stepper:
         lo, hi = max(first - widen, 0), min(end + widen, n)
         ws = self.ws.section(hi - lo)
         lo = min(lo, n - ws.n)
-        self.max_cells = max(self.max_cells, ws.n)
+        self.stats.max_field_cells = max(self.stats.max_field_cells, ws.n)
         return slice(lo, lo + ws.n), ws, (first, end)
 
     def energies(self, state: _State) -> tuple[float, float]:
@@ -367,7 +424,7 @@ class _Stepper:
             lam_x = self.cfg.lam * self.x[swin]
 
             def stage(yw: np.ndarray) -> np.ndarray:
-                self.evaluations += 1
+                self.stats.evaluations += 1
                 return self._drift(yw, ws.gradient(yw) + lam_x, np.zeros_like(yw))
 
             f0 = np.zeros(swin.stop - swin.start)
@@ -395,27 +452,8 @@ class Trajectory:
 
     step_times / step_energy / step_dissipation sample every solver step
     (used for the discrete energy-dissipation consistency check); the
-    diagnostics dict is sampled at the snapshot cadence. steps counts the
-    accepted steps and retries the trial steps discarded on the way.
-    chosen_dt holds the accepted step sizes the step rule chose: every step
-    but a last one cut short to land on t_end. max_fft_drift is the largest
-    checkpoint |direct - fft| / scale of the potential (gated at 1e-10).
-    min_lyapunov_margin is the smallest E_eps(before) + 1e-10 - E_eps(after)
-    over the accepted steps: how close the run came to the Lyapunov gate.
-    max_energy_rise is the largest E_eps(t) - min_{t' <= t} E_eps(t') over
-    the accepted states: how far the energy crept up under the per-step
-    slack. min_positive is the smallest positive density value at the end
-    (None when the density is zero everywhere).
-    nonlocal_bound_steps counts the steps of chosen_dt taken from a state
-    whose diffusive share was at least stability_gain(S) times its
-    advective share (see _Stepper.state), S the step's stage count: on an
-    adaptive run, the steps whose stability limit the diffusive terms set,
-    not the advective one. max_field_cells is the largest window, in cells,
-    that the fields were taken on, of an accepted or trial state or of the
-    stages of a super-step: n once the mass fills the grid. evaluations
-    counts the field evaluations of the march: the initial state's, and for
-    each accepted or discarded step its stages and its end state.
-    max_stages is the largest stage count of an accepted step, 1 for Euler.
+    diagnostics dict is sampled at the snapshot cadence; stats holds the
+    counters of the run (see RunStats).
     """
 
     config: SolverConfig
@@ -427,19 +465,7 @@ class Trajectory:
     step_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     step_energy: np.ndarray = field(default_factory=lambda: np.empty(0))
     step_dissipation: np.ndarray = field(default_factory=lambda: np.empty(0))
-    max_mass_drift: float = 0.0
-    max_clamped: float = 0.0
-    max_fft_drift: float = 0.0
-    min_lyapunov_margin: float = float("inf")
-    max_energy_rise: float = 0.0
-    min_positive: float | None = None
-    steps: int = 0
-    retries: int = 0
-    chosen_dt: np.ndarray = field(default_factory=lambda: np.empty(0))
-    nonlocal_bound_steps: int = 0
-    max_field_cells: int = 0
-    evaluations: int = 0
-    max_stages: int = 0
+    stats: RunStats = field(default_factory=RunStats)
 
     def series(self, quantity: str) -> np.ndarray:
         if quantity == "E_gap":
@@ -466,6 +492,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         raise ValueError("cfg.init must hold the initial density")
     rho0 = normalize(cfg.init)
     stepper = _Stepper(cfg)
+    stats = stepper.stats
     h = cfg.grid.h
 
     e_target = energy_mod.energy(target, cfg.s, cfg.lam, 0.0).total
@@ -475,7 +502,6 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
     mass0 = h * float(state.v.sum())
     t = 0.0
     e, e_eps = stepper.energies(state)
-    retries = 0
     dt_accepted = float("inf")
 
     times: list[float] = []
@@ -484,15 +510,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
     step_t: list[float] = []
     step_e: list[float] = []
     step_i: list[float] = []
-    chosen_dt: list[float] = []
-    max_drift = 0.0
-    max_clamped = 0.0
-    max_fft_drift = 0.0
-    min_margin = float("inf")
     e_eps_low = e_eps
-    max_rise = 0.0
-    nonlocal_bound = 0
-    max_stages = 0
     next_snap = 0.0
 
     while True:
@@ -503,10 +521,10 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         step_i.append(i_eps)
 
         mass = h * float(v.sum())
-        max_drift = max(max_drift, abs(mass - mass0))
+        stats.max_mass_drift = max(stats.max_mass_drift, abs(mass - mass0))
 
         if t >= next_snap - 1e-12 or t >= cfg.t_end - 1e-12:
-            max_fft_drift = max(max_fft_drift, stepper.fft_drift(state, t))
+            stats.max_fft_drift = max(stats.max_fft_drift, stepper.fft_drift(state, t))
             snap = GridDensity(cfg.grid, v)
             times.append(t)
             snapshots.append(snap)
@@ -544,22 +562,24 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
                     raise
                 dt *= 0.5
                 stages = stepper.stage_count(rates, dt)
-                retries += 1
+                stats.retries += 1
         state, (e, e_eps) = trial_state, trial_e
-        max_stages = max(max_stages, stages)
-        max_clamped = max(max_clamped, clamped)
-        min_margin = min(min_margin, margin)
+        stats.steps += 1
+        stats.max_stages = max(stats.max_stages, stages)
+        stats.max_clamped = max(stats.max_clamped, clamped)
+        stats.min_lyapunov_margin = min(stats.min_lyapunov_margin, margin)
         e_eps_low = min(e_eps_low, e_eps)
-        max_rise = max(max_rise, e_eps - e_eps_low)
+        stats.max_energy_rise = max(stats.max_energy_rise, e_eps - e_eps_low)
         if dt < cfg.t_end - t:
-            chosen_dt.append(dt)  # not cut short to land on t_end
+            stats.chosen_dt.append(dt)  # not cut short to land on t_end
             advective, diffusive = rates
             if diffusive >= stability_gain(stages) * advective:
-                nonlocal_bound += 1
+                stats.nonlocal_bound_steps += 1
         t += dt
         dt_accepted = dt
 
     positive = v[v > 0]
+    stats.min_positive = float(positive.min()) if positive.size else None
     return Trajectory(
         config=cfg,
         times=np.asarray(times),
@@ -570,19 +590,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         step_times=np.asarray(step_t),
         step_energy=np.asarray(step_e),
         step_dissipation=np.asarray(step_i),
-        max_mass_drift=max_drift,
-        max_clamped=max_clamped,
-        max_fft_drift=max_fft_drift,
-        min_lyapunov_margin=min_margin,
-        max_energy_rise=max_rise,
-        min_positive=float(positive.min()) if positive.size else None,
-        steps=len(step_t) - 1,
-        retries=retries,
-        chosen_dt=np.asarray(chosen_dt),
-        nonlocal_bound_steps=nonlocal_bound,
-        max_field_cells=stepper.max_cells,
-        evaluations=stepper.evaluations,
-        max_stages=max_stages,
+        stats=stats,
     )
 
 

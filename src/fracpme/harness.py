@@ -149,32 +149,11 @@ def cmd_simulate(args) -> int:
         outputs.append(str(p))
 
     stats_path = out_dir / "stats.json"
-    dts = traj.chosen_dt  # null when the only step was cut short to land on t_end
-    _write_json(
-        stats_path,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "steps": traj.steps,
-            "retries": traj.retries,
-            "dt_min": float(np.min(dts)) if dts.size else None,
-            "dt_median": float(np.median(dts)) if dts.size else None,
-            "dt_max": float(np.max(dts)) if dts.size else None,
-            "max_clamped": traj.max_clamped,
-            "max_mass_drift": traj.max_mass_drift,
-            "max_fft_drift": traj.max_fft_drift,
-            "min_lyapunov_margin": traj.min_lyapunov_margin,
-            "max_energy_rise": traj.max_energy_rise,
-            "min_positive": traj.min_positive,
-            "nonlocal_bound_steps": traj.nonlocal_bound_steps,
-            "max_field_cells": traj.max_field_cells,
-            "evaluations": traj.evaluations,
-            "max_stages": traj.max_stages,
-        },
-    )
+    _write_json(stats_path, {"schema_version": SCHEMA_VERSION, **traj.stats.summary()})
     outputs.append(str(stats_path))
 
-    if traj.max_mass_drift > 1e-12:
-        print(f"solver invariant failure (mass drift {traj.max_mass_drift})", file=sys.stderr)
+    if traj.stats.max_mass_drift > 1e-12:
+        print(f"solver invariant failure (mass drift {traj.stats.max_mass_drift})", file=sys.stderr)
         return EXIT_INVARIANT
 
     _manifest(

@@ -42,8 +42,8 @@ def test_traced_child_run(tmp_path, name):
 
 def test_verify_takes_the_fields_of_a_sample_once(monkeypatch, tmp_path):
     """verify runs every suite on one sample before it reads the next, and
-    the operator keeps the transforms of the sample and of the target (see
-    riesz.RieszWorkspace), so beyond its set-up a sample of all the suites
+    each density keeps its own transforms, the sample's and the target's
+    (see riesz.kept_field), so beyond its set-up a sample of all the suites
     costs at most 15 transform rows. verify never calls
     potential_and_gradient, whose calls the tracer counts as stepper
     steps."""
@@ -119,8 +119,8 @@ def test_field_evaluations_per_step_and_transforms_per_evaluation(monkeypatch):
 
     monkeypatch.setattr(riesz.RieszWorkspace, "potential_and_gradient", spy)
     traj = integrate(SolverConfig(s=0.25, grid=grid, t_end=0.05, init=shifted), normalize(target))
-    assert traj.steps > 0
-    assert len(calls) == traj.steps + traj.retries + 1
+    assert traj.stats.steps > 0
+    assert len(calls) == traj.stats.steps + traj.stats.retries + 1
     # the spectra are built before the first call: the target's energy and the step-size symbol
     assert sum(rows) == 3 * len(calls)
     assert fft_calls == {"rfft": len(calls), "irfft": len(calls)}
@@ -210,8 +210,8 @@ def test_stage_evaluations_take_the_gradient_alone(monkeypatch):
 
         monkeypatch.setattr(riesz.RieszWorkspace, name, spy)
     traj = integrate(SolverConfig(s=0.1, grid=grid, lam=0.4, t_end=0.2, init=shifted), normalize(target))
-    assert traj.max_stages >= 3
-    assert calls["potential_and_gradient"] == traj.steps + traj.retries + 1
-    assert calls["gradient"] == traj.evaluations - calls["potential_and_gradient"] > 0
+    assert traj.stats.max_stages >= 3
+    assert calls["potential_and_gradient"] == traj.stats.steps + traj.stats.retries + 1
+    assert calls["gradient"] == traj.stats.evaluations - calls["potential_and_gradient"] > 0
     assert rows["gradient"] == [1] * (2 * calls["gradient"])
     assert sum(rows["potential_and_gradient"]) == 3 * calls["potential_and_gradient"]

@@ -164,8 +164,8 @@ class TestIntegrate:
         _, shifted = barenblatt(S, LAM, mass=1.0, x0=0.5, grid=g)
         cfg = SolverConfig(s=S, grid=g, lam=LAM, dt=5e-4, t_end=0.0052, init=shifted)
         traj = integrate(cfg, normalize(target))
-        assert traj.steps == 11
-        assert traj.chosen_dt.tolist() == [5e-4] * 10
+        assert traj.stats.steps == 11
+        assert traj.stats.chosen_dt.tolist() == [5e-4] * 10
 
     def test_energy_monotone_and_dissipation_matches(self, short_run):
         traj = short_run
@@ -177,16 +177,16 @@ class TestIntegrate:
         assert np.median(resid) <= 0.05
 
     def test_min_lyapunov_margin_is_the_closest_step_to_the_gate(self, short_run):
-        assert short_run.retries == 0
+        assert short_run.stats.retries == 0
         e = short_run.step_energy
-        assert short_run.min_lyapunov_margin == np.min(e[:-1] + LYAPUNOV_SLACK - e[1:])
-        assert short_run.min_lyapunov_margin >= 0.0
+        assert short_run.stats.min_lyapunov_margin == np.min(e[:-1] + LYAPUNOV_SLACK - e[1:])
+        assert short_run.stats.min_lyapunov_margin >= 0.0
 
     def test_max_energy_rise_and_min_positive_read_the_run(self, short_run):
         e = short_run.step_energy
-        assert short_run.max_energy_rise == np.max(e - np.minimum.accumulate(e))
+        assert short_run.stats.max_energy_rise == np.max(e - np.minimum.accumulate(e))
         final = short_run.snapshots[-1].values
-        assert short_run.min_positive == np.min(final[final > 0])
+        assert short_run.stats.min_positive == np.min(final[final > 0])
 
     def test_energy_creeps_up_from_the_steady_init(self):
         # the sampled closed-form profile is not the grid minimizer: each
@@ -195,14 +195,18 @@ class TestIntegrate:
         _, init = barenblatt(S, LAM, mass=1.0, grid=g)
         cfg = SolverConfig(s=S, grid=g, lam=LAM, t_end=0.3, cfl=0.5, init=init)
         traj = integrate(cfg, normalize(init))
-        assert traj.max_energy_rise > 0.0
+        assert traj.stats.max_energy_rise > 0.0
         e = traj.step_energy
-        assert traj.max_energy_rise == np.max(e - np.minimum.accumulate(e))
+        assert traj.stats.max_energy_rise == np.max(e - np.minimum.accumulate(e))
+
+    def test_nonlocal_bound_steps_are_chosen_steps(self, short_run):
+        # on this run the diffusive share sets the step bound on some of the steps
+        assert 0 < short_run.stats.nonlocal_bound_steps <= len(short_run.stats.chosen_dt) <= short_run.stats.steps
 
     def test_mass_and_positivity_invariants(self, short_run):
-        assert short_run.max_mass_drift <= 1e-12
-        assert short_run.max_clamped <= 1e-12
-        assert 0.0 < short_run.max_fft_drift <= 1e-10
+        assert short_run.stats.max_mass_drift <= 1e-12
+        assert short_run.stats.max_clamped <= 1e-12
+        assert 0.0 < short_run.stats.max_fft_drift <= 1e-10
         assert np.min(short_run.diagnostics["min_rho"]) >= 0.0
 
     def test_checkpoint_direct_sum_on_the_window(self, grid1024):
@@ -346,10 +350,10 @@ class TestHullRule:
         assert full_bound < dt < hull_bound
         cfg = SolverConfig(s=S, grid=g, lam=LAM, dt=dt, t_end=10.5 * dt, init=GridDensity(g, state.v))
         traj = integrate(cfg, target)
-        assert traj.steps == 11
-        assert traj.max_clamped == 0.0
+        assert traj.stats.steps == 11
+        assert traj.stats.max_clamped == 0.0
         assert np.min(traj.diagnostics["min_rho"]) >= 0.0
-        assert traj.max_mass_drift <= 1e-12
+        assert traj.stats.max_mass_drift <= 1e-12
 
 
 class TestFieldWindow:
@@ -365,7 +369,7 @@ class TestFieldWindow:
         win, pot, dxi0 = state.win, state.pot, state.dxi0
         nonzero = np.flatnonzero(v)
         assert win.start <= nonzero[0] - 2 and nonzero[-1] + 2 < win.stop <= g.n
-        assert win.stop - win.start == stepper.max_cells < g.n
+        assert win.stop - win.start == stepper.stats.max_field_cells < g.n
         pot_ref, grad_ref = workspace(g, S).potential_and_gradient(v)
         assert np.max(np.abs(pot - pot_ref[win])) <= 1e-12 * np.max(np.abs(pot_ref))
         dxi_ref = grad_ref + LAM * g.centers
@@ -396,7 +400,7 @@ class TestFieldWindow:
         v = normalize(GridDensity(g, np.exp(-g.centers**2))).values
         stepper = _Stepper(SolverConfig(s=S, grid=g, lam=LAM, eps=eps))
         state = stepper.state(v)
-        assert (state.win.start, state.win.stop) == (0, g.n) and stepper.max_cells == g.n
+        assert (state.win.start, state.win.stop) == (0, g.n) and stepper.stats.max_field_cells == g.n
         ref_pot, ref_grad = workspace(g, S).potential_and_gradient(v)
         assert np.array_equal(state.pot, ref_pot)
         assert np.array_equal(state.dxi0, ref_grad + LAM * g.centers)
@@ -411,7 +415,7 @@ class TestFieldWindow:
         assert e_eps == pytest.approx(energy(rho, S, LAM, eps).total, rel=1e-12)
 
     def test_max_field_cells(self, short_run, grid1024):
-        assert short_run.max_field_cells == 448 < grid1024.n
+        assert short_run.stats.max_field_cells == 448 < grid1024.n
 
 
 class TestSuperStep:
@@ -475,9 +479,9 @@ class TestSuperStep:
         state = stepper.state(v)
         dt, stages = stepper.step_size(state.rates, 0.0, float("inf"))
         assert stages >= 3
-        before = stepper.evaluations
+        before = stepper.stats.evaluations
         out, clamped = stepper.step(state, dt, stages)
-        assert stepper.evaluations - before == stages - 1
+        assert stepper.stats.evaluations - before == stages - 1
         assert clamped == 0.0 and out.min() >= 0.0
         assert abs(g.h * out.sum() - g.h * v.sum()) <= 1e-14
 
@@ -513,10 +517,10 @@ class TestSuperStep:
             return gradient(self, values)
 
         monkeypatch.setattr(type(ws), "gradient", recorded)
-        before = stepper.evaluations
+        before = stepper.stats.evaluations
         out, clamped = stepper.step(state, dt, stages)
         monkeypatch.undo()
-        assert stepper.evaluations - before == stages - 1 == len(stage_values)
+        assert stepper.stats.evaluations - before == stages - 1 == len(stage_values)
         assert clamped == 0.0
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(v)
         assert abs(g.h * out.sum() - g.h * v.sum()) <= 1e-12
@@ -558,8 +562,8 @@ class TestSuperStep:
         _, shifted = barenblatt(S, LAM, mass=1.0, x0=0.5, grid=g)
         cfg = SolverConfig(s=S, grid=g, lam=LAM, dt=5e-4, t_end=0.0052, init=shifted)
         traj = integrate(cfg, normalize(target))
-        assert traj.max_stages == 1
-        assert traj.evaluations == traj.steps + 1
+        assert traj.stats.max_stages == 1
+        assert traj.stats.evaluations == traj.stats.steps + 1
         stepper, v, t = _Stepper(cfg), normalize(shifted).values, 0.0
         while t < cfg.t_end - 1e-12:
             dt = min(cfg.dt, cfg.t_end - t)
@@ -574,12 +578,12 @@ class TestSuperStep:
         _, shifted = barenblatt(0.1, lam, mass=1.0, x0=0.5, grid=g)
         cfg = SolverConfig(s=0.1, grid=g, lam=lam, t_end=0.5, cfl=1.0, init=shifted)
         traj = integrate(cfg, normalize(target))
-        assert traj.max_stages >= 3
-        assert traj.evaluations > traj.steps + traj.retries + 1
-        assert traj.retries == 0
-        assert traj.max_clamped == 0.0
+        assert traj.stats.max_stages >= 3
+        assert traj.stats.evaluations > traj.stats.steps + traj.stats.retries + 1
+        assert traj.stats.retries == 0
+        assert traj.stats.max_clamped == 0.0
         assert np.min(traj.diagnostics["min_rho"]) >= 0.0
-        assert traj.max_mass_drift <= 1e-12
+        assert traj.stats.max_mass_drift <= 1e-12
 
 
 class TestFitDecay:

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,14 @@ from fracpme import evolve, harness, transport
 from fracpme.grid import Grid, normalize
 from fracpme.harness import main
 from fracpme.steady import barenblatt, discrete_minimizer
+
+def readme_stats_keys() -> set[str]:
+    """The keys of the first column of the README's stats.json table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("`simulate` also writes `stats.json`", 1)[1].split("\n\n", 2)[1]
+    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+    return {key for cell in rows for key in re.findall(r"`([^`]+)`", cell)}
+
 
 class TestExitCodes:
     def test_invalid_s_is_config_error(self, tmp_path):
@@ -193,7 +203,7 @@ class TestSimulate:
             "max_clamped", "max_mass_drift", "max_fft_drift", "min_lyapunov_margin",
             "max_energy_rise", "min_positive", "nonlocal_bound_steps", "max_field_cells",
             "evaluations", "max_stages",
-        }
+        } == readme_stats_keys()
         assert stats["steps"] > 0
         # one evaluation for the initial state, at least one per step
         assert stats["evaluations"] >= stats["steps"] + stats["retries"] + 1
@@ -213,6 +223,18 @@ class TestSimulate:
         stats = json.loads((out / "stats.json").read_text())
         assert stats["steps"] == 1
         assert stats["dt_min"] is stats["dt_median"] is stats["dt_max"] is None
+
+    def test_stats_of_a_run_with_no_step_are_strict_json(self, tmp_path):
+        # t_end below the 1e-12 landing tolerance: the march ends before its first step
+        out = tmp_path / "no_step"
+        assert main(["simulate", "--s", "0.25", "--grid-n", "128", "--t-end", "1e-13", "--out-dir", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        stats = json.loads((out / "stats.json").read_text(), parse_constant=reject)
+        assert stats["steps"] == 0
+        assert stats["min_lyapunov_margin"] is stats["dt_min"] is None
 
     def test_manifest_replay_reproduces_outputs_bitwise(self, sim_dir, tmp_path):
         cfg = json.loads((sim_dir / "manifest.json").read_text())["config"]
@@ -380,7 +402,7 @@ class TestSimulate:
         target = normalize(dens)
         cfg = evolve.SolverConfig(s=0.25, grid=grid, lam=lam, t_end=0.1, init=dens)
         traj = evolve.integrate(cfg, target)
-        assert (traj.steps, traj.retries) == (stats["steps"], stats["retries"])
+        assert (traj.stats.steps, traj.stats.retries) == (stats["steps"], stats["retries"])
         assert np.max(np.diff(traj.step_energy)) <= 1e-10
 
     def test_steady_init_keeps_diagnostics_flat(self, tmp_path):
@@ -539,7 +561,7 @@ class TestVerifyCli:
         assert json.loads(out.read_text())["pass"] is True
 
     def test_eps_default_suites_leave_out_lemmaE(self, tmp_path, monkeypatch):
-        # stub the ~20 s eps march with the sharp minimizer; only the suite list is under test
+        # stub the ~2 s eps march with the sharp minimizer; only the suite list is under test
         calls = []
 
         def fake_steady_state_eps(cfg):
@@ -554,7 +576,7 @@ class TestVerifyCli:
 
     def test_each_suite_reports_alone_what_it_reports_with_all(self, tmp_path):
         """verify runs every suite on a sample before the next one, and the
-        operator keeps each sample's fields for all of them: neither couples
+        density keeps its fields for all of them: neither couples
         the suites, so each entry of an all-suites report is the report of
         that suite run alone."""
 
