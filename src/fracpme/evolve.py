@@ -24,7 +24,7 @@ from .errors import (
     PositivityLoss,
 )
 from .grid import Grid, GridDensity, normalize
-from .riesz import DIRECT, toeplitz_apply, workspace
+from .riesz import DIRECT, _section_cells, toeplitz_apply, workspace
 from .transport import w2
 
 LYAPUNOV_SLACK = 1e-10
@@ -226,12 +226,12 @@ class _Stepper:
         of the rate of one explicit step from it (see step_size).
 
         The window holds the hull of the mass widened by 2 cells on each
-        side, clipped to the grid and rounded up to a section size of the
-        operator (RieszWorkspace.section); a state with no mass, or one whose
-        window would not be smaller than the grid, takes the whole grid. The
-        density is 0 outside the window, and 0 on its 2 end cells that lie
-        inside the grid, so the fields on it are those of the whole grid up
-        to round-off.
+        side, clipped to the grid and rounded up the ladder of window sizes
+        (see _section); a state with no mass, or one whose window would not
+        be smaller than the grid, takes the whole grid. The density is 0
+        outside the window, and 0 on its 2 end cells that lie inside the
+        grid, so the fields on it are those of the whole grid up to
+        round-off (see riesz.workspace).
 
         The advective share is max|dxi0| / h. Its maximum runs over the hull
         of the mass only, from one cell before the first nonzero cell to one
@@ -258,12 +258,15 @@ class _Stepper:
 
     def _section(self, v: np.ndarray, widen: int):
         """The hull of v widened by `widen` cells on each side, clipped to the
-        grid and rounded up to a section size (see state), its operator,
-        and the hull (_hull of v)."""
+        grid and rounded up the ladder of window sizes (riesz._section_cells),
+        its operator, and the hull (_hull of v). The operator is the shared
+        one of that many cells, or the grid's own where the size is not
+        below the grid's."""
         n = v.size
         first, end = _hull(v)
         lo, hi = max(first - widen, 0), min(end + widen, n)
-        ws = self.ws.section(hi - lo)
+        m = _section_cells(hi - lo)
+        ws = self.ws if m >= n else workspace(self.cfg.grid, self.cfg.s, m)
         lo = min(lo, n - ws.n)
         self.stats.max_field_cells = max(self.stats.max_field_cells, ws.n)
         return slice(lo, lo + ws.n), ws, (first, end)
@@ -382,7 +385,7 @@ class _Stepper:
     def _clamp(self, ow: np.ndarray) -> float:
         """Zero the negative cells of ow in place and return the mass that
         adds, after checking it against the clamp budget."""
-        if ow.min() >= 0.0:  # False on NaN, which the mask and the gate below see
+        if ow.min() >= 0.0:  # False on NaN too, though a NaN cell passes the mask and the budget below
             return 0.0
         neg = ow < 0.0
         clamped = -self.h * float(ow[neg].sum()) if neg.any() else 0.0

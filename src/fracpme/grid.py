@@ -69,8 +69,8 @@ class GridDensity:
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n,):
             raise ValueError(f"expected {grid.n} values, got shape {values.shape}")
-        if np.any(values < 0.0):
-            raise ValueError("density values must be nonnegative")
+        if not (np.isfinite(values).all() and np.all(values >= 0.0)):
+            raise ValueError("density values must be finite and nonnegative")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)

@@ -104,6 +104,13 @@ def _build_init(name: str, s: float, lam: float, grid: Grid) -> GridDensity:
     raise ValueError(f"unknown init {name!r} (builtin or CSV path)")
 
 
+def _run_target(s: float, lam: float, grid: Grid) -> GridDensity:
+    """The target a run is measured against, in simulate and decay-fit
+    alike: the unit-mass Barenblatt profile sampled on grid, normalized."""
+    _, dens = steady.barenblatt(s, lam, mass=1.0, grid=grid)
+    return normalize(dens)
+
+
 def cmd_simulate(args) -> int:
     t0 = time.time()
     lam = _parse_lambda(args.lam, args.s)
@@ -123,8 +130,7 @@ def cmd_simulate(args) -> int:
         init=init,
         snapshot_every=args.snapshot_every,
     )
-    _, dens = steady.barenblatt(args.s, lam, mass=1.0, grid=grid)
-    target = normalize(dens)
+    target = _run_target(args.s, lam, grid)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -431,8 +437,7 @@ def cmd_decay_fit(args) -> int:
         raise ValueError(f"manifest {manifest_path} has no config s, lambda, eps, xmax and grid_n")
     s, lam, eps = cfgd["s"], cfgd["lambda"], cfgd["eps"]
     grid = Grid.symmetric(cfgd["xmax"], cfgd["grid_n"])
-    _, dens = steady.barenblatt(s, lam, mass=1.0, grid=grid)
-    target = normalize(dens)
+    target = _run_target(s, lam, grid)
     e_target = energy_mod.energy(target, s, lam, 0.0).total
 
     times, cols = _load_trajectory_csv(traj_path)

@@ -48,19 +48,15 @@ stepper takes its step size from the same cached spectrum
 operator.
 
 The sums are translation invariant, so every run of m consecutive cells of
-a grid has one operator, `workspace(grid, s).section(cells)`, a
-RieszWorkspace whose weights are the central 2m - 1 of the grid's and
-whose h is the grid's. m rounds `cells` up to a coarse ladder of sizes,
-q 2^e with q in 4..7, so its FFT length is 2m. The grid's operator holds
-its MAX_SECTIONS most recently used sections and builds their spectra when
-it makes them. The stepper takes the fields of a compactly supported state
-on the section that holds the hull of the mass and 2 empty cells at each
-interior end (see evolve._Stepper.state): the other cells are 0, so the
-fields are the whole grid's on it but for round-off (at length 2m rather
-than 2n), and the edge correction is the grid's own, skipped at an
-interior end. A section, like its grid's operator, writes into scratch
-buffers of its own and is handed to every caller of that operator, so the
-operator and its sections must not be used from several threads at once.
+a grid has one operator, `workspace(grid, s, m)`, whose h is the grid's. Each
+weight is an elementwise function of its offset and h, so its weights,
+built at m cells, are bitwise the central 2m - 1 of the grid's. The stepper
+takes the fields of a compactly supported state on such a window (see
+workspace and evolve._Stepper.state), with m rounded up to a coarse ladder
+of sizes, q 2^e with q in 4..7 (_section_cells), so its FFT length is 2m.
+An operator writes into scratch buffers of its own and is handed to every
+caller of its (grid, s, cells), so one operator must not be used from
+several threads at once.
 """
 
 from __future__ import annotations
@@ -228,16 +224,13 @@ def toeplitz_apply(weights: np.ndarray, v: np.ndarray, method: str = FFT) -> np.
 
 
 FAMILIES = ("potential", "gradient", "gradient_slope", "hessian", "hessian_slope", "hessian_quad")
-# the families of potential_and_gradient, which a section takes from its parent
-SECTION_FAMILIES = ("potential", "gradient", "gradient_slope")
-MAX_SECTIONS = 4
 
 
 def _section_cells(cells: int) -> int:
-    """The smallest size of at least `cells` on the ladder of section sizes,
+    """The smallest size of at least `cells` on the ladder of window sizes,
     q 2^e with q in 4..7 (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 20, ...):
     at most 25 % over the size asked for, and twice each size is 7-smooth,
-    so a section's FFT length is exactly twice its size."""
+    so a window's FFT length is exactly twice its size."""
     e = max((cells - 1).bit_length() - 3, 0)
     return -(-cells >> e) << e
 
@@ -247,11 +240,10 @@ class RieszWorkspace:
 
     Holds the six kernel weight families (FAMILIES), their FFT spectra and
     the hessian row sum T·1, each built the first time it is used and kept
-    read-only. Obtain it through workspace(grid, s), which shares one
-    instance per (grid, s) between all modules. The FFT path writes its
-    spectral products into scratch buffers the instance owns, so one
-    instance, together with the sections it holds (see section), must not
-    be used from several threads at once.
+    read-only. Obtain it through workspace(grid, s, cells), which shares one
+    instance per (grid, s, cells) between all modules. The FFT path writes
+    its spectral products into scratch buffers the instance owns, so one
+    instance must not be used from several threads at once.
 
     It holds only what depends on (grid, s): `apply`, `potential` and
     `gradient` transform their input on every call and keep nothing of it
@@ -263,7 +255,6 @@ class RieszWorkspace:
     """
 
     def __init__(self, grid: Grid, s: float, cells: int | None = None):
-        self.grid = grid
         self.s = s
         self.n = grid.n if cells is None else cells
         self.h = grid.h
@@ -271,7 +262,6 @@ class RieszWorkspace:
         self._nfft = _padded_length(self.n)
         self._cache: dict = {}
         self._products: dict = {}  # scratch of _window, overwritten by every call
-        self._sections: dict = {}  # section size -> operator, least recently used first
 
     def _cached(self, key, build) -> np.ndarray:
         value = self._cache.get(key)
@@ -401,41 +391,30 @@ class RieszWorkspace:
         pot, grad = self._window(self._fields_spectrum(), rfft(values, self._nfft))
         return pot, self._edge_corrected(values, grad)
 
-    def section(self, cells: int) -> RieszWorkspace:
-        """The operator of m = _section_cells(cells) consecutive cells of
-        this grid, or this operator when m is not below n.
-
-        A density that is 0 outside a run of m cells has, on that run, the
-        potential and gradient of the whole grid, up to round-off: the
-        Toeplitz sums of the other cells add 0. The gradient also needs the
-        edge correction of the whole grid: that holds where the run meets an
-        end of the grid, and where it ends inside the grid with two cells of
-        0, for which both corrections vanish. A section's weights are the
-        central 2m - 1 of this operator's (SECTION_FAMILIES; the others are
-        built on first use), its h is this one's, and the spectra of
-        potential_and_gradient are built here, not in the first call. The
-        MAX_SECTIONS most recently used sections are kept.
-        """
-        m = _section_cells(cells)
-        if m >= self.n:
-            return self
-        sections = self._sections
-        op = sections.pop(m, None)  # reinserted below as the most recently used
-        if op is None:
-            op = RieszWorkspace(self.grid, self.s, cells=m)
-            for family in SECTION_FAMILIES:
-                op._cache[family] = self.weights(family)[self.n - m : self.n + m - 1]
-            op._fields_spectrum()
-            if len(sections) >= MAX_SECTIONS:
-                del sections[next(iter(sections))]
-        sections[m] = op
-        return op
-
 
 @lru_cache(maxsize=32)
-def workspace(grid: Grid, s: float) -> RieszWorkspace:
-    """The shared operator of (grid, s); the 32 most recently used are kept."""
-    return RieszWorkspace(grid, s)
+def workspace(grid: Grid, s: float, cells: int | None = None) -> RieszWorkspace:
+    """The shared operator of (grid, s), or of `cells` consecutive cells of
+    grid (a window; cells=None: the whole grid); the 32 most recently used
+    are kept.
+
+    The cache keys on the raw arguments, so a caller that takes windows
+    rounds `cells` up the ladder (_section_cells) first, and takes the
+    grid's own operator where that is not below grid.n: one window size,
+    one operator. A window builds the spectra of potential_and_gradient
+    here, so its first field evaluation takes 3 transforms like any other.
+
+    A density that is 0 outside a window has, on the window, the potential
+    and gradient of the whole grid, up to round-off: the Toeplitz sums of
+    the other cells add 0. The gradient also needs the edge correction of
+    the whole grid: that holds where the window meets an end of the grid,
+    and where it ends inside the grid with two cells of 0, for which both
+    corrections vanish.
+    """
+    op = RieszWorkspace(grid, s, cells)
+    if cells is not None:
+        op._fields_spectrum()
+    return op
 
 
 def kept_field(rho: GridDensity, s: float, key: str) -> np.ndarray:

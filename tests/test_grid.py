@@ -38,6 +38,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(1.0, -1.0, 16)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_density_values_must_be_finite(self, bad):
+        vals = np.ones(8)
+        vals[3] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            GridDensity(Grid(-2.0, 2.0, 8), vals)
+
 
 class TestNormalize:
     def test_mass_two_scales_down(self, grid1024):

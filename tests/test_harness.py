@@ -370,6 +370,23 @@ class TestSimulate:
         assert "init density" in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
 
+    def test_csv_init_with_a_nan_is_config_error(self, tmp_path, capsys):
+        from fracpme.grid import DensitySpec, random_density, save_density_csv
+
+        init_path = tmp_path / "init.csv"
+        save_density_csv(init_path, random_density(DensitySpec(seed=4), Grid.symmetric(4.0, 128)))
+        lines = init_path.read_text(encoding="utf-8").splitlines()
+        lines[40] = lines[40].split(",")[0] + ",nan"
+        init_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "run"
+        code = main(
+            ["simulate", "--s", "0.25", "--grid-n", "128", "--t-end", "0.05",
+             "--init", str(init_path), "--out-dir", str(out)]
+        )
+        assert code == 2
+        assert "finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_init_with_no_mass_on_the_grid_is_config_error(self, tmp_path, capsys):
         # the support [9 - R, 9 + R] of this profile lies beyond xmax = 4
         out = tmp_path / "run"

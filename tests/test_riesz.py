@@ -9,8 +9,6 @@ from fracpme.grid import DensitySpec, Grid, GridDensity, holder_seminorm, normal
 from fracpme.riesz import (
     DIRECT,
     FAMILIES,
-    MAX_SECTIONS,
-    SECTION_FAMILIES,
     RieszWorkspace,
     _padded_length,
     _section_cells,
@@ -311,7 +309,7 @@ class TestFftFields:
 
 
 class TestSections:
-    """The operator of a run of consecutive cells (RieszWorkspace.section),
+    """The operator of a run of consecutive cells, workspace(grid, s, cells),
     on which the stepper takes the fields of a compactly supported state."""
 
     @pytest.mark.parametrize("cells", [1, 4, 5, 9, 17, 29, 100, 417, 1000, 5000])
@@ -329,16 +327,16 @@ class TestSections:
     def test_weights_and_h_are_the_parents(self, s, cells):
         g = Grid.symmetric(4.0, 128)
         ws = workspace(g, s)
-        sec = ws.section(cells)
-        m = sec.n
-        assert m == _section_cells(cells) < g.n
+        m = _section_cells(cells)
+        sec = workspace(g, s, m)
+        assert sec.n == m < g.n
         assert sec.h == ws.h and sec.s == ws.s
-        for family in SECTION_FAMILIES:
-            assert np.array_equal(sec.weights(family), ws.weights(family)[g.n - m : g.n + m - 1])
         # built with the operator, not in its first field evaluation
         assert ("rfft", "potential_and_gradient") in sec._cache
-        assert sec is ws.section(m)
-        assert ws.section(g.n - 1) is ws  # rounds up to the whole grid
+        for family in FAMILIES:
+            assert np.array_equal(sec.weights(family), ws.weights(family)[g.n - m : g.n + m - 1])
+        assert sec is workspace(g, s, m)
+        assert _section_cells(g.n - 1) == g.n  # rounds up to the whole grid
 
     @pytest.mark.parametrize("s", [0.1, 0.25, 0.4])
     @pytest.mark.parametrize("support", [(60, 100), (0, 30), (220, 256), (3, 250)])
@@ -350,7 +348,8 @@ class TestSections:
         v[a:b] = np.random.default_rng(a).uniform(0.5, 2.0, b - a)
         ws = workspace(g, s)
         lo, hi = max(a - 2, 0), min(b + 2, g.n)
-        sec = ws.section(hi - lo)
+        m = _section_cells(hi - lo)
+        sec = ws if m >= g.n else workspace(g, s, m)
         lo = min(lo, g.n - sec.n)
         win = slice(lo, lo + sec.n)
         pot, grad = sec.potential_and_gradient(v[win])
@@ -359,13 +358,6 @@ class TestSections:
             assert np.max(np.abs(got - ref[win])) <= 1e-12 * np.max(np.abs(ref))
         if sec is ws:
             assert np.array_equal(pot, pot_ref) and np.array_equal(grad, grad_ref)
-
-    def test_held_sections_are_bounded(self):
-        ws = workspace(Grid.symmetric(4.0, 2048), S)
-        for cells in range(8, 1024, 8):
-            ws.section(cells)
-        assert len(ws._sections) == MAX_SECTIONS
-        assert max(ws._sections) == _section_cells(1016)  # the most recently used are kept
 
 
 class TestMemo:
