@@ -79,14 +79,20 @@ def energy(
     """Free energy breakdown; total = interaction + confinement + eps*entropy.
 
     For s >= 1/2 the interaction kernel does not decay and the value carries
-    the domain truncation; differences of energies remain meaningful.
+    the domain truncation; differences of energies remain meaningful. rho
+    keeps its breakdown for each (s, lam, eps) in rho.kept, so a target
+    measured against many densities is integrated once.
     """
     if check_mass:
         require_normalized(rho)
-    inter = interaction_energy(rho, s)
-    conf = lam / 2 * moment(rho, 2)
-    boltz = boltzmann_entropy(rho)
-    return EnergyBreakdown(interaction=inter, confinement=conf, boltzmann=boltz, eps=eps)
+    key = ("energy", s, lam, eps)
+    out = rho.kept.get(key)
+    if out is None:
+        inter = interaction_energy(rho, s)
+        conf = lam / 2 * moment(rho, 2)
+        boltz = boltzmann_entropy(rho)
+        out = rho.kept[key] = EnergyBreakdown(interaction=inter, confinement=conf, boltzmann=boltz, eps=eps)
+    return out
 
 
 def dissipation(rho: GridDensity, s: float, lam: float, eps: float = 0.0) -> float:

@@ -57,10 +57,10 @@ class GridDensity:
     """Nonnegative density (per unit length) at the cell centers of a Grid.
 
     Values are frozen after construction; the cached mass is exactly
-    h * sum(values) under numpy's fixed summation order. `kept` holds the
-    arrays other modules derive from the values (riesz.kept_field, the
-    quantiles of transport.w2), each computed once and kept read-only for
-    as long as the density lives.
+    h * sum(values) under numpy's fixed summation order. `kept` holds what
+    other modules derive from the values (riesz.kept_field, the quantiles
+    of transport.w2, the breakdown of energy.energy), each computed once and
+    kept read-only for as long as the density lives.
     """
 
     __slots__ = ("grid", "values", "mass", "kept")
@@ -132,6 +132,14 @@ class QuantileFn:
     The CDF is linear within each cell (slope = cell density); inversion maps
     flat segments to their left endpoint, giving the lower quantile that
     realizes the nondecreasing optimal transport map.
+
+    The quantile finds the cells of its m nodes by runs, not node by node:
+    in nondecreasing nodes those of cell j are the run with
+    cum[j] < q <= cum[j + 1], and one searchsorted of the n + 1 CDF
+    breakpoints into the nodes gives every run's end. Each cell's edge, CDF
+    and density are repeated over its run, so a call costs O(n log m + m).
+    Nodes that are not nondecreasing are sorted first and put back in their
+    order at the end; each node's value depends on that node alone.
     """
 
     def __init__(self, rho: GridDensity):
@@ -143,20 +151,32 @@ class QuantileFn:
         np.cumsum(grid.h * rho.values, out=cum[1:])
         self.cum = cum
         self.density = rho.values
-        self._n = grid.n
 
     def cdf(self, x):
         return np.interp(x, self.edges, self.cum)
 
     def __call__(self, q):
         q = np.asarray(q, dtype=float)
-        idx = np.searchsorted(self.cum, q, side="left")
-        idx = np.clip(idx, 1, self._n)
-        cell = idx - 1
-        dens = self.density[cell]
-        offs = np.where(dens > 0.0, (q - self.cum[cell]) / np.where(dens > 0.0, dens, 1.0), 0.0)
-        x = self.edges[cell] + offs
-        return np.clip(x, self.edges[0], self.edges[-1])
+        nodes = q.ravel()
+        order = None
+        if not np.all(nodes[1:] >= nodes[:-1]):  # a NaN compares False and sorts last
+            order = np.argsort(nodes)
+            nodes = nodes[order]
+        # the first cell also takes q <= 0, the last q above the total and NaN
+        ends = np.searchsorted(nodes, self.cum, side="right")
+        ends[0], ends[-1] = 0, nodes.size
+        runs = np.diff(ends)
+        dens = np.repeat(self.density, runs)
+        x = np.repeat(self.cum[:-1], runs)
+        np.subtract(nodes, x, out=x)
+        pos = dens > 0.0
+        np.divide(x, dens, out=x, where=pos)
+        x[~pos] = 0.0
+        x += np.repeat(self.edges[:-1], runs)
+        np.clip(x, self.edges[0], self.edges[-1], out=x)
+        if order is not None:
+            x[order] = x.copy()
+        return x.reshape(q.shape)[()]
 
 
 def cdf_quantile(rho: GridDensity) -> QuantileFn:
@@ -251,8 +271,17 @@ def random_density(spec: DensitySpec, grid: Grid) -> GridDensity:
         width = rng.uniform(w_lo, w_hi)
         amp = rng.uniform(0.3, 1.0)
         total += amp * np.exp(-(((x - center) / width) ** 2))
-    total *= np.exp(-ENVELOPE_RATE * np.abs(x))
+    total *= _envelope(grid)
     return normalize(GridDensity(grid, total))
+
+
+@lru_cache(maxsize=8)
+def _envelope(grid: Grid) -> np.ndarray:
+    """exp(-ENVELOPE_RATE |x|) at the cell centers, read-only: one per grid
+    for a whole fuzz corpus."""
+    env = np.exp(-ENVELOPE_RATE * np.abs(grid.centers))
+    env.setflags(write=False)
+    return env
 
 
 @lru_cache(maxsize=8)

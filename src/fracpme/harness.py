@@ -223,12 +223,15 @@ def _sample_rows(spec, rho, target, s, lam, eps, names, gns) -> dict[str, dict]:
     """The row of every suite in names on one sample.
 
     The gap suites share one inequality report, and hwi adds its three
-    terms.
+    terms. interp takes the negative Sobolev norm of rho - target from the
+    report where it holds one.
     """
     rows = {}
+    nsn = None
     gap = [name for name in names if name in GAP_SUITES]
     if gap:
         rep = transport.inequality_report(rho, s, lam, eps, target)
+        nsn = rep.extras.get("neg_sobolev_norm")
         terms = transport.hwi_terms(rho, target, s, lam, eps) if "hwi" in names else None
         for name in gap:
             value = getattr(rep, GAP_SUITES[name])
@@ -247,7 +250,7 @@ def _sample_rows(spec, rho, target, s, lam, eps, names, gns) -> dict[str, dict]:
         rows["gns"] = {"seed": spec.seed, "ratio": ratio, "margin": margin}
     if "interp" in names:
         alpha, r = evolve.interp_orders(s)
-        lhs, rhs, _ = transport.interp_inequality(rho.values - target.values, rho.grid, s, alpha, r)
+        lhs, rhs, _ = transport.interp_inequality(rho.values - target.values, rho.grid, s, alpha, r, nsn=nsn)
         ratio = lhs / rhs if rhs > 0 else float("inf")
         rows["interp"] = {"seed": spec.seed, "lhs": lhs, "rhs_unnormalized": rhs, "ratio": ratio}
     return rows

@@ -392,17 +392,18 @@ class RieszWorkspace:
         return pot, self._edge_corrected(values, grad)
 
 
-@lru_cache(maxsize=32)
 def workspace(grid: Grid, s: float, cells: int | None = None) -> RieszWorkspace:
     """The shared operator of (grid, s), or of `cells` consecutive cells of
-    grid (a window; cells=None: the whole grid); the 32 most recently used
-    are kept.
+    grid (a window; cells=None or grid.n: the whole grid); the 32 most
+    recently used are kept.
 
-    The cache keys on the raw arguments, so a caller that takes windows
-    rounds `cells` up the ladder (_section_cells) first, and takes the
-    grid's own operator where that is not below grid.n: one window size,
-    one operator. A window builds the spectra of potential_and_gradient
-    here, so its first field evaluation takes 3 transforms like any other.
+    The cache keys on (grid, s, cells) with cells=grid.n taken as None, so
+    every spelling of one call (positional, by keyword, cells=None or
+    grid.n) is one operator. A caller that takes windows rounds `cells` up
+    the ladder (_section_cells) first, and takes the grid's own operator
+    where that is not below grid.n: one window size, one operator. A window
+    builds the spectra of potential_and_gradient here, so its first field
+    evaluation takes 3 transforms like any other.
 
     A density that is 0 outside a window has, on the window, the potential
     and gradient of the whole grid, up to round-off: the Toeplitz sums of
@@ -411,6 +412,11 @@ def workspace(grid: Grid, s: float, cells: int | None = None) -> RieszWorkspace:
     and where it ends inside the grid with two cells of 0, for which both
     corrections vanish.
     """
+    return _cached_workspace(grid, s, None if cells == grid.n else cells)
+
+
+@lru_cache(maxsize=32)
+def _cached_workspace(grid: Grid, s: float, cells: int | None) -> RieszWorkspace:
     op = RieszWorkspace(grid, s, cells)
     if cells is not None:
         op._fields_spectrum()

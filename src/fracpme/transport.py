@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,24 +25,36 @@ from .riesz import kept_field, neg_sobolev_norm, regularity_warning, riesz_gradi
 W2_NODES_PER_CELL = 10
 
 
+@lru_cache(maxsize=8)
+def _quantile_nodes(m: int) -> np.ndarray:
+    """The m midpoints (k + 1/2) / m of [0, 1], read-only."""
+    q = (np.arange(m) + 0.5) / m
+    q.setflags(write=False)
+    return q
+
+
 def w2(rho1: GridDensity, rho2: GridDensity) -> float:
     """Quadratic-cost transport distance via quantile functions.
 
     Exact in 1D up to the composite midpoint rule in the quantile variable
-    (at least 10 nodes per grid cell). rho2 keeps its quantiles at the m
-    nodes (in rho2.kept), so measuring many densities against one target
-    inverts its CDF once.
+    (at least 10 nodes per grid cell). The m nodes are built once per m, and
+    rho2 keeps its quantiles at them (in rho2.kept), so measuring many
+    densities against one target inverts its CDF once. The nodes are
+    nondecreasing, so QuantileFn finds their cells by runs: a call costs
+    O(n log m + m) for the n cells of rho1.
     """
     require_normalized(rho1)
     require_normalized(rho2)
     m = W2_NODES_PER_CELL * max(rho1.grid.n, rho2.grid.n)
-    q = (np.arange(m) + 0.5) / m
+    q = _quantile_nodes(m)
     q2 = rho2.kept.get(("w2_quantiles", m))
     if q2 is None:
         q2 = rho2.kept["w2_quantiles", m] = cdf_quantile(rho2)(q)
         q2.setflags(write=False)
-    diff = cdf_quantile(rho1)(q) - q2
-    return float(np.sqrt(np.sum(diff * diff) / m))
+    diff = cdf_quantile(rho1)(q)
+    diff -= q2
+    diff *= diff
+    return float(np.sqrt(np.sum(diff) / m))
 
 
 @dataclass(frozen=True)
@@ -169,7 +182,10 @@ def inequality_report(
 
     The target is the sampled steady profile (eps = 0) or the long-time limit
     of the diffusive flow (eps > 0); its energy is evaluated with the same
-    grid quadrature as rho's so the gaps vanish cleanly at rho = target.
+    grid quadrature as rho's so the gaps vanish cleanly at rho = target, and
+    kept on the target (see energy.energy). At eps = 0 the extras hold the
+    negative Sobolev norm of rho - target that lemmaE takes, for
+    interp_inequality of the same difference.
     """
     _check_eps(eps, lam)
     require_normalized(rho)
@@ -185,9 +201,10 @@ def inequality_report(
     lsi_gap = i_eps / (2 * lam) - gap
     talagrand_gap = np.sqrt(2 / lam * max(gap, 0.0)) - dist
 
+    extras = {"energy_gap": float(gap), "dissipation": float(i_eps), "w2": float(dist)}
     lemma_gap = None
     if eps == 0.0:
-        nsn = neg_sobolev_norm(rho.values - target.values, rho.grid, s)
+        nsn = extras["neg_sobolev_norm"] = neg_sobolev_norm(rho.values - target.values, rho.grid, s)
         lemma_gap = gap - 0.5 * nsn**2
 
     scale = max(1.0, abs(gap), i_eps)
@@ -197,7 +214,7 @@ def inequality_report(
         talagrand_gap=float(talagrand_gap),
         lemmaE_gap=None if lemma_gap is None else float(lemma_gap),
         scale=float(scale),
-        extras={"energy_gap": float(gap), "dissipation": float(i_eps), "w2": float(dist)},
+        extras=extras,
     )
 
 
@@ -247,15 +264,19 @@ def interp_inequality(
     s: float,
     alpha: float,
     r: float,
+    nsn: float | None = None,
 ) -> tuple[float, float, tuple[float, float, float]]:
     """Left side ||u||_2 and unnormalized right side of the interpolation
     inequality, plus the exponent triple. The inequality's constant is
-    existential; callers record the empirical ratio."""
+    existential; callers record the empirical ratio. nsn is
+    neg_sobolev_norm(u, grid, s) when the caller has taken it already
+    (inequality_report's extras); None takes it here."""
     sigmas = interp_sigmas(s, alpha, r)
     u = np.asarray(u, dtype=float)
     h = grid.h
     lhs = float(np.sqrt(h * np.sum(u * u)))
-    nsn = neg_sobolev_norm(u, grid, s)
+    if nsn is None:
+        nsn = neg_sobolev_norm(u, grid, s)
     hol = holder_seminorm(u, grid, alpha)
     l1 = h * float(np.sum(np.abs(u)))
     rhs = nsn ** sigmas[0] * hol ** sigmas[1] * l1 ** sigmas[2]

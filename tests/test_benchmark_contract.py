@@ -44,7 +44,7 @@ def test_verify_takes_the_fields_of_a_sample_once(monkeypatch, tmp_path):
     """verify runs every suite on one sample before it reads the next, and
     each density keeps its own transforms, the sample's and the target's
     (see riesz.kept_field), so beyond its set-up a sample of all the suites
-    costs at most 15 transform rows. verify never calls
+    costs at most 13 transform rows. verify never calls
     potential_and_gradient, whose calls the tracer counts as stepper
     steps."""
     from fracpme import harness, riesz
@@ -68,14 +68,14 @@ def test_verify_takes_the_fields_of_a_sample_once(monkeypatch, tmp_path):
     monkeypatch.setattr(riesz.RieszWorkspace, "potential_and_gradient", spy)
 
     def rows_of(samples):
-        riesz.workspace.cache_clear()  # both runs build their weights and spectra
+        riesz._cached_workspace.cache_clear()  # both runs build their weights and spectra
         rows.clear()
         out = tmp_path / f"report{samples}.json"
         argv = ["verify", "--suite", ",".join(harness.VERIFY_SUITES), "--samples", str(samples), "--out", str(out)]
         assert harness.main(argv) == 0
         return sum(rows)
 
-    assert rows_of(4) - rows_of(1) <= 3 * 15
+    assert rows_of(4) - rows_of(1) <= 3 * 13
     assert calls == []
 
 

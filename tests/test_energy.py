@@ -59,6 +59,16 @@ class TestEnergy:
         for _, rho in corpus40[:10]:
             assert energy(rho, S, LAM).total > ref
 
+    def test_a_density_keeps_its_breakdown_per_parameters(self, grid1024):
+        rho = random_density(DensitySpec(seed=12), grid1024)
+        bd = energy(rho, S, LAM, 0.01)
+        assert energy(rho, S, LAM, 0.01) is bd
+        for args in ((S, LAM, 0.0), (S, 0.5, 0.01), (0.4, LAM, 0.01)):
+            kept = energy(rho, *args)
+            fresh = energy(GridDensity(grid1024, rho.values), *args)
+            assert kept is not bd and kept == fresh
+        assert bd == energy(GridDensity(grid1024, rho.values), S, LAM, 0.01)
+
     def test_translation_moves_confinement_only(self, grid1024):
         vals = np.exp(-4 * grid1024.centers**2)
         rho = normalize(GridDensity(grid1024, vals))

@@ -17,7 +17,9 @@ from fracpme.grid import (
     save_density_csv,
     tail_check,
 )
+from fracpme.harness import fuzz_corpus
 from fracpme.steady import barenblatt
+from fracpme.transport import monotone_map, w2
 
 
 def uniform_density(grid, lo, hi):
@@ -81,6 +83,22 @@ class TestNormalize:
             normalize(GridDensity(grid1024, np.zeros(grid1024.n)))
 
 
+def test_random_density_is_its_recipe_written_out(grid1024):
+    """Oracle: the recipe of random_density with its envelope built inline."""
+    for seed in (4, 5):
+        spec = DensitySpec(seed=seed, n_bumps=1 + seed % 6)
+        rng = np.random.default_rng(seed)
+        x = grid1024.centers
+        total = np.zeros_like(x)
+        for k in range(spec.n_bumps):
+            center = 0.0 if k == 0 else rng.uniform(-1.5, 1.5)
+            width = rng.uniform((0.15 + 0.25 * 0.75) * 1.5, (0.45 + 0.45 * 0.75) * 1.5)
+            total += rng.uniform(0.3, 1.0) * np.exp(-(((x - center) / width) ** 2))
+        total *= np.exp(-2.0 * np.abs(x))
+        ref = normalize(GridDensity(grid1024, total))
+        assert random_density(spec, grid1024).values.tobytes() == ref.values.tobytes()
+
+
 class TestMoment:
     def test_symmetric_first_moment_vanishes(self, grid1024):
         rho = normalize(GridDensity(grid1024, np.exp(-grid1024.centers**2)))
@@ -133,6 +151,89 @@ class TestCdfQuantile:
         rho = GridDensity(grid1024, np.exp(-grid1024.centers**2))
         with pytest.raises(NotNormalized):
             cdf_quantile(rho)
+
+
+def binary_search_quantile(f, q):
+    """Oracle: the quantile of f written node by node, each node binary
+    searched into the CDF breakpoints on its own."""
+    q = np.asarray(q, dtype=float)
+    cell = np.clip(np.searchsorted(f.cum, q, side="left"), 1, f.density.size) - 1
+    dens = f.density[cell]
+    offs = np.where(dens > 0.0, (q - f.cum[cell]) / np.where(dens > 0.0, dens, 1.0), 0.0)
+    return np.clip(f.edges[cell] + offs, f.edges[0], f.edges[-1])
+
+
+def gapped_density(grid):
+    """Two bumps with a run of exact-zero cells between them and at both ends."""
+    x = grid.centers
+    vals = np.exp(-8 * (x + 1.5) ** 2) + np.exp(-8 * (x - 1.5) ** 2)
+    vals[np.abs(x) < 0.5] = 0.0
+    vals[np.abs(x) > 3.5] = 0.0
+    return normalize(GridDensity(grid, vals))
+
+
+class TestQuantileByRuns:
+    """QuantileFn finds the cells of its nodes by runs; every float must be
+    the node-by-node binary search's."""
+
+    NODES = (np.arange(10240) + 0.5) / 10240
+
+    @staticmethod
+    def same(f, q):
+        got, ref = f(q), binary_search_quantile(f, q)
+        assert type(got) is type(ref)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_corpus_at_the_w2_nodes(self, grid1024):
+        for _, rho in fuzz_corpus(42, 200, grid1024):
+            self.same(cdf_quantile(rho), self.NODES)
+
+    def test_interior_gap_and_the_breakpoints(self, grid1024):
+        f = cdf_quantile(gapped_density(grid1024))
+        assert np.any(np.diff(f.cum) == 0.0)
+        self.same(f, self.NODES)
+        self.same(f, np.sort(np.concatenate([self.NODES, f.cum, [0.0, 1.0]])))
+
+    def test_tails_down_to_1e_300(self, grid1024):
+        vals = np.exp(-44.0 * grid1024.centers**2)
+        assert vals.min() <= 1e-300
+        rho = normalize(GridDensity(grid1024, vals))
+        f = cdf_quantile(rho)
+        self.same(f, self.NODES)
+        self.same(f, np.concatenate([[0.0, 1e-300, 1e-200], self.NODES, [1 - 1e-16, 1.0]]))
+
+    def test_monotone_map_inputs_with_exact_0_and_1(self, grid1024):
+        src = gapped_density(grid1024)
+        q = np.clip(cdf_quantile(src).cdf(src.x), 0.0, 1.0)  # monotone_map's input
+        assert q[0] == 0.0
+        for rho in (random_density(DensitySpec(seed=5, n_bumps=3), grid1024), src):
+            f = cdf_quantile(rho)
+            with pytest.warns(UserWarning, match="disconnected"):
+                theta = monotone_map(src, rho).theta
+            assert theta.tobytes() == binary_search_quantile(f, q).tobytes()
+            self.same(f, np.append(q, 1.0))
+
+    def test_scalar_unsorted_and_out_of_range(self, grid1024):
+        for rho in (random_density(DensitySpec(seed=6), grid1024), gapped_density(grid1024)):
+            f = cdf_quantile(rho)
+            for q in (0.3, 0.0, 1.0, -0.1, 1.1, np.nan):
+                self.same(f, q)
+            rng = np.random.default_rng(3)
+            mixed = np.concatenate([self.NODES[::8], self.NODES[:50], [-0.1, 1.1, np.nan, 0.0, 1.0, np.nan]])
+            self.same(f, rng.permutation(mixed))
+            self.same(f, rng.permutation(mixed).reshape(-1, 2))
+
+    def test_w2_on_a_128_and_a_256_cell_grid(self):
+        coarse, fine = Grid.symmetric(4.0, 128), Grid.symmetric(4.0, 256)
+        dens = [random_density(DensitySpec(seed=k, n_bumps=1 + k % 6), g) for g in (coarse, fine) for k in range(4)]
+        dens.append(gapped_density(fine))
+        for a in dens:
+            for b in dens:
+                m = 10 * max(a.grid.n, b.grid.n)
+                q = (np.arange(m) + 0.5) / m
+                diff = binary_search_quantile(cdf_quantile(a), q) - binary_search_quantile(cdf_quantile(b), q)
+                ref = float(np.sqrt(np.sum(diff * diff) / m))
+                assert np.float64(w2(a, b)).tobytes() == np.float64(ref).tobytes()
 
 
 class TestHolderSeminorm:

@@ -124,7 +124,7 @@ def test_nan_past_the_first_sample_makes_the_worst_value_nan(monkeypatch):
     assert np.isnan(harness.run_suites(samples, None, 0.25, 0.4, 0.0, ["gns"])["gns"]["worst_margin"])
 
     lhs = nan_at_call(2)
-    monkeypatch.setattr(transport, "interp_inequality", lambda u, grid, s, alpha, r: (lhs(), 1.0, None))
+    monkeypatch.setattr(transport, "interp_inequality", lambda u, grid, s, alpha, r, nsn=None: (lhs(), 1.0, None))
     assert np.isnan(harness.run_suites(samples, samples[0][1], 0.25, 0.4, 0.0, ["interp"])["interp"]["empirical_constant"])
 
 

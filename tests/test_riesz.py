@@ -322,6 +322,15 @@ class TestSections:
         assert sorted({_section_cells(c) for c in range(9, 33)}) == [10, 12, 14, 16, 20, 24, 28, 32]
         assert len({_section_cells(c) for c in range(9, 1025)}) == 28
 
+    def test_every_spelling_of_the_grid_is_one_operator(self):
+        g = Grid.symmetric(4.0, 80)
+        ws = workspace(g, S)
+        assert workspace(g, S, None) is ws
+        assert workspace(grid=g, s=S) is ws
+        assert workspace(g, S, g.n) is ws
+        assert workspace(g, s=S, cells=g.n) is ws
+        assert workspace(g, S, 40) is workspace(g, S, cells=40) is not ws
+
     @pytest.mark.parametrize("s", [0.1, 0.25, 0.4])
     @pytest.mark.parametrize("cells", [5, 40, 100])
     def test_weights_and_h_are_the_parents(self, s, cells):

@@ -251,6 +251,13 @@ class TestInterpInequality:
         l2, r2, _ = interp_inequality(3.7 * u, grid1024, S, 0.75, 0.3)
         assert abs(l1 / r1 - l2 / r2) <= 1e-10 * (l1 / r1)
 
+    def test_takes_the_norm_of_the_inequality_report(self, minimizer_target, corpus40):
+        rho = corpus40[2][1]
+        nsn = inequality_report(rho, S, LAM, 0.0, minimizer_target).extras["neg_sobolev_norm"]
+        u = rho.values - minimizer_target.values
+        assert interp_inequality(u, rho.grid, S, 0.75, 0.3, nsn=nsn) == interp_inequality(u, rho.grid, S, 0.75, 0.3)
+        assert "neg_sobolev_norm" not in inequality_report(rho, S, LAM, 0.01, minimizer_target).extras
+
     def test_dilation_covariance(self, steady_pair, corpus40):
         _, target = steady_pair
         g = target.grid
