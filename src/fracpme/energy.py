@@ -108,19 +108,21 @@ def remainder_R(rho: GridDensity, s: float, lam: float) -> float:
 
     The squared velocity difference vanishes quadratically at the diagonal,
     which tames the kernel singularity; the diagonal cell pair is excluded.
+    With K the hessian weights and d the velocity, R = (1/2) c_plus h
+    (t1 - 2 t2 + t3), t1 = sum v d^2 (K v), t2 = sum v d K(v d) and
+    t3 = sum v K(v d^2). K is even, bitwise in floats, so t3 = t1 up to
+    FFT round-off, and one transform pair (K(v d)) serves the sum: rho's
+    kept hessian field gives t1.
     """
     g = rho.grid
     v, d = rho.values, potential_xi(rho, s, lam, 0.0)
     ws = workspace(g, s)
     c_plus = ws.kernel.c_plus
-    conv_v = kept_field(rho, s, "hessian")
-    conv_vd = ws.apply("hessian", v * d)
-    conv_vd2 = ws.apply("hessian", v * d * d)
-    t1 = float(np.sum(v * d * d * conv_v))
-    t2 = float(np.sum(v * d * conv_vd))
-    t3 = float(np.sum(v * conv_vd2))
-    val = 0.5 * c_plus * g.h * (t1 - 2 * t2 + t3)
-    scale = max(1.0, 0.5 * c_plus * g.h * (abs(t1) + 2 * abs(t2) + abs(t3)))
+    vd = v * d
+    t1 = float(np.sum(vd * d * kept_field(rho, s, "hessian")))
+    t2 = float(np.sum(vd * ws.apply("hessian", vd)))
+    val = c_plus * g.h * (t1 - t2)
+    scale = max(1.0, c_plus * g.h * (abs(t1) + abs(t2)))
     if val < -1e-10 * scale:
         raise NegativeRemainder(f"remainder came out {val!r} at scale {scale!r}")
     return val

@@ -59,8 +59,9 @@ class GridDensity:
     Values are frozen after construction; the cached mass is exactly
     h * sum(values) under numpy's fixed summation order. `kept` holds what
     other modules derive from the values (riesz.kept_field, the quantiles
-    of transport.w2, the breakdown of energy.energy), each computed once and
-    kept read-only for as long as the density lives.
+    of transport.w2, the breakdown of energy.energy, a target's half of
+    transport.hwi_terms' T2), each computed once and kept for as long as
+    the density lives.
     """
 
     __slots__ = ("grid", "values", "mass", "kept")
@@ -184,6 +185,9 @@ def cdf_quantile(rho: GridDensity) -> QuantileFn:
     return QuantileFn(rho)
 
 
+HOLDER_BLOCK = 15  # lags a numpy call: 15 rows of 1,024 doubles stay under glibc's 128 KiB mmap threshold
+
+
 def holder_seminorm(u: np.ndarray, grid: Grid, alpha: float) -> float:
     """Discrete Holder seminorm max_{i!=j} |u_i - u_j| / |x_i - x_j|^alpha.
 
@@ -193,6 +197,13 @@ def holder_seminorm(u: np.ndarray, grid: Grid, alpha: float) -> float:
     every rounded pair difference is at most the rounded spread and the
     denominator never decreases in m, so the result is the same float as the
     full scan over every lag. A linear ramp still visits every lag.
+
+    The differences are taken HOLDER_BLOCK lags a numpy call, row m - m0 of
+    a block being |pad[m + i] - u[i]| with pad = u followed by copies of
+    u[-1]; the stop rule is still checked lag by lag. A padded entry is the
+    pair (i, n - 1) at the shorter lag n - 1 - i, already scanned: its
+    quotient at lag m is at most the one best holds, by the same monotone
+    denominator, so padding leaves the result bitwise unchanged.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -200,18 +211,26 @@ def holder_seminorm(u: np.ndarray, grid: Grid, alpha: float) -> float:
     n = u.size
     stride = 1 if n <= 4096 else int(np.ceil(n / 4096))
     us = u[::stride]
+    size = us.size
+    if size < 2:
+        return 0.0
     step = grid.h * stride
-    spread = float(us.max() - us.min()) if us.size else 0.0
+    spread = float(us.max() - us.min())
     best = 0.0
-    buf = np.empty(max(us.size - 1, 0))  # the differences of every lag, in one buffer
-    for m in range(1, us.size):
-        scale = (m * step) ** alpha
-        if spread / scale <= best:
-            break
-        diff = buf[: us.size - m]
-        np.subtract(us[m:], us[:-m], out=diff)
+    pad = np.concatenate((us, np.full(size - 1, us[-1])))
+    shifted = np.lib.stride_tricks.sliding_window_view(pad, size)  # row m: pad[m : m + size]
+    buf = np.empty((min(HOLDER_BLOCK, size - 1), size))  # the differences of one block of lags
+    for m0 in range(1, size, HOLDER_BLOCK):
+        m1 = min(m0 + HOLDER_BLOCK, size)
+        diff = buf[: m1 - m0]
+        np.subtract(shifted[m0:m1], us, out=diff)
         np.absolute(diff, out=diff)
-        best = max(best, float(diff.max()) / scale)
+        row_max = np.maximum.reduce(diff, axis=1).tolist()
+        for m in range(m0, m1):
+            scale = (m * step) ** alpha
+            if spread / scale <= best:
+                return best
+            best = max(best, row_max[m - m0] / scale)
     return best
 
 

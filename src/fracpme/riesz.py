@@ -541,15 +541,20 @@ def neg_sobolev_norm(u: np.ndarray, grid: Grid, s: float) -> float:
     zero mean, which is the intended use (differences of unit-mass densities).
     """
     u = np.asarray(u, dtype=float)
+    return _neg_sobolev_from(u, workspace(grid, s).potential(u), grid, s)
+
+
+def _neg_sobolev_from(u: np.ndarray, pot: np.ndarray, grid: Grid, s: float) -> float:
+    """neg_sobolev_norm of u given pot, the Riesz potential of u: the
+    quadratic form h sum u pot, its check and its s >= 1/2 warning."""
     h = grid.h
+    norm1 = h * float(np.sum(np.abs(u)))
     if s >= 0.5:
         mean_free = abs(h * float(np.sum(u)))
-        if mean_free > 1e-8 * (1.0 + h * float(np.sum(np.abs(u)))):
-            warnings.warn("neg_sobolev_norm at s >= 1/2 expects a zero-mass input", stacklevel=2)
-    ws = workspace(grid, s)
-    val = h * float(np.sum(u * ws.potential(u)))
-    norm1 = h * float(np.sum(np.abs(u)))
-    kscale = max(1.0, abs(ws.kernel.c))
+        if mean_free > 1e-8 * (1.0 + norm1):
+            warnings.warn("neg_sobolev_norm at s >= 1/2 expects a zero-mass input", stacklevel=3)
+    val = h * float(np.sum(u * pot))
+    kscale = max(1.0, abs(riesz_constant(s).c))
     if val < -1e-8 * norm1**2 * kscale:
         raise NegativeBeyondTolerance(
             f"Riesz quadratic form came out {val!r} (scale {norm1**2 * kscale!r})"

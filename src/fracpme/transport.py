@@ -20,7 +20,7 @@ from .grid import (
     holder_seminorm,
     require_normalized,
 )
-from .riesz import kept_field, neg_sobolev_norm, regularity_warning, riesz_gradient, riesz_potential, workspace
+from .riesz import _neg_sobolev_from, kept_field, neg_sobolev_norm, regularity_warning, riesz_gradient, riesz_potential
 
 W2_NODES_PER_CELL = 10
 
@@ -102,21 +102,21 @@ def _check_eps(eps: float, lam: float) -> None:
 
 
 def _pv_map_term(rho: GridDensity, theta: np.ndarray, s: float) -> float:
-    """Symmetrized principal-value form of int K rho (theta - x) d rho.
+    """Principal-value form of int K rho (theta - x) d rho: h sum phi v (G v),
+    with phi = theta - x and G the gradient weights.
 
-    Pair sum with the diagonal excluded: the antisymmetrized displacement
-    difference vanishes there, which makes the sum converge despite the
-    kernel singularity. The interaction-kernel derivative is integrated
-    exactly over the inner cell (these are the gradient weights), which
-    keeps the term accurate down to small s where the kernel is barely
-    integrable.
+    The pair sum excludes the diagonal (G's central weight is 0), where the
+    antisymmetrized displacement difference, the form of the continuum
+    argument, vanishes. G is odd, bitwise in floats, so sum v G(phi v) =
+    -sum phi v (G v), and the antisymmetrized sum (1/2) h [sum phi v (G v) -
+    sum v G(phi v)] is this one-sided sum: it reads rho's kept gradient
+    field and takes no transform. The interaction-kernel derivative is
+    integrated exactly over the inner cell (these are the gradient
+    weights), which keeps the term accurate down to small s where the
+    kernel is barely integrable.
     """
-    ws = workspace(rho.grid, s)
-    v = rho.values
     phi = theta - rho.x
-    conv_v = kept_field(rho, s, "gradient")
-    conv_phiv = ws.apply("gradient", phi * v)
-    return 0.5 * rho.grid.h * float(np.sum(phi * v * conv_v) - np.sum(v * conv_phiv))
+    return rho.grid.h * float(np.sum(phi * rho.values * kept_field(rho, s, "gradient")))
 
 
 def hwi_terms(
@@ -152,14 +152,19 @@ def hwi_terms(
         integrand = lam * (x * (x - theta) - x**2 / 2 + theta**2 / 2 - (x - theta) ** 2 / 2)
         t2 = h * float(np.sum(v * integrand))
     else:
+        # the target's half, kept on it: one sum for all the densities measured against it
+        target_half = rho_target.kept.get(("hwi_T2", lam, eps))
+        if target_half is None:
+            vt = rho_target.values
+            log_t = np.where(vt > 0, np.log(np.maximum(vt, energy_mod.LOG_FLOOR)), 0.0)
+            target_half = h * float(np.sum(vt * (lam * rho_target.x**2 / 2 + eps * log_t)))
+            rho_target.kept["hwi_T2", lam, eps] = target_half
         dlog = energy_mod._eps_log_gradient(v, h, eps)
-        vt = rho_target.values
         log_rho = np.where(v > 0, np.log(np.maximum(v, energy_mod.LOG_FLOOR)), 0.0)
-        log_t = np.where(vt > 0, np.log(np.maximum(vt, energy_mod.LOG_FLOOR)), 0.0)
         t2 = (
             -h * float(np.sum(v * (dlog + lam * x) * (theta - x)))
             - h * float(np.sum(v * (lam * x**2 / 2 + eps * log_rho)))
-            + h * float(np.sum(vt * (lam * rho_target.x**2 / 2 + eps * log_t)))
+            + target_half
             - lam / 2 * plan.cost
         )
 
@@ -183,9 +188,12 @@ def inequality_report(
     The target is the sampled steady profile (eps = 0) or the long-time limit
     of the diffusive flow (eps > 0); its energy is evaluated with the same
     grid quadrature as rho's so the gaps vanish cleanly at rho = target, and
-    kept on the target (see energy.energy). At eps = 0 the extras hold the
-    negative Sobolev norm of rho - target that lemmaE takes, for
-    interp_inequality of the same difference.
+    kept on the target (see energy.energy). The extras hold, at every eps,
+    the negative Sobolev norm of rho - target that lemmaE takes at eps = 0,
+    for interp_inequality of the same difference. It is the quadratic form
+    h sum (rho - target)(W rho - W target) of the two densities' kept
+    potentials, so it takes no transform; it differs from
+    neg_sobolev_norm(rho - target) only by FFT round-off.
     """
     _check_eps(eps, lam)
     require_normalized(rho)
@@ -201,11 +209,11 @@ def inequality_report(
     lsi_gap = i_eps / (2 * lam) - gap
     talagrand_gap = np.sqrt(2 / lam * max(gap, 0.0)) - dist
 
-    extras = {"energy_gap": float(gap), "dissipation": float(i_eps), "w2": float(dist)}
-    lemma_gap = None
-    if eps == 0.0:
-        nsn = extras["neg_sobolev_norm"] = neg_sobolev_norm(rho.values - target.values, rho.grid, s)
-        lemma_gap = gap - 0.5 * nsn**2
+    # W is linear, so W(rho - target) = W rho - W target: no transform of the difference
+    u = rho.values - target.values
+    nsn = _neg_sobolev_from(u, riesz_potential(rho, s) - riesz_potential(target, s), rho.grid, s)
+    extras = {"energy_gap": float(gap), "dissipation": float(i_eps), "w2": float(dist), "neg_sobolev_norm": nsn}
+    lemma_gap = gap - 0.5 * nsn**2 if eps == 0.0 else None
 
     scale = max(1.0, abs(gap), i_eps)
     return InequalityReport(

@@ -44,7 +44,11 @@ def test_verify_takes_the_fields_of_a_sample_once(monkeypatch, tmp_path):
     """verify runs every suite on one sample before it reads the next, and
     each density keeps its own transforms, the sample's and the target's
     (see riesz.kept_field), so beyond its set-up a sample of all the suites
-    costs at most 13 transform rows. verify never calls
+    costs at most 7 transform rows: the sample's rfft, its potential,
+    gradient, gradient weights sum and hessian weights sum, and one
+    transform pair of remainder_R. The T3 pair sum, the remainder's third
+    sum and the negative Sobolev norm of rho - target are taken from kept
+    fields by the kernels' symmetry and linearity. verify never calls
     potential_and_gradient, whose calls the tracer counts as stepper
     steps."""
     from fracpme import harness, riesz
@@ -75,7 +79,7 @@ def test_verify_takes_the_fields_of_a_sample_once(monkeypatch, tmp_path):
         assert harness.main(argv) == 0
         return sum(rows)
 
-    assert rows_of(4) - rows_of(1) <= 3 * 13
+    assert rows_of(4) - rows_of(1) <= 3 * 7
     assert calls == []
 
 

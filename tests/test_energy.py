@@ -11,6 +11,7 @@ from fracpme.energy import (
     virial_check,
 )
 from fracpme.grid import DensitySpec, Grid, GridDensity, moment, normalize, random_density
+from fracpme.riesz import workspace
 from fracpme.steady import barenblatt, steady_energy
 
 S, LAM = 0.25, 0.4
@@ -129,6 +130,19 @@ class TestRemainder:
     def test_nonnegative_above_half(self, corpus40, s):
         for _, rho in corpus40[:5]:
             assert remainder_R(rho, s, LAM) >= -1e-10
+
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.5, 0.7])
+    def test_is_the_three_sum_form(self, corpus40, s):
+        # K is even, so sum v K(v d^2) = sum v d^2 (K v): remainder_R takes the latter
+        grid = corpus40[0][1].grid
+        ws = workspace(grid, s)
+        for _, rho in corpus40[:6]:
+            v, d = rho.values, potential_xi(rho, s, LAM)
+            t1 = float(np.sum(v * d * d * ws.apply("hessian", v)))
+            t2 = float(np.sum(v * d * ws.apply("hessian", v * d)))
+            t3 = float(np.sum(v * ws.apply("hessian", v * d * d)))
+            three_sum = 0.5 * ws.kernel.c_plus * grid.h * (t1 - 2 * t2 + t3)
+            assert abs(remainder_R(rho, s, LAM) - three_sum) <= 1e-12 * three_sum
 
     def test_dissipation_rate_chain_along_step(self, grid1024):
         # dI/dt = -2 lam I - 2 R up to O(dt) and the upwind scheme's O(h) bias

@@ -5,6 +5,7 @@ import pytest
 
 from fracpme.errors import NotNormalized, ZeroMass
 from fracpme.grid import (
+    HOLDER_BLOCK,
     DensitySpec,
     Grid,
     GridDensity,
@@ -291,6 +292,23 @@ class TestHolderSeminorm:
         g = Grid.symmetric(4.0, 8192)
         u = random_density(DensitySpec(seed=7, n_bumps=4), g).values
         assert holder_seminorm(u, g, 0.75) == _all_pairs_holder(u, g, 0.75)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 33])
+    def test_exact_on_small_grids(self, n):
+        g = Grid.symmetric(1.0, n)
+        rng = np.random.default_rng(n)
+        for u in (rng.normal(size=n), np.cumsum(rng.normal(size=n)), g.centers**2, np.abs(g.centers) ** 0.3):
+            for alpha in (0.3, 0.75, 1.0):
+                assert holder_seminorm(u, g, alpha) == _all_pairs_holder(u, g, alpha)
+
+    @pytest.mark.parametrize("n", [HOLDER_BLOCK + 1, HOLDER_BLOCK + 2, 2 * HOLDER_BLOCK + 1, 3 * HOLDER_BLOCK + 7])
+    def test_exact_on_ramps_across_block_boundaries(self, n):
+        # a ramp's quotient is flat (alpha = 1) or rising (alpha < 1) in the
+        # lag, so the scan runs past the first block of lags
+        g = Grid.symmetric(1.0, n)
+        for u in (g.centers, -2.5 * g.centers, np.minimum(g.centers, 0.0), np.sqrt(g.centers + 1.0)):
+            for alpha in (0.5, 1.0):
+                assert holder_seminorm(u, g, alpha) == _all_pairs_holder(u, g, alpha)
 
 
 def _all_pairs_holder(u, grid, alpha):

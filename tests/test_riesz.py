@@ -13,9 +13,12 @@ from fracpme.riesz import (
     _padded_length,
     _section_cells,
     frac_laplacian,
+    gradient_weights,
     hdot_seminorm,
+    hessian_weights,
     kept_field,
     neg_sobolev_norm,
+    potential_weights,
     riesz_constant,
     riesz_gradient,
     riesz_potential,
@@ -116,6 +119,18 @@ class TestWeightFamilies:
         got = workspace(g, s).weights(family)
         ref = np.array([_reference_weight(family, s, m, g.h) for m in range(-(n - 1), n)])
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("n", [128, 1024, 4096])
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.5, 0.7])
+    def test_parity_is_exact(self, n, s):
+        """The potential and hessian weights are even and the gradient
+        weights odd, bitwise: the premise of the identities by which the T3
+        pair sum and remainder_R take their sums from kept fields."""
+        h = 8.0 / n
+        for even in (potential_weights(n, h, s), hessian_weights(n, h, s)):
+            assert np.array_equal(even, even[::-1])
+        odd = gradient_weights(n, h, s)
+        assert np.array_equal(odd, -odd[::-1])
 
     def test_order_out_of_range_is_rejected(self):
         g = Grid.symmetric(4.0, 64)

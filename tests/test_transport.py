@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from fracpme.energy import LOG_FLOOR, _eps_log_gradient
 from fracpme.errors import EpsilonOutOfRange, NotNormalized, ParameterOrder
-from fracpme.grid import DensitySpec, Grid, GridDensity, cdf_quantile, moment, normalize, random_density
+from fracpme.grid import DensitySpec, Grid, GridDensity, cdf_quantile, holder_seminorm, moment, normalize, random_density
+from fracpme.riesz import DIRECT, neg_sobolev_norm, toeplitz_apply, workspace
 from fracpme.steady import barenblatt
 from fracpme.transport import (
+    _pv_map_term,
     gns_ratio,
     hwi_terms,
     inequality_report,
@@ -161,10 +164,64 @@ class TestHwiTerms:
             assert rep.T1 >= -1e-8 * rep.scale
             assert rep.T3 >= -1e-8 * rep.scale
 
+    def test_t2_at_positive_eps_is_the_written_out_sum(self, minimizer_target, corpus40):
+        # the target's half is kept on the target after the first sample
+        eps = 1e-2
+        target = minimizer_target
+        h, x, vt = target.grid.h, target.x, target.values
+        log_t = np.where(vt > 0, np.log(np.maximum(vt, LOG_FLOOR)), 0.0)
+        for _, rho in corpus40[:3]:
+            v = rho.values
+            plan = monotone_map(rho, target)
+            dlog = _eps_log_gradient(v, h, eps)
+            log_rho = np.where(v > 0, np.log(np.maximum(v, LOG_FLOOR)), 0.0)
+            t2 = (
+                -h * float(np.sum(v * (dlog + LAM * x) * (plan.theta - x)))
+                - h * float(np.sum(v * (LAM * x**2 / 2 + eps * log_rho)))
+                + h * float(np.sum(vt * (LAM * x**2 / 2 + eps * log_t)))
+                - LAM / 2 * plan.cost
+            )
+            assert hwi_terms(rho, target, S, LAM, eps).T2 == t2
+
     def test_eps_window_enforced(self, minimizer_target):
         target = minimizer_target
         with pytest.raises(EpsilonOutOfRange):
             hwi_terms(target, target, S, LAM, LAM / (2 * np.pi) * 1.01)
+
+
+ORDERS = (0.1, 0.25, 0.4, 0.5, 0.7)
+
+
+class TestPairSumIdentities:
+    """The sums taken from kept fields, by the gradient kernel's parity and
+    the potential's linearity, against the transform of every term they
+    replace (see TestWeightFamilies for the parity itself)."""
+
+    @pytest.mark.parametrize("s", ORDERS)
+    def test_pv_map_term_is_the_antisymmetrized_sum(self, minimizer_target, corpus40, s):
+        ws = workspace(minimizer_target.grid, s)
+        h = minimizer_target.grid.h
+        for _, rho in corpus40[:6]:
+            theta = monotone_map(rho, minimizer_target).theta
+            v, phi = rho.values, theta - rho.x
+            gv = ws.apply("gradient", v)
+            two_sum = 0.5 * h * (float(np.sum(phi * v * gv)) - float(np.sum(v * ws.apply("gradient", phi * v))))
+            size = h * float(np.sum(np.abs(phi * v * gv)))
+            assert abs(_pv_map_term(rho, theta, s) - two_sum) <= 1e-12 * size
+
+    @pytest.mark.parametrize("s", ORDERS)
+    def test_report_norm_is_the_norm_of_the_difference(self, minimizer_target, corpus40, s):
+        # h sum u (W rho - W target) against the transform of u and the direct sum
+        ws = workspace(minimizer_target.grid, s)
+        h = minimizer_target.grid.h
+        for _, rho in corpus40[:6]:
+            u = rho.values - minimizer_target.values
+            direct = np.sqrt(h * float(np.sum(u * toeplitz_apply(ws.weights("potential"), u, DIRECT))))
+            ref = neg_sobolev_norm(u, rho.grid, s)
+            for eps in (0.0, 0.01):
+                nsn = inequality_report(rho, s, LAM, eps, minimizer_target).extras["neg_sobolev_norm"]
+                assert abs(nsn - ref) <= 1e-12 * ref
+                assert abs(nsn - direct) <= 1e-12 * direct
 
 
 class TestInequalityReport:
@@ -253,10 +310,15 @@ class TestInterpInequality:
 
     def test_takes_the_norm_of_the_inequality_report(self, minimizer_target, corpus40):
         rho = corpus40[2][1]
-        nsn = inequality_report(rho, S, LAM, 0.0, minimizer_target).extras["neg_sobolev_norm"]
+        g = rho.grid
         u = rho.values - minimizer_target.values
-        assert interp_inequality(u, rho.grid, S, 0.75, 0.3, nsn=nsn) == interp_inequality(u, rho.grid, S, 0.75, 0.3)
-        assert "neg_sobolev_norm" not in inequality_report(rho, S, LAM, 0.01, minimizer_target).extras
+        s1, s2, s3 = interp_sigmas(S, 0.75, 0.3)
+        hol = holder_seminorm(u, g, 0.75)
+        l1 = g.h * float(np.sum(np.abs(u)))
+        for eps in (0.0, 0.01):
+            nsn = inequality_report(rho, S, LAM, eps, minimizer_target).extras["neg_sobolev_norm"]
+            _, rhs, _ = interp_inequality(u, g, S, 0.75, 0.3, nsn=nsn)
+            assert rhs == float(nsn**s1 * hol**s2 * l1**s3)
 
     def test_dilation_covariance(self, steady_pair, corpus40):
         _, target = steady_pair
