@@ -96,9 +96,14 @@ def energy(
 
 
 def dissipation(rho: GridDensity, s: float, lam: float, eps: float = 0.0) -> float:
-    """Entropy production h sum rho * dxi^2; nonnegative by construction."""
-    dxi = potential_xi(rho, s, lam, eps)
-    return rho.grid.h * float(np.sum(rho.values * dxi**2))
+    """Entropy production h sum rho * dxi^2; nonnegative by construction.
+    rho keeps it for each (s, lam, eps) in rho.kept."""
+    key = ("dissipation", s, lam, eps)
+    out = rho.kept.get(key)
+    if out is None:
+        dxi = potential_xi(rho, s, lam, eps)
+        out = rho.kept[key] = rho.grid.h * float(np.sum(rho.values * dxi**2))
+    return out
 
 
 def remainder_R(rho: GridDensity, s: float, lam: float) -> float:

@@ -8,6 +8,7 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -116,16 +117,27 @@ def rkl2_step(y0: np.ndarray, f0: np.ndarray, tau: float, stages: int, f) -> np.
     f values (mass, for a flux form) then drifts by the rounding of the
     increments, not of the state.
     """
+    b1_w1, rows = _rkl2_coefficients(stages)
+    tf0 = tau * f0
+    prev, d = 0.0, b1_w1 * tf0
+    for mu, nu, mu_w1, gamma in rows:
+        prev, d = d, mu * d + nu * prev + (mu_w1 * tau) * f(y0 + d) - gamma * tf0
+    return y0 + d
+
+
+@lru_cache(maxsize=64)
+def _rkl2_coefficients(stages: int) -> tuple[float, tuple[tuple[float, float, float, float], ...]]:
+    """b_1 w1 and, for j = 2..S, the row (mu_j, nu_j, mu_j w1, gamma_j =
+    a_{j-1} mu_j w1) of an RKL2 step of S stages (see rkl2_step): built once
+    per stage count, the step then multiplies mu_j w1 by its tau."""
     w1 = 4.0 / (stages * stages + stages - 2)
     b = [1 / 3, 1 / 3] + [(j * j + j - 2) / (2 * j * (j + 1)) for j in range(2, stages + 1)]
-    tf0 = tau * f0
-    prev, d = 0.0, (b[1] * w1) * tf0
+    rows = []
     for j in range(2, stages + 1):
         mu = (2 * j - 1) / j * b[j] / b[j - 1]
         nu = -(j - 1) / j * b[j] / b[j - 2]
-        mu_tau, gamma = mu * w1 * tau, (1 - b[j - 1]) * mu * w1
-        prev, d = d, mu * d + nu * prev + mu_tau * f(y0 + d) - gamma * tf0
-    return y0 + d
+        rows.append((mu, nu, mu * w1, (1 - b[j - 1]) * mu * w1))
+    return b[1] * w1, tuple(rows)
 
 
 @dataclass
@@ -172,13 +184,21 @@ class RunStats:
     def summary(self) -> dict:
         """The counters as strict JSON values: chosen_dt as its dt_min,
         dt_median and dt_max (null when it is empty), and a float that is
-        not finite (min_lyapunov_margin of a run with no step) as null."""
+        not finite (min_lyapunov_margin of a run with no step) as null.
+
+        dt_median is the middle value of the sorted steps, or the sum of the
+        two middle values over 2: np.median's value, bit for bit, without
+        the numpy.ma import np.median makes."""
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "chosen_dt":
-                for key, reduce in (("dt_min", np.min), ("dt_median", np.median), ("dt_max", np.max)):
-                    out[key] = float(reduce(value)) if value else None
+                if not value:
+                    out.update(dt_min=None, dt_median=None, dt_max=None)
+                    continue
+                ordered, mid = sorted(value), len(value) // 2
+                median = ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+                out.update(dt_min=ordered[0], dt_median=median, dt_max=ordered[-1])
             else:
                 out[f.name] = None if isinstance(value, float) and not math.isfinite(value) else value
         return out
@@ -187,14 +207,16 @@ class RunStats:
 class _State(NamedTuple):
     """One evaluated state of a run (see _Stepper.state): its values v, the
     window win its fields are taken on, on it the Riesz potential pot and
-    the diffusion-free potential gradient dxi0, and the two shares of the
-    rate of one explicit step from it (advective, diffusive)."""
+    the diffusion-free potential gradient dxi0, the two shares of the rate
+    of one explicit step from it (advective, diffusive), and the hull of
+    its mass (_hull of v), which a super-step widens into its window."""
 
     v: np.ndarray
     win: slice
     pot: np.ndarray
     dxi0: np.ndarray
     rates: tuple[float, float]
+    hull: tuple[int, int]
 
 
 class _Stepper:
@@ -211,6 +233,7 @@ class _Stepper:
         self.ws = workspace(cfg.grid, cfg.s)
         self.x = cfg.grid.centers
         self.xx = self.x * self.x  # the confinement weight of the energy and the second moment
+        self.lam_x = cfg.lam * self.x  # the confinement's part of the potential gradient
         self.h = cfg.grid.h
         self.linear = 2 * cfg.eps / self.h**2  # the linear-diffusive rate (see state)
         self.stats = RunStats()  # counts evaluations and max_field_cells
@@ -248,28 +271,28 @@ class _Stepper:
         cfl = 1. It matters near a steady state, where upwind damping
         vanishes and the advective bound alone lets grid oscillations grow.
         """
-        win, ws, (first, end) = self._section(v, 2)
+        hull = first, end = _hull(v)
+        win, ws = self._section(hull, 2)
         self.stats.evaluations += 1
         vw = v[win]
         pot, grad = ws.potential_and_gradient(vw)
-        dxi0 = grad + self.cfg.lam * self.x[win]
+        dxi0 = grad + self.lam_x[win]
         advective = float(np.abs(dxi0[max(first - 1 - win.start, 0) : end + 1 - win.start]).max())
-        return _State(v, win, pot, dxi0, (advective / self.h, 0.5 * float(vw.max()) * self.sigma + self.linear))
+        rates = (advective / self.h, 0.5 * float(vw.max()) * self.sigma + self.linear)
+        return _State(v, win, pot, dxi0, rates, hull)
 
-    def _section(self, v: np.ndarray, widen: int):
-        """The hull of v widened by `widen` cells on each side, clipped to the
-        grid and rounded up the ladder of window sizes (riesz._section_cells),
-        its operator, and the hull (_hull of v). The operator is the shared
-        one of that many cells, or the grid's own where the size is not
-        below the grid's."""
-        n = v.size
-        first, end = _hull(v)
-        lo, hi = max(first - widen, 0), min(end + widen, n)
+    def _section(self, hull: tuple[int, int], widen: int):
+        """The hull widened by `widen` cells on each side, clipped to the grid
+        and rounded up the ladder of window sizes (riesz._section_cells), and
+        its operator: the shared one of that many cells, or the grid's own
+        where the size is not below the grid's."""
+        n = self.cfg.grid.n
+        lo, hi = max(hull[0] - widen, 0), min(hull[1] + widen, n)
         m = _section_cells(hi - lo)
         ws = self.ws if m >= n else workspace(self.cfg.grid, self.cfg.s, m)
         lo = min(lo, n - ws.n)
         self.stats.max_field_cells = max(self.stats.max_field_cells, ws.n)
-        return slice(lo, lo + ws.n), ws, (first, end)
+        return slice(lo, lo + ws.n), ws
 
     def energies(self, state: _State) -> tuple[float, float]:
         """Free energy without and with the eps entropy term."""
@@ -422,9 +445,9 @@ class _Stepper:
                 raise CflViolation(f"dt={dt} exceeds stability bound {bound}")
             ow = self._drift(v[win], dxi0, out[win], dt)  # a view: the update writes into out
         else:
-            swin, ws, _ = self._section(v, stages + 2)
+            swin, ws = self._section(state.hull, stages + 2)
             lo, hi = max(win.start, swin.start), min(win.stop, swin.stop)
-            lam_x = self.cfg.lam * self.x[swin]
+            lam_x = self.lam_x[swin]
 
             def stage(yw: np.ndarray) -> np.ndarray:
                 self.stats.evaluations += 1

@@ -59,9 +59,9 @@ class GridDensity:
     Values are frozen after construction; the cached mass is exactly
     h * sum(values) under numpy's fixed summation order. `kept` holds what
     other modules derive from the values (riesz.kept_field, the quantiles
-    of transport.w2, the breakdown of energy.energy, a target's half of
-    transport.hwi_terms' T2), each computed once and kept for as long as
-    the density lives.
+    of transport.w2, the breakdown of energy.energy, the value of
+    energy.dissipation, a target's half of transport.hwi_terms' T2), each
+    computed once and kept for as long as the density lives.
     """
 
     __slots__ = ("grid", "values", "mass", "kept")
@@ -304,14 +304,24 @@ def _envelope(grid: Grid) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _csv_template(grid: Grid) -> str:
-    """A density file on this grid with a `%.17g` slot for every value."""
-    return "x,rho\n" + "".join(f"{xi:.17g},%.17g\n" for xi in grid.centers.tolist())
+def _csv_rows(grid: Grid) -> tuple[list[str], list[str]]:
+    """The rows of a density file on this grid: each with a `%.17g` slot for
+    its value, and each as it reads at the value +0.0."""
+    slots = [f"{xi:.17g},%.17g\n" for xi in grid.centers.tolist()]
+    return slots, [row % 0.0 for row in slots]
 
 
 def save_density_csv(path, rho: GridDensity) -> None:
-    """Write `x,rho` rows (UTF-8, '.' decimal, round-trip precision)."""
-    text = _csv_template(rho.grid) % tuple(rho.values.tolist())
+    """Write `x,rho` rows (UTF-8, '.' decimal, round-trip precision).
+
+    Only the run from the first to the last value that is not +0.0 (all
+    bits 0) is formatted; the rows around it are the cached `x,0` rows. A
+    -0.0 inside or at the ends of the run keeps its `-0`."""
+    slots, zeros = _csv_rows(rho.grid)
+    held = np.flatnonzero(rho.values.view(np.uint64))
+    first, end = (int(held[0]), int(held[-1]) + 1) if held.size else (0, 0)
+    run = "".join(slots[first:end]) % tuple(rho.values[first:end].tolist())
+    text = "".join(("x,rho\n", *zeros[:first], run, *zeros[end:]))
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 

@@ -210,17 +210,16 @@ def toeplitz_apply(weights: np.ndarray, v: np.ndarray, method: str = FFT) -> np.
     """(weights * v)_i = sum_j weights[i-j+n-1] v_j for length-(2n-1) weights.
 
     method=DIRECT is the O(n^2) direct sum, the one reference every FFT sum
-    is checked against.
+    is checked against. It is the `valid` convolution: only the n kept
+    sums, bitwise those of the full convolution's middle block.
     """
     if method not in (DIRECT, FFT):
         raise ValueError(f"unknown method {method!r}")
     n = v.size
     if method == DIRECT:
-        full = np.convolve(weights, v)
-    else:
-        nfft = _padded_length(n)
-        full = irfft(rfft(weights, nfft) * rfft(v, nfft), nfft)
-    return full[n - 1 : 2 * n - 1]
+        return np.convolve(weights, v, mode="valid")
+    nfft = _padded_length(n)
+    return irfft(rfft(weights, nfft) * rfft(v, nfft), nfft)[n - 1 : 2 * n - 1]
 
 
 FAMILIES = ("potential", "gradient", "gradient_slope", "hessian", "hessian_slope", "hessian_quad")

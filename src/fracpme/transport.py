@@ -143,7 +143,7 @@ def hwi_terms(
     h, x, v = g.h, rho.x, rho.values
 
     dxi = energy_mod.potential_xi(rho, s, lam, eps)
-    i_eps = h * float(np.sum(v * dxi**2))
+    i_eps = energy_mod.dissipation(rho, s, lam, eps)
     w2_cost = np.sqrt(plan.cost)
     cross = h * float(np.sum(v * dxi * (x - theta)))
     t1 = np.sqrt(i_eps) * w2_cost - cross

@@ -20,6 +20,7 @@ from fracpme.evolve import (
     STALL_TOL,
     TO_PHYSICAL,
     TO_SELF_SIMILAR,
+    RunStats,
     SolverConfig,
     Trajectory,
     _State,
@@ -121,7 +122,7 @@ class TestClamp:
         v = np.zeros(g.n)
         v[k] = peak
         dt = g.h * (1 + self.OVERSHOOT)  # the bound is cfl h / max|dxi0| = h
-        state = _State(v, slice(0, g.n), None, dxi0, (1.0 / g.h, 0.0))
+        state = _State(v, slice(0, g.n), None, dxi0, (1.0 / g.h, 0.0), (k, k + 1))
         return g, k, v, stepper.step(state, dt, 1)
 
     def test_small_undershoot_is_zeroed_and_reported(self):
@@ -253,6 +254,33 @@ class TestIntegrate:
             assert egap >= 0.5 * nu**2 - 1e-8
 
 
+class TestRunStatsSummary:
+    """dt_median is np.median's value, bit for bit, taken by a sort."""
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            [0.25],
+            [0.1, 0.2],
+            [0.3, 0.1, 0.2],
+            [1 / 3, 1 / 3, 0.1],
+            [0.1, 1 / 7, 1 / 7, 0.2],
+            np.random.default_rng(5).random(800).tolist(),
+            np.random.default_rng(6).choice([0.1, 1 / 3, 1 / 7, 2e-5], 800).tolist(),
+        ],
+    )
+    def test_dt_median_is_numpys(self, steps):
+        stats = RunStats()
+        stats.chosen_dt.extend(steps)
+        summary = stats.summary()
+        assert summary["dt_median"] == float(np.median(steps))
+        assert (summary["dt_min"], summary["dt_max"]) == (min(steps), max(steps))
+
+    def test_no_step_reads_null(self):
+        summary = RunStats().summary()
+        assert summary["dt_min"] is summary["dt_median"] is summary["dt_max"] is None
+
+
 class TestStepSize:
     @pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.5, 0.7])
     def test_symbol_matches_dense_evaluation(self, s):
@@ -337,7 +365,7 @@ class TestHullRule:
 
     def test_dt_over_the_hull_bound_raises(self):
         g, stepper, state, dxi0 = self.state(4.0, 1024)
-        whole = _State(state.v, slice(0, g.n), None, dxi0, state.rates)
+        whole = _State(state.v, slice(0, g.n), None, dxi0, state.rates, state.hull)
         with pytest.raises(CflViolation):
             stepper.step(whole, 1.01 * stepper.cfg.cfl / state.rates[0], 1)
 

@@ -374,13 +374,25 @@ class TestTailCheck:
 
 
 class TestCsvRoundTrip:
+    DENSITIES = [
+        [0.0, 5e-324, 1 / 3, 1.0, 2.5e-7, 1e300],
+        [0.0] * 6,  # all zero
+        [0.5, 1 / 3, 1.0, 2.5e-7, 1e300, 5e-324],  # full support
+        [1 / 3, 1.0, 0.0, 0.0, 0.0, 0.0],  # a run touching the left end
+        [0.0, 0.0, 0.0, 0.0, 1.0, 1 / 3],  # a run touching the right end
+        [0.0, 1 / 3, 0.0, 0.0, 2.5e-7, 0.0],  # zeros inside the run
+        [-0.0, 0.0, 1 / 3, -0.0, 0.0, 0.0],  # -0.0 at a run's end and inside it
+        [0.0, 0.0, -0.0, 0.0, 0.0, 0.0],  # a run of one -0.0
+        [0.0, 0.0, 0.0, 0.0, 0.0, 5e-324],
+    ]
+
     def test_bytes_match_row_by_row_format(self, tmp_path):
         g = Grid.symmetric(1.0, 6)
-        values = np.array([0.0, 5e-324, 1 / 3, 1.0, 2.5e-7, 1e300])
         path = tmp_path / "density.csv"
-        save_density_csv(path, GridDensity(g, values))
-        rows = "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(g.centers.tolist(), values.tolist()))
-        assert path.read_bytes() == ("x,rho\n" + rows).encode("utf-8")
+        for values in self.DENSITIES:
+            save_density_csv(path, GridDensity(g, np.array(values)))
+            rows = "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(g.centers.tolist(), values))
+            assert path.read_bytes() == ("x,rho\n" + rows).encode("utf-8"), values
 
     def test_round_trip(self, tmp_path, grid1024):
         rho = random_density(DensitySpec(seed=2), grid1024)

@@ -211,6 +211,12 @@ class TestPotential:
             direct = toeplitz_apply(w, v, DIRECT)
             assert np.max(np.abs(direct - matrix @ v)) <= 1e-14 * scale, family
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 448, 4096])
+    def test_direct_is_the_full_convolutions_middle_block_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        w, v = rng.standard_normal(2 * n - 1), rng.random(n)
+        assert np.array_equal(toeplitz_apply(w, v, DIRECT), np.convolve(w, v)[n - 1 : 2 * n - 1])
+
     def test_grid_convergence_order(self):
         prof, _ = barenblatt(S, LAM, radius=1.0)
         errs = []
