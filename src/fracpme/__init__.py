@@ -21,13 +21,10 @@ from .grid import (  # noqa: F401
 )
 from .riesz import (  # noqa: F401
     KernelCase,
-    frac_laplacian,
-    hdot_seminorm,
     neg_sobolev_norm,
     riesz_constant,
     riesz_gradient,
     riesz_potential,
-    riesz_second_derivative,
 )
 from .steady import (  # noqa: F401
     BarenblattProfile,
@@ -52,7 +49,6 @@ from .evolve import (  # noqa: F401
     DecayFit,
     SolverConfig,
     Trajectory,
-    change_of_variables,
     fit_decay,
     fv_step,
     integrate,

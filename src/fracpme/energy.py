@@ -1,6 +1,6 @@
 """Scalar functionals along the flow: free energy (with optional entropic
-term), its dissipation, the dissipation-rate remainder, the virial identity,
-and the relative entropy against the standard Gaussian."""
+term), its dissipation, the dissipation-rate remainder and the virial
+identity."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NegativeRemainder
 from .grid import GridDensity, moment, require_normalized
-from .riesz import kept_field, riesz_gradient, riesz_potential, workspace
+from .riesz import kept_field, riesz_constant, riesz_gradient, riesz_potential, workspace
 
 LOG_FLOOR = 1e-300
 EPS_TERM_FLOOR = 1e-12
@@ -134,16 +134,16 @@ def remainder_R(rho: GridDensity, s: float, lam: float) -> float:
 
 
 def virial_check(rho: GridDensity, s: float) -> tuple[float, float]:
-    """Both sides of -2 int rho x d/dx (-Dxx)^{-s} rho = (1-2s) int rho (-Dxx)^{-s} rho."""
+    """Both sides of -2 int rho x d/dx (-Dxx)^{-s} rho = (1-2s) int rho (-Dxx)^{-s} rho.
+
+    At s = 1/2 the kernel is -log|z|/pi, so z W'(z) = -1/pi and the right
+    side is c_plus M^2 with M the mass: the limit of the s != 1/2 form.
+    """
     h = rho.grid.h
     grad = riesz_gradient(rho, s)
-    pot = riesz_potential(rho, s)
     lhs = -2.0 * h * float(np.sum(rho.values * rho.x * grad))
+    if s == 0.5:
+        return lhs, riesz_constant(s).c_plus * rho.mass**2
+    pot = riesz_potential(rho, s)
     rhs = (1 - 2 * s) * h * float(np.sum(rho.values * pot))
     return lhs, rhs
-
-
-def gaussian_relative_entropy(rho: GridDensity) -> float:
-    """Relative entropy against exp(-pi x^2); nonnegative up to quadrature."""
-    require_normalized(rho)
-    return np.pi * moment(rho, 2) + boltzmann_entropy(rho)

@@ -1,6 +1,6 @@
 """Time integration of the confined nonlocal-pressure flow and its
-linear-diffusion regularization, self-similar change of variables,
-trajectory diagnostics, and exponential-decay fitting."""
+linear-diffusion regularization, trajectory diagnostics, and
+exponential-decay fitting."""
 
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ DIAGNOSTIC_KEYS = ("E", "E_eps", "I", "I_eps", "W2", "L2", "L1", "mass", "m2", "
 
 
 def self_similar_exponent(s: float) -> float:
-    """Common scaling exponent 1/(3 - 2s) of the 1D change of variables."""
+    """Common scaling exponent 1/(3 - 2s) of the 1D self-similar variables."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must be in (0, 1), got {s}")
     return 1.0 / (3.0 - 2.0 * s)
@@ -695,43 +695,6 @@ def fit_decay(
         prefactor=float(prefactor),
         window=window,
     )
-
-
-TO_SELF_SIMILAR = "to_self_similar"
-TO_PHYSICAL = "to_physical"
-
-
-def change_of_variables(
-    dens: GridDensity,
-    time: float,
-    direction: str,
-    s: float,
-) -> tuple[GridDensity, float]:
-    """Map between physical and self-similar representations.
-
-    Physical state u at time tau maps to rho(x) = (1+tau)^a u(x (1+tau)^a)
-    at t = log(1+tau), and back; the density is resampled onto its own grid
-    by monotone linear interpolation, preserving mass up to interpolation
-    error. tau = 0 (t = 0) is the identity.
-    """
-    if time < 0:
-        raise ValueError(f"time must be >= 0, got {time}")
-    a = self_similar_exponent(s)
-    x = dens.grid.centers
-    if direction == TO_SELF_SIMILAR:
-        tau = time
-        scale = (1.0 + tau) ** a
-        new_vals = scale * np.interp(x * scale, x, dens.values, left=0.0, right=0.0)
-        new_time = np.log1p(tau)
-    elif direction == TO_PHYSICAL:
-        t = time
-        tau = np.expm1(t)
-        scale = (1.0 + tau) ** a
-        new_vals = np.interp(x / scale, x, dens.values, left=0.0, right=0.0) / scale
-        new_time = tau
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return GridDensity(dens.grid, new_vals), float(new_time)
 
 
 def steady_state_eps(cfg: SolverConfig) -> GridDensity:

@@ -1,7 +1,7 @@
 """Nonlocal operators on the uniform grid, specialized to one dimension:
-inverse fractional Laplacian (Riesz potential), its first and second
-derivatives, the fractional Laplacian of order 1-s, and the negative/positive
-order Sobolev quantities.
+the inverse fractional Laplacian (Riesz potential), its derivative, the
+hessian kernel sum of the dissipation-rate remainder, and the negative order
+Sobolev norm.
 
 Every operator is a Toeplitz sum p_i = sum_j w(i-j) rho_j whose weights are
 exact cell integrals of the kernel, so the singular cell carries no special
@@ -12,9 +12,7 @@ gradient pair from moments 0 and 1 of W' = -c_plus sign(z)|z|^{2s-2}, and
 the hessian triple from moments 0 to 2 of (2-2s)|z|^{2s-3}. Densities are
 treated as identically zero outside the grid; with that convention the
 difference and plain forms of the first derivative coincide, and a single
-implementation covers all three s-regimes. The fractional Laplacian of a
-plain grid function instead extends it by its boundary values, so constants
-map to zero.
+implementation covers all three s-regimes.
 
 All sums of one (grid, s) go through one operator, `workspace(grid, s)`: it
 builds each weight family and its FFT spectrum the first time it is used,
@@ -169,6 +167,8 @@ def hessian_weights(n: int, h: float, s: float) -> np.ndarray:
     return w
 
 
+# No sum of the package reads the two hessian moment families below; they stay
+# because the benchmark's tracer (perfbench/tracer.py) looks every builder up by name.
 def hessian_slope_weights(n: int, h: float, s: float) -> np.ndarray:
     """First-moment cell integrals of (2-2s)|z|^{2s-3}, the integral of
     (x - z) (2-2s)|z|^{2s-3} over the cell at offset x = m h, applied to u'.
@@ -237,10 +237,10 @@ def _section_cells(cells: int) -> int:
 class RieszWorkspace:
     """The nonlocal operator of one (grid, s).
 
-    Holds the six kernel weight families (FAMILIES), their FFT spectra and
-    the hessian row sum T·1, each built the first time it is used and kept
-    read-only. Obtain it through workspace(grid, s, cells), which shares one
-    instance per (grid, s, cells) between all modules. The FFT path writes
+    Holds the six kernel weight families (FAMILIES) and their FFT spectra,
+    each built the first time it is used and kept read-only. Obtain it
+    through workspace(grid, s, cells), which shares one instance per
+    (grid, s, cells) between all modules. The FFT path writes
     its spectral products into scratch buffers the instance owns, so one
     instance must not be used from several threads at once.
 
@@ -278,10 +278,6 @@ class RieszWorkspace:
 
     def spectrum(self, family: str) -> np.ndarray:
         return self._cached(("rfft", family), lambda: rfft(self.weights(family), self._nfft))
-
-    def row_sum(self) -> np.ndarray:
-        """Row sums T·1 of the hessian weights."""
-        return self._cached("row_sum", lambda: self.apply("hessian", np.ones(self.n)))
 
     def _window(self, spectrum: np.ndarray, values_hat: np.ndarray) -> np.ndarray:
         """Rows [0, n) of the inverse transform of spectrum * values_hat, in
@@ -490,49 +486,6 @@ def regularity_warning(rho: GridDensity, s: float) -> None:
         )
 
 
-def _exterior_hessian_tails(grid: Grid, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel mass beyond each end of the grid, as seen from every center."""
-    x = grid.centers
-    left = np.abs(x - grid.x_min) ** (2 * s - 2)
-    right = np.abs(x - grid.x_max) ** (2 * s - 2)
-    return left, right
-
-
-def frac_laplacian(u: np.ndarray, grid: Grid, s: float) -> np.ndarray:
-    """Fractional Laplacian of order 1-s of a grid function.
-
-    Pointwise singular integral with exact cell weights; within-cell variation
-    enters through first- and second-moment weights applied to u' and u''/2
-    (the latter covers the singular cell). Beyond the grid the function is
-    extended by its boundary-cell values, so constants map to zero exactly.
-    """
-    u = np.asarray(u, dtype=float)
-    ws = workspace(grid, s)
-    slope = np.gradient(u, grid.h)
-    d2 = np.gradient(slope, grid.h)
-    conv = ws.apply("hessian", u)
-    moment1 = ws.apply("hessian_slope", slope)
-    moment2 = ws.apply("hessian_quad", 0.5 * d2)
-    tail_l, tail_r = _exterior_hessian_tails(grid, s)
-    exterior = (u - u[0]) * tail_l + (u - u[-1]) * tail_r
-    return ws.kernel.c_plus * (u * ws.row_sum() - conv - moment1 - moment2 + exterior)
-
-
-def riesz_second_derivative(rho: GridDensity, s: float) -> np.ndarray:
-    """Second derivative of the Riesz potential; the negative of
-    frac_laplacian on the same input. Intended for diagnostics on smooth
-    densities; for s >= 1/2 the kernel moment argument needs extra smoothness.
-    """
-    d2 = -frac_laplacian(rho.values, rho.grid, s)  # raises OutOfRange first for s outside (0, 1)
-    if s >= 0.5:
-        warnings.warn(
-            "riesz_second_derivative at s >= 1/2 requires smooth input "
-            "(Holder differences alone no longer integrate the kernel)",
-            stacklevel=2,
-        )
-    return d2
-
-
 def neg_sobolev_norm(u: np.ndarray, grid: Grid, s: float) -> float:
     """Negative-order Sobolev norm: sqrt of the Riesz quadratic form of u.
 
@@ -559,34 +512,3 @@ def _neg_sobolev_from(u: np.ndarray, pot: np.ndarray, grid: Grid, s: float) -> f
             f"Riesz quadratic form came out {val!r} (scale {norm1**2 * kscale!r})"
         )
     return float(np.sqrt(max(val, 0.0)))
-
-
-def hdot_normalization(r: float) -> float:
-    """Constant making the pair-difference form equal the Fourier-side
-    seminorm integral |xi|^{2r} |u^(xi)|^2 dxi (unitary transform)."""
-    return float(4.0**r * r * gamma(0.5 + r) / (2.0 * np.sqrt(np.pi) * gamma(1.0 - r)))
-
-
-def hdot_seminorm(u: np.ndarray, grid: Grid, r: float) -> float:
-    """Homogeneous Sobolev seminorm of positive order r in (0, 1/2).
-
-    Double-sum over cell pairs with exact inner-cell kernel integrals; each
-    diagonal cell contributes its piecewise-linear model exactly. The pair
-    kernel |z|^{-1-2r} is 1/(2r) times the hessian kernel of order 1 - r, so
-    the sums run on the shared operator of (grid, 1 - r).
-    """
-    if not 0.0 < r < 0.5:
-        raise OutOfRange(f"r must be in (0, 1/2), got {r}")
-    u = np.asarray(u, dtype=float)
-    h = grid.h
-    ws = workspace(grid, 1 - r)
-    conv_u = ws.apply("hessian", u)
-    conv_u2 = ws.apply("hessian", u * u)
-    pair = h * float(np.sum(u * u * ws.row_sum() - 2.0 * u * conv_u + conv_u2)) / (2 * r)
-    slope = np.gradient(u, h)
-    diag = float(np.sum(slope**2)) * 2.0 * h ** (3 - 2 * r) / ((2 - 2 * r) * (3 - 2 * r))
-    # pairs with one point beyond the grid (both orderings), u zero outside
-    tail_l, tail_r = _exterior_hessian_tails(grid, 1 - r)
-    exterior = 2.0 * h * float(np.sum(u * u * (tail_l + tail_r))) / (2 * r)
-    total = hdot_normalization(r) * (pair + diag + exterior)
-    return float(np.sqrt(max(total, 0.0)))

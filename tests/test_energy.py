@@ -5,12 +5,12 @@ from fracpme.energy import (
     boltzmann_entropy,
     dissipation,
     energy,
-    gaussian_relative_entropy,
     potential_xi,
     remainder_R,
     virial_check,
 )
 from fracpme.grid import DensitySpec, Grid, GridDensity, moment, normalize, random_density
+from fracpme.harness import VIRIAL_TOL
 from fracpme.riesz import workspace
 from fracpme.steady import barenblatt, steady_energy
 
@@ -178,25 +178,14 @@ class TestVirial:
         lhs, rhs = virial_check(GridDensity(grid1024, np.zeros(grid1024.n)), S)
         assert lhs == 0.0 and rhs == 0.0
 
-
-class TestGaussianRelativeEntropy:
-    def test_reference_gaussian_is_zero(self):
-        g = Grid.symmetric(6.0, 2048)
-        rho = GridDensity(g, np.exp(-np.pi * g.centers**2))
-        assert abs(gaussian_relative_entropy(rho)) <= 1e-6
-
-    def test_nonnegative_on_corpus(self, corpus40):
-        for _, rho in corpus40:
-            assert gaussian_relative_entropy(rho) >= -1e-8
-
-    def test_narrow_bumps_blow_up(self):
-        g = Grid.symmetric(3.0, 4096)
-        vals = []
-        for w in (0.3, 0.1, 0.03):
-            rho = normalize(GridDensity(g, np.exp(-((g.centers / w) ** 2))))
-            vals.append(gaussian_relative_entropy(rho))
-        assert vals[0] < vals[1] < vals[2]
-        assert vals[2] > 1.0
+    def test_log_kernel_takes_the_limit_of_the_power_form(self, grid1024):
+        # at s = 1/2 the factor 1 - 2s of the power form vanishes; the right
+        # side is c_plus M^2, which the s -> 1/2 limit of that form approaches
+        rho = normalize(GridDensity(grid1024, np.exp(-(grid1024.centers**2))))
+        lhs, rhs = virial_check(rho, 0.5)
+        assert abs(lhs - rhs) <= VIRIAL_TOL * abs(rhs)
+        _, rhs_near = virial_check(rho, 0.4999)
+        assert abs(rhs - rhs_near) < 1e-4 * abs(rhs)
 
 
 def test_boltzmann_zero_cells_contribute_nothing(grid1024):

@@ -18,14 +18,11 @@ from fracpme.errors import (
 from fracpme.evolve import (
     LYAPUNOV_SLACK,
     STALL_TOL,
-    TO_PHYSICAL,
-    TO_SELF_SIMILAR,
     RunStats,
     SolverConfig,
     Trajectory,
     _State,
     _Stepper,
-    change_of_variables,
     fit_decay,
     fv_step,
     integrate,
@@ -659,31 +656,6 @@ class TestFitDecay:
         traj.diagnostics["I"][50] = 0.0
         with pytest.raises(NonpositiveQuantity):
             fit_decay(traj, "I", (0.0, 5.0))
-
-
-class TestChangeOfVariables:
-    def test_exponent_value(self):
-        assert self_similar_exponent(0.25) == pytest.approx(0.4, abs=1e-15)
-
-    def test_tau_zero_is_identity(self, steady_pair):
-        _, target = steady_pair
-        out, t = change_of_variables(target, 0.0, TO_SELF_SIMILAR, S)
-        assert t == 0.0
-        assert np.array_equal(out.values, target.values)
-
-    def test_round_trip(self, steady_pair):
-        _, target = steady_pair
-        h = target.grid.h
-        fwd, t = change_of_variables(target, 1.0, TO_SELF_SIMILAR, S)
-        back, tau = change_of_variables(fwd, t, TO_PHYSICAL, S)
-        assert abs(tau - 1.0) <= 1e-12
-        assert np.max(np.abs(back.values - target.values)) <= 20 * h**2 * np.max(target.values) / h
-        assert abs(back.mass - target.mass) <= 1e-3
-
-    def test_mass_preserved_within_interpolation(self, steady_pair):
-        _, target = steady_pair
-        out, _ = change_of_variables(target, 1.0, TO_SELF_SIMILAR, S)
-        assert abs(out.mass - target.mass) <= 1e-3
 
 
 class TestSteadyStateEps:

@@ -5,16 +5,14 @@ from scipy.integrate import quad, trapezoid
 from scipy.linalg import toeplitz
 
 from fracpme.errors import OutOfRange
-from fracpme.grid import DensitySpec, Grid, GridDensity, holder_seminorm, normalize, random_density
+from fracpme.grid import DensitySpec, Grid, GridDensity, normalize, random_density
 from fracpme.riesz import (
     DIRECT,
     FAMILIES,
     RieszWorkspace,
     _padded_length,
     _section_cells,
-    frac_laplacian,
     gradient_weights,
-    hdot_seminorm,
     hessian_weights,
     kept_field,
     neg_sobolev_norm,
@@ -22,7 +20,6 @@ from fracpme.riesz import (
     riesz_constant,
     riesz_gradient,
     riesz_potential,
-    riesz_second_derivative,
     rfft,
     irfft,
     toeplitz_apply,
@@ -135,7 +132,7 @@ class TestWeightFamilies:
     def test_order_out_of_range_is_rejected(self):
         g = Grid.symmetric(4.0, 64)
         rho = GridDensity(g, np.exp(-g.centers**2))
-        for fn in (riesz_potential, riesz_gradient, riesz_second_derivative):
+        for fn in (riesz_potential, riesz_gradient):
             with pytest.raises(OutOfRange):
                 fn(rho, 1.5)
 
@@ -501,53 +498,6 @@ class TestNumpyTransforms:
         assert np.array_equal(rfft(weights, nfft), scipy.fft.rfft(weights, nfft))
 
 
-class TestSecondDerivativeAndFracLaplacian:
-    def test_second_difference_oracle(self):
-        g = Grid.symmetric(6.0, 2048)
-        rho = GridDensity(g, np.exp(-g.centers**2))
-        for s in (0.25, 0.4):
-            pot = riesz_potential(rho, s)
-            d2 = riesz_second_derivative(rho, s)
-            fd2 = np.gradient(np.gradient(pot, g.h), g.h)
-            mask = np.abs(g.centers) <= 3.0
-            rel = np.sqrt(np.sum((d2[mask] - fd2[mask]) ** 2) / np.sum(fd2[mask] ** 2))
-            assert rel <= 10.0 * g.h ** min(1.0, 2 * s)
-
-    def test_even_in_even_out(self, grid1024):
-        vals = np.exp(-grid1024.centers**2)
-        d2 = riesz_second_derivative(GridDensity(grid1024, vals), S)
-        assert np.max(np.abs(d2 - d2[::-1])) <= 1e-11 * np.max(np.abs(d2))
-
-    def test_negative_of_frac_laplacian(self, grid1024):
-        vals = np.exp(-grid1024.centers**2)
-        rho = GridDensity(grid1024, vals)
-        d2 = riesz_second_derivative(rho, S)
-        fl = frac_laplacian(vals, grid1024, S)
-        assert np.max(np.abs(d2 + fl)) <= 1e-12 * np.max(np.abs(fl))
-
-    def test_warns_above_half(self, grid1024):
-        rho = GridDensity(grid1024, np.exp(-grid1024.centers**2))
-        with pytest.warns(UserWarning):
-            riesz_second_derivative(rho, 0.6)
-
-    def test_constant_maps_to_zero(self, grid1024):
-        out = frac_laplacian(np.ones(grid1024.n), grid1024, S)
-        assert np.max(np.abs(out)) == 0.0
-
-    @pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.5])
-    def test_cosine_eigenvalue(self, s):
-        # Fourier-symbol oracle: |k|^{2-2s} cos(kx) in the interior
-        g = Grid.symmetric(50.0, 2048)
-        k = 2.0
-        assert k * g.h <= 0.1
-        u = np.cos(k * g.centers)
-        out = frac_laplacian(u, g, s)
-        exact = k ** (2 - 2 * s) * u
-        mask = np.abs(g.centers) <= 1.0
-        rel = np.max(np.abs(out[mask] - exact[mask])) / np.max(np.abs(exact[mask]))
-        assert rel <= 1e-2
-
-
 class TestNegSobolev:
     def test_zero_function(self, grid1024):
         assert neg_sobolev_norm(np.zeros(grid1024.n), grid1024, S) == 0.0
@@ -593,39 +543,3 @@ class TestNegSobolev:
             for _, rho in corpus40[:10]:
                 val = neg_sobolev_norm(rho.values - target.values, grid1024, s)
                 assert val >= 0.0
-
-
-class TestHdotSeminorm:
-    def test_zero_function(self, grid1024):
-        assert hdot_seminorm(np.zeros(grid1024.n), grid1024, 0.3) == 0.0
-
-    @pytest.mark.parametrize("r", [0.25, 0.35, 0.45])
-    def test_fourier_oracle_gaussian(self, r):
-        g = Grid.symmetric(60.0, 16384)
-        u = np.exp(-g.centers**2)
-        val = hdot_seminorm(u, g, r)
-        uf = np.fft.fft(u)
-        xi = 2 * np.pi * np.fft.fftfreq(g.n, d=g.h)
-        oracle = np.sqrt((g.h / g.n) * np.sum(np.abs(uf) ** 2 * np.abs(xi) ** (2 * r)))
-        assert abs(val - oracle) <= 2e-2 * oracle
-
-    def test_split_bound_on_corpus(self, grid1024, steady_pair, corpus40):
-        # seminorm^2 <= C ||u||_2^{2(a-2r)/a} ||u||_1^{2r/a} [u]_a^{2r/a};
-        # 0.8 is a frozen regression envelope for the observed constant
-        _, target = steady_pair
-        alpha, r = 0.75, 0.3
-        h = grid1024.h
-        worst = 0.0
-        for _, rho in corpus40[:20]:
-            u = rho.values - target.values
-            hd = hdot_seminorm(u, grid1024, r)
-            l2 = np.sqrt(h * np.sum(u * u))
-            l1 = h * np.sum(np.abs(u))
-            ha = holder_seminorm(u, grid1024, alpha)
-            rhs = l2 ** (2 * (alpha - 2 * r) / alpha) * l1 ** (2 * r / alpha) * ha ** (2 * r / alpha)
-            worst = max(worst, hd**2 / rhs)
-        assert worst <= 0.8
-
-    def test_order_validation(self, grid1024):
-        with pytest.raises(OutOfRange):
-            hdot_seminorm(np.ones(grid1024.n), grid1024, 0.6)
