@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeRemainder
-from .grid import GridDensity, moment, require_normalized
+from .grid import GridDensity, keep, moment, require_normalized
 from .riesz import kept_field, riesz_constant, riesz_gradient, riesz_potential, workspace
 
 LOG_FLOOR = 1e-300
@@ -85,25 +85,23 @@ def energy(
     """
     if check_mass:
         require_normalized(rho)
-    key = ("energy", s, lam, eps)
-    out = rho.kept.get(key)
-    if out is None:
-        inter = interaction_energy(rho, s)
-        conf = lam / 2 * moment(rho, 2)
-        boltz = boltzmann_entropy(rho)
-        out = rho.kept[key] = EnergyBreakdown(interaction=inter, confinement=conf, boltzmann=boltz, eps=eps)
-    return out
+
+    def build():
+        inter, conf, boltz = interaction_energy(rho, s), lam / 2 * moment(rho, 2), boltzmann_entropy(rho)
+        return EnergyBreakdown(interaction=inter, confinement=conf, boltzmann=boltz, eps=eps)
+
+    return keep(rho.kept, ("energy", s, lam, eps), build)
 
 
 def dissipation(rho: GridDensity, s: float, lam: float, eps: float = 0.0) -> float:
     """Entropy production h sum rho * dxi^2; nonnegative by construction.
     rho keeps it for each (s, lam, eps) in rho.kept."""
-    key = ("dissipation", s, lam, eps)
-    out = rho.kept.get(key)
-    if out is None:
+
+    def build():
         dxi = potential_xi(rho, s, lam, eps)
-        out = rho.kept[key] = rho.grid.h * float(np.sum(rho.values * dxi**2))
-    return out
+        return rho.grid.h * float(np.sum(rho.values * dxi**2))
+
+    return keep(rho.kept, ("dissipation", s, lam, eps), build)
 
 
 def remainder_R(rho: GridDensity, s: float, lam: float) -> float:

@@ -25,7 +25,7 @@ from .errors import (
     PositivityLoss,
 )
 from .grid import Grid, GridDensity, normalize
-from .riesz import DIRECT, _section_cells, toeplitz_apply, workspace
+from .riesz import DIRECT, toeplitz_apply, workspace
 from .transport import w2
 
 LYAPUNOV_SLACK = 1e-10
@@ -282,14 +282,13 @@ class _Stepper:
         return _State(v, win, pot, dxi0, rates, hull)
 
     def _section(self, hull: tuple[int, int], widen: int):
-        """The hull widened by `widen` cells on each side, clipped to the grid
-        and rounded up the ladder of window sizes (riesz._section_cells), and
-        its operator: the shared one of that many cells, or the grid's own
-        where the size is not below the grid's."""
+        """The hull widened by `widen` cells on each side and clipped to the
+        grid, and the operator workspace gives for that many cells: a window
+        of at least that size, or the grid's own. The window starts at the
+        widened hull, or ends at the grid's end where it would pass it."""
         n = self.cfg.grid.n
         lo, hi = max(hull[0] - widen, 0), min(hull[1] + widen, n)
-        m = _section_cells(hi - lo)
-        ws = self.ws if m >= n else workspace(self.cfg.grid, self.cfg.s, m)
+        ws = workspace(self.cfg.grid, self.cfg.s, hi - lo)
         lo = min(lo, n - ws.n)
         self.stats.max_field_cells = max(self.stats.max_field_cells, ws.n)
         return slice(lo, lo + ws.n), ws

@@ -58,10 +58,8 @@ class GridDensity:
 
     Values are frozen after construction; the cached mass is exactly
     h * sum(values) under numpy's fixed summation order. `kept` holds what
-    other modules derive from the values (riesz.kept_field, the quantiles
-    of transport.w2, the breakdown of energy.energy, the value of
-    energy.dissipation, a target's half of transport.hwi_terms' T2), each
-    computed once and kept for as long as the density lives.
+    other modules derive from the values, each stored by `keep`: computed
+    once, read-only if an array, and kept for as long as the density lives.
     """
 
     __slots__ = ("grid", "values", "mass", "kept")
@@ -88,6 +86,19 @@ class GridDensity:
 
     def is_normalized(self) -> bool:
         return abs(self.mass - 1.0) <= NORMALIZED_TOL
+
+
+def keep(store: dict, key, build):
+    """store[key], built by build() and stored on first use: the one rule by
+    which a value derived once is kept (a density's `kept`, an operator's
+    weights and spectra). An array is made read-only; any other value is
+    kept as it is."""
+    value = store.get(key)
+    if value is None:
+        value = store[key] = build()
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return value
 
 
 def require_normalized(rho: GridDensity) -> None:
@@ -260,19 +271,17 @@ class DensitySpec:
 
     seed: int
     n_bumps: int = 3
-    alpha: float = 0.75
-    support_scale: float = 1.5
 
     def __post_init__(self):
         if not 1 <= self.n_bumps <= 8:
             raise ValueError(f"n_bumps must be in 1..8, got {self.n_bumps}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.support_scale <= 0:
-            raise ValueError("support_scale must be positive")
 
 
+# the recipe of every fuzz density: bump centers in [-SUPPORT_SCALE,
+# SUPPORT_SCALE], bump widths scaled by BUMP_ALPHA, and the envelope's rate
 ENVELOPE_RATE = 2.0
+BUMP_ALPHA = 0.75
+SUPPORT_SCALE = 1.5
 
 
 def random_density(spec: DensitySpec, grid: Grid) -> GridDensity:
@@ -281,12 +290,11 @@ def random_density(spec: DensitySpec, grid: Grid) -> GridDensity:
     """
     rng = np.random.default_rng(spec.seed)
     x = grid.centers
-    scale = spec.support_scale
-    w_lo = (0.15 + 0.25 * spec.alpha) * scale
-    w_hi = (0.45 + 0.45 * spec.alpha) * scale
+    w_lo = (0.15 + 0.25 * BUMP_ALPHA) * SUPPORT_SCALE
+    w_hi = (0.45 + 0.45 * BUMP_ALPHA) * SUPPORT_SCALE
     total = np.zeros_like(x)
     for k in range(spec.n_bumps):
-        center = 0.0 if k == 0 else rng.uniform(-scale, scale)
+        center = 0.0 if k == 0 else rng.uniform(-SUPPORT_SCALE, SUPPORT_SCALE)
         width = rng.uniform(w_lo, w_hi)
         amp = rng.uniform(0.3, 1.0)
         total += amp * np.exp(-(((x - center) / width) ** 2))

@@ -14,44 +14,47 @@ treated as identically zero outside the grid; with that convention the
 difference and plain forms of the first derivative coincide, and a single
 implementation covers all three s-regimes.
 
-All sums of one (grid, s) go through one operator, `workspace(grid, s)`: it
-builds each weight family and its FFT spectrum the first time it is used,
-keeps them read-only, and is shared by every module. The free functions below
-delegate to it.
+All sums of one (grid, s) go through one operator, `workspace(grid, s)`,
+shared by every module; the free functions below delegate to it. It holds
+one table of spectra, spectrum(key): the rfft of a weight family in
+FAMILIES, the gradient's "gradient_combined" and the two stacked rows of
+"potential_and_gradient". Each spectrum and each weight family is built the
+first time it is used and kept read-only (grid.keep). apply(key, values)
+serves every field key: the Toeplitz sum of a family, or the gradient.
 
 The operator keeps nothing of the arrays it is applied to: `apply`,
 `potential`, `gradient` and potential_and_gradient transform the values on
 every call. A density keeps its own fields instead: kept_field(rho, s, key)
 takes the rfft of rho.values once per density (its padded length depends on
 the grid alone, so one transform serves every s), takes each field asked
-for from it once, and keeps both in rho.kept, read-only, for as long as the
-density lives. A run that measures many densities against one target,
-taking several fields of each, thus transforms each density once.
+for from it once, and keeps both in rho.kept for as long as the density
+lives. A run that measures many densities against one target, taking
+several fields of each, thus transforms each density once.
 
 The FFT path (numpy.fft) pads every sum to one length, the smallest
 11-smooth number of at least 2n (no prime factor above 11; the length
 scipy's next_fast_len(2n) picks): any length of at least 2n - 1 keeps the
 kept window [n-1, 2n-1) of a length-(2n-1) weight family free of aliasing,
 and 2n also keeps the gradient's boundary columns (below) from wrapping
-round. A family sum costs one rfft and one irfft. The gradient applies one
+round. A family sum costs one rfft and one irfft. The gradient applies the
 combined spectrum, W_grad + (i sin theta / h) W_slope, to the transform of
 the values and adds an O(n) correction from four columns
 of the slope weights, where np.gradient and the periodic central difference
 of the padded values differ (a zero vector, skipped, when the two end values
 on each side are 0): 2 transforms. The potential and the gradient together
-take 3: one rfft of the values and one irfft of the two rows of a cached
-stacked spectrum, bitwise equal to the two fields taken one by one. The
-stepper takes its step size from the same cached spectrum
-(`gradient_symbol`), so the step bound and the field it bounds are one
-operator.
+take 3: one rfft of the values and one irfft of the two stacked rows,
+bitwise equal to the two fields taken one by one. The stepper takes its
+step size from the same kept spectrum (`gradient_symbol`), so the step
+bound and the field it bounds are one operator.
 
 The sums are translation invariant, so every run of m consecutive cells of
-a grid has one operator, `workspace(grid, s, m)`, whose h is the grid's. Each
-weight is an elementwise function of its offset and h, so its weights,
-built at m cells, are bitwise the central 2m - 1 of the grid's. The stepper
-takes the fields of a compactly supported state on such a window (see
-workspace and evolve._Stepper.state), with m rounded up to a coarse ladder
-of sizes, q 2^e with q in 4..7 (_section_cells), so its FFT length is 2m.
+a grid has one operator, whose h is the grid's. Each weight is an
+elementwise function of its offset and h, so its weights, built at m cells,
+are bitwise the central 2m - 1 of the grid's. The stepper takes the fields
+of a compactly supported state on such a window (see evolve._Stepper.state)
+from `workspace(grid, s, cells)`, which rounds cells up a coarse ladder of
+sizes, q 2^e with q in 4..7, so a window's FFT length is twice its size,
+and gives the grid's own operator where the ladder reaches grid.n.
 An operator writes into scratch buffers of its own and is handed to every
 caller of its (grid, s, cells), so one operator must not be used from
 several threads at once.
@@ -68,7 +71,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .errors import NegativeBeyondTolerance, OutOfRange
-from .grid import Grid, GridDensity
+from .grid import Grid, GridDensity, keep
 
 
 @dataclass(frozen=True)
@@ -237,12 +240,12 @@ def _section_cells(cells: int) -> int:
 class RieszWorkspace:
     """The nonlocal operator of one (grid, s).
 
-    Holds the six kernel weight families (FAMILIES) and their FFT spectra,
-    each built the first time it is used and kept read-only. Obtain it
-    through workspace(grid, s, cells), which shares one instance per
-    (grid, s, cells) between all modules. The FFT path writes
-    its spectral products into scratch buffers the instance owns, so one
-    instance must not be used from several threads at once.
+    Holds the six kernel weight families (FAMILIES) and one table of FFT
+    spectra (see spectrum), each built the first time it is used and kept
+    read-only. Obtain it through workspace(grid, s, cells), which shares one
+    instance per (grid, s, window size) between all modules. The FFT path
+    writes its spectral products into scratch buffers the instance owns, so
+    one instance must not be used from several threads at once.
 
     It holds only what depends on (grid, s): `apply`, `potential` and
     `gradient` transform their input on every call and keep nothing of it
@@ -262,22 +265,31 @@ class RieszWorkspace:
         self._cache: dict = {}
         self._products: dict = {}  # scratch of _window, overwritten by every call
 
-    def _cached(self, key, build) -> np.ndarray:
-        value = self._cache.get(key)
-        if value is None:
-            value = build()
-            value.setflags(write=False)
-            self._cache[key] = value
-        return value
-
     def weights(self, family: str) -> np.ndarray:
         # the builder is looked up in the module namespace at call time, so a
         # rebound builder (a profiler's wrapper, say) sees every build
         builder = globals()[f"{family}_weights"]
-        return self._cached(family, lambda: builder(self.n, self.h, self.s))
+        return keep(self._cache, family, lambda: builder(self.n, self.h, self.s))
 
-    def spectrum(self, family: str) -> np.ndarray:
-        return self._cached(("rfft", family), lambda: rfft(self.weights(family), self._nfft))
+    def spectrum(self, key: str) -> np.ndarray:
+        """The spectrum the FFT path applies for key, on the rfft bins:
+
+        - a family in FAMILIES: the rfft of its weights;
+        - "gradient_combined": W_grad + (i sin theta / h) W_slope. i sin(theta)
+          / h is the symbol of the periodic central difference, so this
+          spectrum applied to the transform of the zero-padded values is the
+          gradient with np.gradient replaced by that difference;
+        - "potential_and_gradient": the potential's and the gradient's, stacked.
+        """
+        return keep(self._cache, ("rfft", key), lambda: self._build_spectrum(key))
+
+    def _build_spectrum(self, key: str) -> np.ndarray:
+        if key == "gradient_combined":
+            slope = 1j * np.sin(self._theta()) / self.h
+            return self.spectrum("gradient") + slope * self.spectrum("gradient_slope")
+        if key == "potential_and_gradient":
+            return np.stack([self.spectrum("potential"), self.spectrum("gradient_combined")])
+        return rfft(self.weights(key), self._nfft)
 
     def _window(self, spectrum: np.ndarray, values_hat: np.ndarray) -> np.ndarray:
         """Rows [0, n) of the inverse transform of spectrum * values_hat, in
@@ -293,15 +305,15 @@ class RieszWorkspace:
         return irfft(product, self._nfft, axis=-1)[..., n - 1 : 2 * n - 1]
 
     def _field(self, key: str, values: np.ndarray, values_hat: np.ndarray) -> np.ndarray:
-        """The field key of values from values_hat, their rfft: the Toeplitz
-        sum of the family key, or at key "gradient_combined" the gradient."""
-        if key == "gradient_combined":
-            return self._edge_corrected(values, self._window(self._gradient_spectrum(), values_hat))
-        return self._window(self.spectrum(key), values_hat)
+        """The field key of values from values_hat, their rfft: the window of
+        spectrum(key), edge-corrected at key "gradient_combined"."""
+        field = self._window(self.spectrum(key), values_hat)
+        return self._edge_corrected(values, field) if key == "gradient_combined" else field
 
-    def apply(self, family: str, values: np.ndarray) -> np.ndarray:
-        """Toeplitz sum of one weight family, by FFT."""
-        return self._field(family, values, rfft(values, self._nfft))
+    def apply(self, key: str, values: np.ndarray) -> np.ndarray:
+        """The field key of values by FFT: the Toeplitz sum of a family in
+        FAMILIES, or at key "gradient_combined" the gradient."""
+        return self._field(key, values, rfft(values, self._nfft))
 
     def potential(self, values: np.ndarray) -> np.ndarray:
         return self.apply("potential", values)
@@ -309,25 +321,11 @@ class RieszWorkspace:
     def gradient(self, values: np.ndarray) -> np.ndarray:
         """W_grad * values + W_slope * np.gradient(values) in 2 transforms
         (see potential_and_gradient)."""
-        return self._field("gradient_combined", values, rfft(values, self._nfft))
+        return self.apply("gradient_combined", values)
 
     def _theta(self) -> np.ndarray:
         """The rfft bins theta_k = 2 pi k / nfft."""
         return 2 * np.pi * np.arange(self._nfft // 2 + 1) / self._nfft
-
-    def _gradient_spectrum(self) -> np.ndarray:
-        """W_grad + (i sin theta / h) W_slope on the rfft bins theta_k = 2 pi k / nfft.
-
-        i sin(theta) / h is the symbol of the periodic central difference, so
-        this spectrum applied to the transform of the zero-padded values is
-        the gradient with np.gradient replaced by that difference.
-        """
-
-        def build():
-            slope = 1j * np.sin(self._theta()) / self.h
-            return self.spectrum("gradient") + slope * self.spectrum("gradient_slope")
-
-        return self._cached(("rfft", "gradient_combined"), build)
 
     def _edge_columns(self) -> np.ndarray:
         """Columns -1, 0, n-1 and n of the gradient_slope Toeplitz matrix.
@@ -344,7 +342,7 @@ class RieszWorkspace:
             w = np.concatenate(([0.0], self.weights("gradient_slope"), [0.0]))
             return np.stack([w[n + 1 : 2 * n + 1], w[n : 2 * n], w[1 : n + 1], w[:n]])
 
-        return self._cached("gradient_edges", build)
+        return keep(self._cache, "gradient_edges", build)
 
     def _edge_corrected(self, values: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """The FFT-path gradient: the window of the combined spectrum plus
@@ -361,44 +359,34 @@ class RieszWorkspace:
         nfft = _padded_length(n).
 
         Returns theta and sum_m w_grad[m] e^{-i m theta} + (i sin(theta) / h)
-        sum_m w_slope[m] e^{-i m theta}: the one cached spectrum that the FFT
-        path of `gradient` applies, phase-shifted to sum over the signed
-        offsets m. i sin(theta)/h is the symbol of np.gradient away from its
-        one-sided boundary rows.
+        sum_m w_slope[m] e^{-i m theta}: the kept spectrum "gradient_combined"
+        that the FFT path of `gradient` applies, phase-shifted to sum over the
+        signed offsets m. i sin(theta)/h is the symbol of np.gradient away
+        from its one-sided boundary rows.
         """
         theta = self._theta()
         # the spectra index the weights from offset -(n-1)
-        return theta, np.exp(1j * (self.n - 1) * theta) * self._gradient_spectrum()
-
-    def _fields_spectrum(self) -> np.ndarray:
-        """The two stacked spectra of potential_and_gradient."""
-
-        def build():
-            return np.stack([self.spectrum("potential"), self._gradient_spectrum()])
-
-        return self._cached(("rfft", "potential_and_gradient"), build)
+        return theta, np.exp(1j * (self.n - 1) * theta) * self.spectrum("gradient_combined")
 
     def potential_and_gradient(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both FFT fields of one density: 1 rfft of the values and 1 irfft
         of two rows, the potential and the gradient, the latter through the
         spectrum gradient_symbol reads. Bitwise equal to potential and
         gradient called one by one."""
-        pot, grad = self._window(self._fields_spectrum(), rfft(values, self._nfft))
+        pot, grad = self._window(self.spectrum("potential_and_gradient"), rfft(values, self._nfft))
         return pot, self._edge_corrected(values, grad)
 
 
 def workspace(grid: Grid, s: float, cells: int | None = None) -> RieszWorkspace:
-    """The shared operator of (grid, s), or of `cells` consecutive cells of
-    grid (a window; cells=None or grid.n: the whole grid); the 32 most
-    recently used are kept.
+    """The shared operator of (grid, s), or of a window of at least `cells`
+    consecutive cells of grid; the 32 most recently used are kept.
 
-    The cache keys on (grid, s, cells) with cells=grid.n taken as None, so
-    every spelling of one call (positional, by keyword, cells=None or
-    grid.n) is one operator. A caller that takes windows rounds `cells` up
-    the ladder (_section_cells) first, and takes the grid's own operator
-    where that is not below grid.n: one window size, one operator. A window
-    builds the spectra of potential_and_gradient here, so its first field
-    evaluation takes 3 transforms like any other.
+    `cells` is rounded up the ladder of window sizes (_section_cells), and
+    where that size is not below grid.n, as at cells=None, the operator is
+    the grid's own. So every spelling of one call (positional, by keyword,
+    cells=None or grid.n) is one operator, and so is every `cells` of one
+    rung. A window builds the spectra of potential_and_gradient here, so
+    its first field evaluation takes 3 transforms like any other.
 
     A density that is 0 outside a window has, on the window, the potential
     and gradient of the whole grid, up to round-off: the Toeplitz sums of
@@ -407,14 +395,15 @@ def workspace(grid: Grid, s: float, cells: int | None = None) -> RieszWorkspace:
     and where it ends inside the grid with two cells of 0, for which both
     corrections vanish.
     """
-    return _cached_workspace(grid, s, None if cells == grid.n else cells)
+    m = grid.n if cells is None else _section_cells(cells)
+    return _cached_workspace(grid, s, None if m >= grid.n else m)
 
 
 @lru_cache(maxsize=32)
 def _cached_workspace(grid: Grid, s: float, cells: int | None) -> RieszWorkspace:
     op = RieszWorkspace(grid, s, cells)
     if cells is not None:
-        op._fields_spectrum()
+        op.spectrum("potential_and_gradient")
     return op
 
 
@@ -427,17 +416,13 @@ def kept_field(rho: GridDensity, s: float, key: str) -> np.ndarray:
     depends on the grid alone) and every field taken from it, so each is
     computed once however often it is asked for.
     """
-    kept = rho.kept
-    out = kept.get((s, key))
-    if out is None:
+
+    def build():
         ws = workspace(rho.grid, s)
-        values_hat = kept.get("rfft")
-        if values_hat is None:
-            values_hat = kept["rfft"] = rfft(rho.values, ws._nfft)
-            values_hat.setflags(write=False)
-        out = kept[s, key] = ws._field(key, rho.values, values_hat)
-        out.setflags(write=False)
-    return out
+        values_hat = keep(rho.kept, "rfft", lambda: rfft(rho.values, ws._nfft))
+        return ws._field(key, rho.values, values_hat)
+
+    return keep(rho.kept, (s, key), build)
 
 
 def riesz_potential(rho: GridDensity, s: float) -> np.ndarray:

@@ -121,7 +121,10 @@ def steady_potential(p: BarenblattProfile, x) -> np.ndarray | float:
 
 
 def c_star(p: BarenblattProfile) -> float:
-    """Constant value of potential + confinement on the support (x0 = 0)."""
+    """Constant value of potential + confinement on the support (x0 = 0),
+    from the closed form of closed_form_potential: s < 1/2 only."""
+    if not p.s < 0.5:
+        raise OutOfRange(f"C_star closed form requires s < 1/2, got {p.s}")
     return p.lam * p.R**2 / (2 * (1 - 2 * p.s))
 
 

@@ -18,6 +18,7 @@ from .grid import (
     GridDensity,
     cdf_quantile,
     holder_seminorm,
+    keep,
     require_normalized,
 )
 from .riesz import _neg_sobolev_from, kept_field, neg_sobolev_norm, regularity_warning, riesz_gradient, riesz_potential
@@ -47,10 +48,7 @@ def w2(rho1: GridDensity, rho2: GridDensity) -> float:
     require_normalized(rho2)
     m = W2_NODES_PER_CELL * max(rho1.grid.n, rho2.grid.n)
     q = _quantile_nodes(m)
-    q2 = rho2.kept.get(("w2_quantiles", m))
-    if q2 is None:
-        q2 = rho2.kept["w2_quantiles", m] = cdf_quantile(rho2)(q)
-        q2.setflags(write=False)
+    q2 = keep(rho2.kept, ("w2_quantiles", m), lambda: cdf_quantile(rho2)(q))
     diff = cdf_quantile(rho1)(q)
     diff -= q2
     diff *= diff
@@ -153,18 +151,17 @@ def hwi_terms(
         t2 = h * float(np.sum(v * integrand))
     else:
         # the target's half, kept on it: one sum for all the densities measured against it
-        target_half = rho_target.kept.get(("hwi_T2", lam, eps))
-        if target_half is None:
+        def target_half():
             vt = rho_target.values
             log_t = np.where(vt > 0, np.log(np.maximum(vt, energy_mod.LOG_FLOOR)), 0.0)
-            target_half = h * float(np.sum(vt * (lam * rho_target.x**2 / 2 + eps * log_t)))
-            rho_target.kept["hwi_T2", lam, eps] = target_half
+            return h * float(np.sum(vt * (lam * rho_target.x**2 / 2 + eps * log_t)))
+
         dlog = energy_mod._eps_log_gradient(v, h, eps)
         log_rho = np.where(v > 0, np.log(np.maximum(v, energy_mod.LOG_FLOOR)), 0.0)
         t2 = (
             -h * float(np.sum(v * (dlog + lam * x) * (theta - x)))
             - h * float(np.sum(v * (lam * x**2 / 2 + eps * log_rho)))
-            + target_half
+            + keep(rho_target.kept, ("hwi_T2", lam, eps), target_half)
             - lam / 2 * plan.cost
         )
 

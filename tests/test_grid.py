@@ -11,6 +11,7 @@ from fracpme.grid import (
     GridDensity,
     cdf_quantile,
     holder_seminorm,
+    keep,
     load_density_csv,
     moment,
     normalize,
@@ -47,6 +48,29 @@ class TestGrid:
         vals[3] = bad
         with pytest.raises(ValueError, match="finite and nonnegative"):
             GridDensity(Grid(-2.0, 2.0, 8), vals)
+
+    def test_keep_builds_once_and_returns_the_kept_object(self):
+        rho = GridDensity(Grid(-2.0, 2.0, 8), np.ones(8))
+        builds = []
+
+        def build():
+            builds.append(1)
+            return np.arange(3.0)
+
+        first = keep(rho.kept, "key", build)
+        assert keep(rho.kept, "key", build) is first is rho.kept["key"]
+        assert builds == [1]
+
+    def test_keep_freezes_an_array_and_keeps_other_values_as_they_are(self):
+        rho = GridDensity(Grid(-2.0, 2.0, 8), np.ones(8))
+        array = keep(rho.kept, "array", lambda: np.zeros(4))
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+        spec = DensitySpec(seed=3)
+        assert keep(rho.kept, "float", lambda: 0.5) == 0.5
+        assert keep(rho.kept, "record", lambda: spec) is spec
+        assert set(rho.kept) == {"array", "float", "record"}
 
 
 class TestNormalize:
@@ -344,8 +368,6 @@ class TestRandomDensity:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             DensitySpec(seed=1, n_bumps=9)
-        with pytest.raises(ValueError):
-            DensitySpec(seed=1, alpha=0.0)
 
 
 class TestTailCheck:

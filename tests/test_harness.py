@@ -680,6 +680,14 @@ class TestSteadyCli:
         assert report["R"] == 1.0
         assert report["M"] == pytest.approx(0.43262607364306223, rel=1e-12)
 
+    @pytest.mark.parametrize("s", ["0.5", "0.75"])
+    def test_no_closed_form_constant_at_s_half_and_above(self, tmp_path, s):
+        code = main(["steady", "--s", s, "--lambda", "0.4", "--out-dir", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "steady.json").read_text())
+        assert report["C_star"] is None and report["R"] > 0
+        assert (tmp_path / "profile.csv").exists()
+
 
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0

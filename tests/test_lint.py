@@ -212,3 +212,42 @@ def test_check_sees_an_uncalled_private_function(tmp_path):
         "sample.py:16 K._method",
         "sample.py:23 _Private.unused",
     ]
+
+
+KEPT_STORES = ("kept", "_cache")
+
+
+def hand_kept_values(path: Path) -> list[str]:
+    """Stores into, and .get or .setdefault calls on, an attribute named
+    kept or _cache: the keep rule written out by hand, not through grid.keep."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            target = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("get", "setdefault"):
+            target = node.func.value
+        else:
+            continue
+        if isinstance(target, ast.Attribute) and target.attr in KEPT_STORES:
+            found.append((node.lineno, f"{path.name}:{node.lineno} {target.attr}"))
+    return [entry for _, entry in sorted(found)]
+
+
+def test_every_kept_value_goes_through_keep():
+    assert [entry for path in SOURCES for entry in hand_kept_values(path)] == []
+
+
+def test_check_sees_a_hand_kept_value(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "def f(rho, ws, other, key):\n"
+        "    rho.kept[key] = 1\n"
+        "    out = ws._cache.get(key)\n"
+        "    ws._cache[key] = rho.kept[key]\n"
+        "    keep(rho.kept, key, lambda: out)\n"
+        "    other.cache[key] = other.kept\n"
+        "    return rho.kept.setdefault(key, 3)\n",
+        encoding="utf-8",
+    )
+    assert hand_kept_values(src) == ["sample.py:2 kept", "sample.py:3 _cache", "sample.py:4 _cache", "sample.py:7 kept"]

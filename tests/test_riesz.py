@@ -365,6 +365,17 @@ class TestSections:
         assert sec is workspace(g, s, m)
         assert _section_cells(g.n - 1) == g.n  # rounds up to the whole grid
 
+    def test_cells_are_rounded_up_the_ladder(self):
+        g = Grid.symmetric(4.0, 80)
+        assert workspace(g, S, 41) is workspace(g, S, 48)
+        assert workspace(g, S, 41).n == 48
+        for cells in range(1, 200):
+            ws = workspace(g, S, cells)
+            if _section_cells(cells) >= g.n:
+                assert ws is workspace(g, S)
+            else:
+                assert ws.n == _section_cells(cells) and ws is workspace(g, S, ws.n)
+
     @pytest.mark.parametrize("s", [0.1, 0.25, 0.4])
     @pytest.mark.parametrize("support", [(60, 100), (0, 30), (220, 256), (3, 250)])
     def test_fields_match_the_whole_grid_on_the_window(self, s, support):
@@ -491,7 +502,7 @@ class TestNumpyTransforms:
         v = np.random.default_rng(n).uniform(0.5, 2.0, n)
         values_hat = rfft(v, nfft)
         assert np.array_equal(values_hat, scipy.fft.rfft(v, nfft))
-        stacked = np.stack([ws.spectrum("potential"), ws._gradient_spectrum()]) * values_hat
+        stacked = np.stack([ws.spectrum("potential"), ws.spectrum("gradient_combined")]) * values_hat
         assert np.array_equal(irfft(stacked, nfft, axis=-1), scipy.fft.irfft(stacked, nfft, axis=-1))
         assert np.array_equal(irfft(stacked[0], nfft), scipy.fft.irfft(stacked[0], nfft))
         weights = ws.weights("potential")

@@ -111,6 +111,12 @@ class TestClosedFormPotential:
         with pytest.raises(OutOfRange):
             closed_form_potential(prof, 0.0)
 
+    @pytest.mark.parametrize("s", [0.5, 0.75])
+    def test_c_star_requires_s_below_half(self, s):
+        prof, _ = barenblatt(s, LAM, radius=1.0)
+        with pytest.raises(OutOfRange):
+            c_star(prof)
+
 
 class TestSteadyEnergy:
     def test_frozen_regression_and_beta_oracle(self):
