@@ -30,7 +30,6 @@ from .steady import (  # noqa: F401
     BarenblattProfile,
     EulerLagrangeReport,
     barenblatt,
-    closed_form_potential,
     discrete_minimizer,
     euler_lagrange_check,
     steady_energy,

@@ -62,6 +62,10 @@ class SolverConfig:
             raise ValueError(f"s must be in (0, 1), got {self.s}")
         if self.lam is None:
             object.__setattr__(self, "lam", self_similar_exponent(self.s))
+        for name in ("lam", "eps", "dt", "t_end", "snapshot_every"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):  # a NaN passes every comparison below
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lam <= 0:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         if self.eps < 0:
@@ -678,7 +682,7 @@ def fit_decay(
     if int(np.sum(sel)) < 10:
         raise InsufficientSamples(f"only {int(np.sum(sel))} samples in window {window}")
     q = series[sel]
-    if np.any(q <= 0):
+    if not np.all(q > 0):  # a NaN sample is not positive either
         raise NonpositiveQuantity(f"{quantity} is not positive on the window")
     slope = float(np.polyfit(t[sel], np.log(q), 1)[0])
     bound_rate = BOUND_RATES[quantity](traj.config.lam, traj.config.s)

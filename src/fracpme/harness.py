@@ -370,23 +370,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def reference_potential(s: float, prof: steady.BarenblattProfile, xs: np.ndarray) -> np.ndarray:
-    """Closed form for s < 1/2; adaptive log-kernel quadrature at s = 1/2."""
-    if s < 0.5:
-        return np.asarray(steady.steady_potential(prof, xs))
-    if s == 0.5:
-        from scipy.integrate import quad  # only riesz-convergence at s = 1/2 needs it
-
-        out = np.empty_like(xs)
-        R = prof.R
-        for i, x in enumerate(xs):
-            f = lambda y: -prof.evaluate(y) * np.log(abs(x - y)) / np.pi
-            val, _ = quad(f, -R, R, points=[np.clip(x, -R, R)], limit=400)
-            out[i] = val
-        return out
-    raise ValueError("reference potential only implemented for s <= 1/2")
-
-
 def cmd_riesz_convergence(args) -> int:
     if args.levels < 2:
         print(f"--levels must be at least 2 to observe an order, got {args.levels}", file=sys.stderr)
@@ -402,7 +385,7 @@ def cmd_riesz_convergence(args) -> int:
         dens = prof.sample(grid)
         pot = workspace(grid, args.s).potential(dens.values)
         mask = np.abs(grid.centers) <= 0.9 * prof.R
-        ref = reference_potential(args.s, prof, grid.centers[mask])
+        ref = steady.steady_potential(prof, grid.centers[mask])
         err = pot[mask] - ref
         scale = float(np.max(np.abs(ref)))
         linf = float(np.max(np.abs(err))) / scale
@@ -499,7 +482,7 @@ def cmd_steady(args) -> int:
         "R": prof.R,
         "M": prof.M,
         "K": prof.K,
-        "C_star": steady.c_star(prof) if prof.s < 0.5 else None,  # no closed form at s >= 1/2
+        "C_star": steady.c_star(prof),
     }
     _write_json(out_dir / "steady.json", payload)
     print(f"steady: R={prof.R:.6f} M={prof.M:.6f} -> {out_dir}")

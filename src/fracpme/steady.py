@@ -1,11 +1,13 @@
 """Closed-form compactly supported steady states of the confined flow, the
-mass-radius relation, the steady energy, and the variational residual check
-(constant potential on the support, at least that constant elsewhere)."""
+mass-radius relation, the one closed form of their potential on the support
+(every s in (0, 1), the log kernel's at s = 1/2), the steady energy, and the
+variational residual check (constant potential on the support, at least that
+constant elsewhere)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma
+from math import gamma, log
 
 import numpy as np
 
@@ -100,36 +102,27 @@ def barenblatt(
     return profile, profile.sample(grid)
 
 
-def closed_form_potential(p: BarenblattProfile, x) -> np.ndarray | float:
-    """Riesz potential of the unit-prefactor bump (R^2 - (x-x0)^2)_+^{1-s}.
-
-    Valid on the support for s < 1/2; the potential of the profile itself is
-    K times this (see steady_potential).
-    """
-    if not p.s < 0.5:
-        raise OutOfRange(f"closed form requires s < 1/2, got {p.s}")
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x - p.x0) > p.R * (1 + 1e-12)):
-        raise OutsideSupport("closed-form potential is only valid for |x - x0| <= R")
-    out = (p.lam / (2 * p.K)) * (p.R**2 / (1 - 2 * p.s) - (x - p.x0) ** 2)
-    return float(out) if out.ndim == 0 else out
-
-
-def steady_potential(p: BarenblattProfile, x) -> np.ndarray | float:
-    """Riesz potential of the profile itself: (lam/2)(R^2/(1-2s) - (x-x0)^2)."""
-    return p.K * closed_form_potential(p, x)
-
-
 def c_star(p: BarenblattProfile) -> float:
-    """Constant value of potential + confinement on the support (x0 = 0),
-    from the closed form of closed_form_potential: s < 1/2 only."""
-    if not p.s < 0.5:
-        raise OutOfRange(f"C_star closed form requires s < 1/2, got {p.s}")
+    """Constant value of potential + confinement on the support (x0 = 0):
+    (lam/2) R^2/(1-2s), negative above s = 1/2, and at s = 1/2, with the
+    kernel -log|z|/pi, (lam/2) R^2 (1/2 - log(R/2))."""
+    if p.s == 0.5:
+        return p.lam / 2 * p.R**2 * (0.5 - log(p.R / 2))
     return p.lam * p.R**2 / (2 * (1 - 2 * p.s))
 
 
+def steady_potential(p: BarenblattProfile, x) -> np.ndarray | float:
+    """Riesz potential of the profile on its support, c_star(p) - (lam/2)(x-x0)^2."""
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x - p.x0) > p.R * (1 + 1e-12)):
+        raise OutsideSupport("closed-form potential is only valid for |x - x0| <= R")
+    out = c_star(p) - p.lam / 2 * (x - p.x0) ** 2
+    return float(out) if out.ndim == 0 else out
+
+
 def steady_energy(p: BarenblattProfile, grid: Grid | None = None) -> float:
-    """Free energy of the profile by adaptive quadrature of the closed forms.
+    """Free energy of the profile by adaptive quadrature of the closed forms
+    (the profile and steady_potential), at every s in (0, 1).
 
     The printed closed-form constant for this energy is dimensionally suspect
     at d=1, so the value is computed, not asserted. Cross-checked against the
@@ -137,13 +130,10 @@ def steady_energy(p: BarenblattProfile, grid: Grid | None = None) -> float:
     """
     from scipy.integrate import quad  # imported here to keep scipy off the import path
 
-    if not p.s < 0.5:
-        raise OutOfRange(f"steady energy closed form requires s < 1/2, got {p.s}")
     lo, hi = p.x0 - p.R, p.x0 + p.R
 
     def integrand(x):
-        pot = (p.lam / 2) * (p.R**2 / (1 - 2 * p.s) - (x - p.x0) ** 2)
-        return 0.5 * p.evaluate(x) * (pot + p.lam * x**2)
+        return 0.5 * p.evaluate(x) * (steady_potential(p, x) + p.lam * x**2)
 
     val, _ = quad(integrand, lo, hi, limit=200)
 

@@ -14,15 +14,16 @@ S_DEFAULT = 0.25
 LAM_DEFAULT = 0.4
 
 
-def run_cli(args, threads: str | None = None, cwd=None) -> subprocess.CompletedProcess:
+def run_cli(args, threads: str | None = None, cwd=None, timeout=None) -> subprocess.CompletedProcess:
     """Run `python -m fracpme.harness ARGS` in a child process, optionally at
     a fixed BLAS/OpenMP thread count (see run_python)."""
-    return run_python(["-m", "fracpme.harness", *args], threads, cwd)
+    return run_python(["-m", "fracpme.harness", *args], threads, cwd, timeout)
 
 
-def run_python(args, threads: str | None = None, cwd=None) -> subprocess.CompletedProcess:
+def run_python(args, threads: str | None = None, cwd=None, timeout=None) -> subprocess.CompletedProcess:
     """Run `python ARGS` in a child process that imports this fracpme,
-    optionally at a fixed BLAS/OpenMP thread count.
+    optionally at a fixed BLAS/OpenMP thread count, killed after timeout
+    seconds (subprocess.TimeoutExpired) if one is given.
 
     The child gets the absolute root of the imported package first on its
     PYTHONPATH: a relative entry (pytest's `pythonpath = ["src"]`, or
@@ -42,6 +43,7 @@ def run_python(args, threads: str | None = None, cwd=None) -> subprocess.Complet
         text=True,
         env=env,
         cwd=cwd,
+        timeout=timeout,
     )
 
 

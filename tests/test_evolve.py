@@ -58,6 +58,11 @@ class TestSolverConfig:
             SolverConfig(s=0.25, grid=grid1024, dt=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(s=0.25, grid=grid1024, cfl=1.5)
+        # a NaN passes a sign check, and a NaN or infinite dt or t_end never ends the march
+        for name in ("lam", "eps", "dt", "t_end", "snapshot_every"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    SolverConfig(s=0.25, grid=grid1024, **{name: bad})
 
     def test_init_must_sit_on_the_run_grid(self, grid1024):
         rho = normalize(GridDensity(grid1024, np.exp(-grid1024.centers**2)))
@@ -654,6 +659,9 @@ class TestFitDecay:
     def test_rejects_nonpositive(self, grid1024):
         traj = self.synthetic(grid1024)
         traj.diagnostics["I"][50] = 0.0
+        with pytest.raises(NonpositiveQuantity):
+            fit_decay(traj, "I", (0.0, 5.0))
+        traj.diagnostics["I"][50] = np.nan  # a NaN sample is no bound violation
         with pytest.raises(NonpositiveQuantity):
             fit_decay(traj, "I", (0.0, 5.0))
 

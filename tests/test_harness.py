@@ -10,7 +10,7 @@ from fracpme import energy as energy_mod
 from fracpme import evolve, harness, transport
 from fracpme.grid import Grid, normalize
 from fracpme.harness import main
-from fracpme.steady import barenblatt, discrete_minimizer
+from fracpme.steady import barenblatt, c_star, discrete_minimizer
 
 def readme_stats_keys() -> set[str]:
     """The keys of the first column of the README's stats.json table."""
@@ -26,6 +26,13 @@ class TestExitCodes:
             ["simulate", "--s", "1.5", "--grid-n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]
         )
         assert code == 2
+
+    def test_nonfinite_eps_is_config_error(self, tmp_path):
+        # a NaN eps passed every sign check, and the march then never reached t_end
+        args = ["simulate", "--s", "0.25", "--grid-n", "128", "--eps", "nan", "--out-dir", str(tmp_path)]
+        res = run_cli(args, timeout=60)
+        assert res.returncode == 2
+        assert "eps must be finite" in res.stderr
 
     def test_unknown_suite_is_config_error(self):
         assert main(["verify", "--suite", "bogus", "--samples", "2"]) == 2
@@ -646,6 +653,12 @@ class TestRieszConvergenceCli:
         rows = out.read_text().splitlines()[1:]
         assert float(rows[-1].split(",")[3]) >= 1.0
 
+    def test_same_contract_above_half(self, tmp_path):
+        out = tmp_path / "conv75.csv"
+        assert main(["riesz-convergence", "--s", "0.75", "--levels", "3", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert float(rows[-1].split(",")[3]) >= 1.0
+
     @pytest.mark.parametrize("levels", ["0", "1"])
     def test_too_few_levels_is_config_error(self, tmp_path, capsys, levels):
         out = tmp_path / "conv.csv"
@@ -680,12 +693,14 @@ class TestSteadyCli:
         assert report["R"] == 1.0
         assert report["M"] == pytest.approx(0.43262607364306223, rel=1e-12)
 
-    @pytest.mark.parametrize("s", ["0.5", "0.75"])
-    def test_no_closed_form_constant_at_s_half_and_above(self, tmp_path, s):
-        code = main(["steady", "--s", s, "--lambda", "0.4", "--out-dir", str(tmp_path)])
+    @pytest.mark.parametrize("s", [0.5, 0.75])
+    def test_closed_form_constant_at_s_half_and_above(self, tmp_path, s):
+        code = main(["steady", "--s", str(s), "--lambda", "0.4", "--out-dir", str(tmp_path)])
         assert code == 0
         report = json.loads((tmp_path / "steady.json").read_text())
-        assert report["C_star"] is None and report["R"] > 0
+        prof, _ = barenblatt(s, 0.4, mass=1.0)
+        assert report["C_star"] == c_star(prof)
+        assert (report["C_star"] < 0) == (s > 0.5)
         assert (tmp_path / "profile.csv").exists()
 
 

@@ -1,6 +1,8 @@
 """The CLI runs on numpy alone: importing `fracpme.harness`, and running a
 small `simulate` and `verify` through `harness.main`, loads no scipy module
-and no numpy.ma module (np.median would import it).
+and no numpy.ma module (np.median would import it). `riesz-convergence`
+loads no scipy module either, at the log kernel's s = 1/2 too: its
+reference is the closed form of the steady potential, not a quadrature.
 
 Structural guards with no timing: each check runs in a fresh child
 interpreter, because this test process imports scipy itself.
@@ -52,3 +54,8 @@ def test_simulate_and_verify_load_no_scipy(tmp_path):
     # the run has step sizes to summarise: dt_median is where np.median was taken
     assert json.loads((tmp_path / "out" / "stats.json").read_text())["dt_median"] is not None
     assert json.loads((tmp_path / "report.json").read_text())["pass"]
+
+
+def test_riesz_convergence_at_half_loads_no_scipy(tmp_path):
+    body = 'from fracpme.harness import main\nassert main("riesz-convergence --s 0.5 --levels 2".split()) == 0'
+    assert modules_after(body, tmp_path)[0] == []

@@ -11,7 +11,6 @@ from fracpme.steady import (
     _solve_symmetric_toeplitz,
     barenblatt,
     c_star,
-    closed_form_potential,
     discrete_minimizer,
     euler_lagrange_check,
     mass_of_radius,
@@ -90,8 +89,8 @@ class TestProfile:
 class TestClosedFormPotential:
     def test_center_value(self):
         prof, _ = barenblatt(S, LAM, radius=1.0)
-        expect = (LAM / (2 * prof.K)) * 1.0 / (1 - 2 * S)
-        assert abs(closed_form_potential(prof, 0.0) - expect) <= 1e-14
+        expect = (LAM / 2) * 1.0 / (1 - 2 * S)
+        assert abs(steady_potential(prof, 0.0) - expect) <= 1e-14
 
     def test_confined_potential_constant_on_support(self):
         # potential of the profile plus confinement is flat at lam R^2/(2(1-2s))
@@ -104,18 +103,29 @@ class TestClosedFormPotential:
     def test_outside_support_raises(self):
         prof, _ = barenblatt(S, LAM, radius=1.0)
         with pytest.raises(OutsideSupport):
-            closed_form_potential(prof, 1.5)
+            steady_potential(prof, 1.5)
 
-    def test_requires_s_below_half(self):
-        prof, _ = barenblatt(0.6, LAM, radius=1.0)
-        with pytest.raises(OutOfRange):
-            closed_form_potential(prof, 0.0)
+    @pytest.mark.parametrize("s", [0.5, 0.6, 0.75, 0.9])
+    def test_grid_potential_converges_to_it_at_and_above_half(self, s):
+        # relative max error on |x| <= 0.9 R; at n = 4096 it is 2.3e-6 (s = 0.5) to 1.7e-5 (s = 0.9)
+        errs = []
+        for n in (1024, 2048, 4096):
+            g = Grid.symmetric(2.0, n)
+            prof, dens = barenblatt(s, LAM, radius=1.0, grid=g)
+            on = np.abs(g.centers) <= 0.9 * prof.R
+            exact = steady_potential(prof, g.centers[on])
+            errs.append(np.max(np.abs(riesz_potential(dens, s)[on] - exact)) / np.max(np.abs(exact)))
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] <= 1e-4
 
     @pytest.mark.parametrize("s", [0.5, 0.75])
-    def test_c_star_requires_s_below_half(self, s):
-        prof, _ = barenblatt(s, LAM, radius=1.0)
-        with pytest.raises(OutOfRange):
-            c_star(prof)
+    def test_c_star_is_the_grid_level_at_and_above_half(self, s):
+        # the log kernel's (lam/2) R^2 (1/2 - log(R/2)) at s = 1/2; negative above
+        g = Grid.symmetric(3.0, 4096)
+        prof, dens = barenblatt(s, LAM, mass=1.0, grid=g)
+        rep = euler_lagrange_check(dens, s, LAM)
+        assert abs(rep.C_star - c_star(prof)) <= 1e-3 * abs(c_star(prof))
+        assert (c_star(prof) > 0) == (s == 0.5)
 
 
 class TestSteadyEnergy:
@@ -135,6 +145,12 @@ class TestSteadyEnergy:
         p2, _ = barenblatt(S, LAM, mass=2.0)
         ratio = steady_energy(p2) / steady_energy(p1)
         assert abs(ratio - 2 ** ((5 - 2 * S) / (3 - 2 * S))) <= 1e-10
+
+    @pytest.mark.parametrize("s", [0.5, 0.75])
+    def test_defined_at_and_above_half(self, s):
+        # steady_energy checks itself against the grid energy of the sampled profile
+        prof, _ = barenblatt(s, LAM, mass=1.0)
+        assert np.isfinite(steady_energy(prof))
 
     def test_center_shift_raises_energy(self):
         from fracpme.energy import energy
