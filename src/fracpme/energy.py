@@ -1,6 +1,8 @@
 """Scalar functionals along the flow: free energy (with optional entropic
 term), its dissipation, the dissipation-rate remainder and the virial
-identity."""
+identity. The array kernels of the free energy's parts and of the
+dissipation are the one definition of E and I: the stepper takes them on
+its windows, and hwi_terms reads the kept breakdowns."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeRemainder
-from .grid import GridDensity, keep, moment, require_normalized
+from .grid import GridDensity, keep, require_normalized
 from .riesz import kept_field, riesz_constant, riesz_gradient, riesz_potential, workspace
 
 LOG_FLOOR = 1e-300
@@ -59,14 +61,25 @@ class EnergyBreakdown:
         return self.interaction + self.confinement + self.eps * self.boltzmann
 
 
-def boltzmann_entropy(rho: GridDensity) -> float:
-    """h * sum rho log rho with the 0 log 0 = 0 convention."""
-    return rho.grid.h * float(np.sum(_entropy_density(rho.values)))
+def interaction(v: np.ndarray, pot: np.ndarray, h: float) -> float:
+    """(1/2) h sum v pot: the interaction part, for the values v and their
+    Riesz potential pot on the same cells."""
+    return 0.5 * h * float((v * pot).sum())
 
 
-def interaction_energy(rho: GridDensity, s: float) -> float:
-    """(1/2) h sum rho * (-Dxx)^{-s} rho, with exact cell kernel weights."""
-    return 0.5 * rho.grid.h * float(np.sum(rho.values * riesz_potential(rho, s)))
+def confinement(v: np.ndarray, xx: np.ndarray, h: float, lam: float) -> float:
+    """(lam/2) h sum xx v: the confinement part, xx the squared cell centers."""
+    return lam / 2 * (h * float((xx * v).sum()))
+
+
+def boltzmann(v: np.ndarray, h: float) -> float:
+    """h sum v log v: the entropy part, with the 0 log 0 = 0 convention."""
+    return h * float(_entropy_density(v).sum())
+
+
+def dissipation_sum(v: np.ndarray, dxi: np.ndarray, h: float) -> float:
+    """h sum v dxi^2, for the values v and their potential gradient dxi."""
+    return h * float((v * dxi**2).sum())
 
 
 def energy(
@@ -78,30 +91,33 @@ def energy(
 ) -> EnergyBreakdown:
     """Free energy breakdown; total = interaction + confinement + eps*entropy.
 
-    For s >= 1/2 the interaction kernel does not decay and the value carries
-    the domain truncation; differences of energies remain meaningful. rho
-    keeps its breakdown for each (s, lam, eps) in rho.kept, so a target
-    measured against many densities is integrated once.
+    The one definition of the free energy: each part is the array kernel of
+    this module (interaction, confinement, boltzmann) that the stepper also
+    takes on its windows. For s >= 1/2 the interaction kernel does not decay
+    and the value carries the domain truncation; differences of energies
+    remain meaningful. rho keeps its breakdown for each (s, lam, eps) in
+    rho.kept, so a target measured against many densities is integrated
+    once.
     """
     if check_mass:
         require_normalized(rho)
 
     def build():
-        inter, conf, boltz = interaction_energy(rho, s), lam / 2 * moment(rho, 2), boltzmann_entropy(rho)
-        return EnergyBreakdown(interaction=inter, confinement=conf, boltzmann=boltz, eps=eps)
+        v, h = rho.values, rho.grid.h
+        inter = interaction(v, riesz_potential(rho, s), h)
+        return EnergyBreakdown(inter, confinement(v, rho.x**2, h, lam), boltzmann(v, h), eps)
 
     return keep(rho.kept, ("energy", s, lam, eps), build)
 
 
 def dissipation(rho: GridDensity, s: float, lam: float, eps: float = 0.0) -> float:
-    """Entropy production h sum rho * dxi^2; nonnegative by construction.
-    rho keeps it for each (s, lam, eps) in rho.kept."""
-
-    def build():
-        dxi = potential_xi(rho, s, lam, eps)
-        return rho.grid.h * float(np.sum(rho.values * dxi**2))
-
-    return keep(rho.kept, ("dissipation", s, lam, eps), build)
+    """Entropy production h sum rho * dxi^2 (dissipation_sum); nonnegative
+    by construction. rho keeps it for each (s, lam, eps) in rho.kept."""
+    return keep(
+        rho.kept,
+        ("dissipation", s, lam, eps),
+        lambda: dissipation_sum(rho.values, potential_xi(rho, s, lam, eps), rho.grid.h),
+    )
 
 
 def remainder_R(rho: GridDensity, s: float, lam: float) -> float:

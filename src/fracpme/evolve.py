@@ -298,24 +298,25 @@ class _Stepper:
         return slice(lo, lo + ws.n), ws
 
     def energies(self, state: _State) -> tuple[float, float]:
-        """Free energy without and with the eps entropy term."""
-        cfg, h, vw = self.cfg, self.h, state.v[state.win]
-        inter = 0.5 * h * float((vw * state.pot).sum())
-        conf = cfg.lam / 2 * h * float((self.xx[state.win] * vw).sum())
-        e = inter + conf
+        """Free energy without and with the eps entropy term, by the kernels
+        of energy.energy on the state's window; the entropy part is not
+        summed at eps = 0."""
+        cfg, h, win = self.cfg, self.h, state.win
+        vw = state.v[win]
+        e = energy_mod.interaction(vw, state.pot, h) + energy_mod.confinement(vw, self.xx[win], h, cfg.lam)
         if cfg.eps == 0:
             return e, e
-        return e, e + cfg.eps * h * float(energy_mod._entropy_density(vw).sum())
+        return e, e + cfg.eps * energy_mod.boltzmann(vw, h)
 
     def dissipation(self, state: _State) -> tuple[float, float]:
-        """The dissipation h sum rho dxi^2 without and with the eps term:
-        dxi is dxi0, or dxi0 plus the gradient of eps log rho."""
+        """The dissipation without and with the eps term, by the kernel of
+        energy.dissipation on the state's window: dxi is dxi0, or dxi0 plus
+        the gradient of eps log rho."""
         h, vw, dxi0 = self.h, state.v[state.win], state.dxi0
-        i0 = h * float((vw * dxi0 * dxi0).sum())
+        i0 = energy_mod.dissipation_sum(vw, dxi0, h)
         if self.cfg.eps == 0:
             return i0, i0
-        dxi = dxi0 + energy_mod._eps_log_gradient(vw, h, self.cfg.eps)
-        return i0, h * float((vw * dxi * dxi).sum())
+        return i0, energy_mod.dissipation_sum(vw, dxi0 + energy_mod._eps_log_gradient(vw, h, self.cfg.eps), h)
 
     def fft_drift(self, state: _State, t: float) -> float:
         """|direct - fft| / scale of the potential of a state at time t, the

@@ -1,13 +1,13 @@
 """Closed-form compactly supported steady states of the confined flow, the
 mass-radius relation, the one closed form of their potential on the support
-(every s in (0, 1), the log kernel's at s = 1/2), the steady energy, and the
-variational residual check (constant potential on the support, at least that
-constant elsewhere)."""
+(every s in (0, 1), the log kernel's at s = 1/2), the steady energy in closed
+form, and the variational residual check (constant potential on the
+support, at least that constant elsewhere)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma, log
+from math import gamma, inf, isfinite, log
 
 import numpy as np
 
@@ -58,12 +58,16 @@ def mass_of_radius(s: float, lam: float, R: float) -> float:
     return float(coef * R ** (3 - 2 * s))
 
 
+def _require_positive(name: str, value: float) -> None:
+    """Raise NonPositive unless value is finite and > 0 (a NaN fails too)."""
+    if not 0.0 < value < inf:
+        raise NonPositive(f"{name} must be finite and > 0, got {value}")
+
+
 def radius_of_mass(s: float, lam: float, M: float) -> float:
     """Invert the strictly increasing mass-radius relation."""
-    if lam <= 0:
-        raise NonPositive(f"lam must be > 0, got {lam}")
-    if M <= 0:
-        raise NonPositive(f"mass must be > 0, got {M}")
+    _require_positive("lam", lam)
+    _require_positive("mass", M)
     coef = mass_of_radius(s, lam, 1.0)
     return float((M / coef) ** (1.0 / (3 - 2 * s)))
 
@@ -84,16 +88,16 @@ def barenblatt(
     """
     if not 0.0 < s < 1.0:
         raise OutOfRange(f"s must be in (0, 1), got {s}")
-    if lam <= 0:
-        raise NonPositive(f"lam must be > 0, got {lam}")
+    _require_positive("lam", lam)
+    if not isfinite(x0):
+        raise OutOfRange(f"x0 must be finite, got {x0}")
     if (mass is None) == (radius is None):
         raise ValueError("specify exactly one of mass= or radius=")
     if mass is not None:
         R = radius_of_mass(s, lam, mass)
         M = float(mass)
     else:
-        if radius <= 0:
-            raise NonPositive(f"radius must be > 0, got {radius}")
+        _require_positive("radius", radius)
         R = float(radius)
         M = mass_of_radius(s, lam, R)
     profile = BarenblattProfile(s=s, lam=lam, R=R, M=M, K=prefactor(s, lam), x0=x0)
@@ -121,21 +125,17 @@ def steady_potential(p: BarenblattProfile, x) -> np.ndarray | float:
 
 
 def steady_energy(p: BarenblattProfile, grid: Grid | None = None) -> float:
-    """Free energy of the profile by adaptive quadrature of the closed forms
-    (the profile and steady_potential), at every s in (0, 1).
+    """Free energy of the profile in closed form, at every s in (0, 1).
 
-    The printed closed-form constant for this energy is dimensionally suspect
-    at d=1, so the value is computed, not asserted. Cross-checked against the
-    grid energy of the sampled profile (1e-3 relative) before returning.
+    On the support the potential is steady_potential, c_star(p) -
+    (lam/2)(x - x0)^2, so with y = x - x0 (the profile is even in y)
+    E = (1/2) int rho (pot + lam x^2) = c_star(p) M / 2 + (lam/4) m2 +
+    (lam/2) M x0^2, m2 = int rho y^2 = K R^{5-2s} B(3/2, 2-s).
+    Cross-checked against the grid energy of the sampled profile (1e-3
+    relative) before returning.
     """
-    from scipy.integrate import quad  # imported here to keep scipy off the import path
-
-    lo, hi = p.x0 - p.R, p.x0 + p.R
-
-    def integrand(x):
-        return 0.5 * p.evaluate(x) * (steady_potential(p, x) + p.lam * x**2)
-
-    val, _ = quad(integrand, lo, hi, limit=200)
+    m2 = p.K * p.R ** (5 - 2 * p.s) * gamma(1.5) * gamma(2 - p.s) / gamma(3.5 - p.s)
+    val = c_star(p) * p.M / 2 + p.lam / 4 * m2 + p.lam / 2 * p.M * p.x0**2
 
     if grid is None:
         half = 2.0 * max(p.R + abs(p.x0), 1.0)
@@ -143,9 +143,7 @@ def steady_energy(p: BarenblattProfile, grid: Grid | None = None) -> float:
     sampled = p.sample(grid)
     bd = energy_mod.energy(sampled, p.s, p.lam, check_mass=False)
     if abs(bd.total - val) > 1e-3 * max(abs(val), 1e-300):
-        raise Inconsistent(
-            f"steady energy: closed-form quadrature {val!r} vs grid energy {bd.total!r}"
-        )
+        raise Inconsistent(f"steady energy: closed form {val!r} vs grid energy {bd.total!r}")
     return float(val)
 
 

@@ -130,6 +130,11 @@ def hwi_terms(
     it is nonnegative to round-off by construction; T2 vanishes identically
     at eps = 0 and stays nonnegative for 0 < eps < lam/(2 pi); T3 is the
     displacement-convexity gap of the interaction energy.
+
+    The free-energy parts are the kept energy.energy breakdowns of rho and
+    the target: T3 takes their interaction energies, and T2 at eps > 0 their
+    confinement + eps * entropy. So the target's parts are summed once for
+    all the densities measured against it.
     """
     _check_eps(eps, lam)
     require_normalized(rho)
@@ -137,8 +142,7 @@ def hwi_terms(
     regularity_warning(rho, s)
     plan = monotone_map(rho, rho_target)
     theta = plan.theta
-    g = rho.grid
-    h, x, v = g.h, rho.x, rho.values
+    h, x, v = rho.grid.h, rho.x, rho.values
 
     dxi = energy_mod.potential_xi(rho, s, lam, eps)
     i_eps = energy_mod.dissipation(rho, s, lam, eps)
@@ -146,30 +150,23 @@ def hwi_terms(
     cross = h * float(np.sum(v * dxi * (x - theta)))
     t1 = np.sqrt(i_eps) * w2_cost - cross
 
+    bd_rho = energy_mod.energy(rho, s, lam, eps)
+    bd_target = energy_mod.energy(rho_target, s, lam, eps)
     if eps == 0.0:
         integrand = lam * (x * (x - theta) - x**2 / 2 + theta**2 / 2 - (x - theta) ** 2 / 2)
         t2 = h * float(np.sum(v * integrand))
     else:
-        # the target's half, kept on it: one sum for all the densities measured against it
-        def target_half():
-            vt = rho_target.values
-            log_t = np.where(vt > 0, np.log(np.maximum(vt, energy_mod.LOG_FLOOR)), 0.0)
-            return h * float(np.sum(vt * (lam * rho_target.x**2 / 2 + eps * log_t)))
-
         dlog = energy_mod._eps_log_gradient(v, h, eps)
-        log_rho = np.where(v > 0, np.log(np.maximum(v, energy_mod.LOG_FLOOR)), 0.0)
         t2 = (
             -h * float(np.sum(v * (dlog + lam * x) * (theta - x)))
-            - h * float(np.sum(v * (lam * x**2 / 2 + eps * log_rho)))
-            + keep(rho_target.kept, ("hwi_T2", lam, eps), target_half)
+            - (bd_rho.confinement + eps * bd_rho.boltzmann)
+            + (bd_target.confinement + eps * bd_target.boltzmann)
             - lam / 2 * plan.cost
         )
 
-    inter_target = energy_mod.interaction_energy(rho_target, s)
-    inter_rho = energy_mod.interaction_energy(rho, s)
-    t3 = inter_target - inter_rho - _pv_map_term(rho, theta, s)
+    t3 = bd_target.interaction - bd_rho.interaction - _pv_map_term(rho, theta, s)
 
-    scale = max(1.0, i_eps, abs(inter_rho), abs(inter_target), plan.cost)
+    scale = max(1.0, i_eps, abs(bd_rho.interaction), abs(bd_target.interaction), plan.cost)
     return InequalityReport(T1=t1, T2=t2, T3=t3, scale=scale)
 
 

@@ -44,6 +44,28 @@ class TestExitCodes:
     def test_nonpositive_lambda_is_config_error(self, tmp_path, lam):
         assert main(["verify", lam, "--samples", "1", "--out", str(tmp_path / "report.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "line, name",
+        [
+            ("verify --lambda nan --samples 2", "lam"),
+            ("verify --lambda inf --samples 2", "lam"),
+            ("steady --s 0.25 --lambda nan", "lam"),
+            ("steady --s 0.25 --lambda inf", "lam"),
+            ("steady --s 0.25 --mass nan", "mass"),
+            ("steady --s 0.25 --radius nan", "radius"),
+            ("steady --s 0.25 --x0 nan", "x0"),
+            ("steady --s 0.25 --x0 inf", "x0"),
+        ],
+        ids=lambda p: p.replace(" --", "-").replace(" ", "-") if " " in p else None,
+    )
+    def test_nonfinite_profile_parameter_is_named(self, tmp_path, capsys, line, name):
+        # a NaN passed every sign check and failed later with another message
+        args = line.split()
+        out = ["--out-dir", str(tmp_path)] if args[0] == "steady" else ["--out", str(tmp_path / "report.json")]
+        assert main(args + out) == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("suite", [",", "", " , "])
     def test_empty_suite_list_is_config_error(self, tmp_path, capsys, suite):
         out = tmp_path / "report.json"

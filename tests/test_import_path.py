@@ -3,6 +3,8 @@ small `simulate` and `verify` through `harness.main`, loads no scipy module
 and no numpy.ma module (np.median would import it). `riesz-convergence`
 loads no scipy module either, at the log kernel's s = 1/2 too: its
 reference is the closed form of the steady potential, not a quadrature.
+Nor does `steady.steady_energy`, a closed form at every s: no module of the
+package imports scipy, which only the tests need.
 
 Structural guards with no timing: each check runs in a fresh child
 interpreter, because this test process imports scipy itself.
@@ -58,4 +60,13 @@ def test_simulate_and_verify_load_no_scipy(tmp_path):
 
 def test_riesz_convergence_at_half_loads_no_scipy(tmp_path):
     body = 'from fracpme.harness import main\nassert main("riesz-convergence --s 0.5 --levels 2".split()) == 0'
+    assert modules_after(body, tmp_path)[0] == []
+
+
+def test_steady_energy_loads_no_scipy(tmp_path):
+    body = (
+        "from fracpme.steady import barenblatt, steady_energy\n"
+        "for s in (0.25, 0.5):\n"
+        "    steady_energy(barenblatt(s, 0.4, mass=1.0)[0])"
+    )
     assert modules_after(body, tmp_path)[0] == []

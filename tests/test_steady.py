@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import solve_toeplitz
 from scipy.special import gamma
 
@@ -139,6 +140,18 @@ class TestSteadyEnergy:
         m2 = K * R ** (5 - 2 * S) * gamma(1.5) * gamma(2 - S) / gamma(3.5 - S)
         oracle = LAM * R**2 * M / (4 * (1 - 2 * S)) + LAM / 4 * m2
         assert abs(val - oracle) <= 1e-12
+        # quadrature oracle: (1/2) int rho (potential + lam x^2) of the closed
+        # forms of the profile and its potential, the log kernel's at s = 1/2
+        for s in (0.1, 0.25, 0.5, 0.6, 0.75, 0.9):
+            for x0 in (0.0, 0.3):
+                p, _ = barenblatt(s, LAM, mass=1.0, x0=x0)
+                quad_val, _ = quad(
+                    lambda x: 0.5 * p.evaluate(x) * (steady_potential(p, x) + LAM * x**2),
+                    x0 - p.R,
+                    x0 + p.R,
+                    limit=200,
+                )
+                assert abs(steady_energy(p) - quad_val) <= 1e-12 * abs(quad_val)
 
     def test_mass_homogeneity(self):
         p1, _ = barenblatt(S, LAM, mass=1.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracpme.energy import LOG_FLOOR, _eps_log_gradient
+from fracpme.energy import LOG_FLOOR, _eps_log_gradient, energy
 from fracpme.errors import EpsilonOutOfRange, NotNormalized, ParameterOrder
 from fracpme.grid import DensitySpec, Grid, GridDensity, cdf_quantile, holder_seminorm, moment, normalize, random_density
 from fracpme.riesz import DIRECT, neg_sobolev_norm, toeplitz_apply, workspace
@@ -165,23 +165,31 @@ class TestHwiTerms:
             assert rep.T3 >= -1e-8 * rep.scale
 
     def test_t2_at_positive_eps_is_the_written_out_sum(self, minimizer_target, corpus40):
-        # the target's half is kept on the target after the first sample
+        # the confinement and entropy parts are the kept energy breakdowns';
+        # the sums written out here stay within round-off of them
         eps = 1e-2
         target = minimizer_target
         h, x, vt = target.grid.h, target.x, target.values
         log_t = np.where(vt > 0, np.log(np.maximum(vt, LOG_FLOOR)), 0.0)
+        bd_t = energy(target, S, LAM, eps)
         for _, rho in corpus40[:3]:
             v = rho.values
             plan = monotone_map(rho, target)
+            bd = energy(rho, S, LAM, eps)
             dlog = _eps_log_gradient(v, h, eps)
+            move = -h * float(np.sum(v * (dlog + LAM * x) * (plan.theta - x)))
+            t2 = move - (bd.confinement + eps * bd.boltzmann) + (bd_t.confinement + eps * bd_t.boltzmann)
+            t2 -= LAM / 2 * plan.cost
+            got = hwi_terms(rho, target, S, LAM, eps).T2
+            assert got == t2
             log_rho = np.where(v > 0, np.log(np.maximum(v, LOG_FLOOR)), 0.0)
-            t2 = (
-                -h * float(np.sum(v * (dlog + LAM * x) * (plan.theta - x)))
+            written_out = (
+                move
                 - h * float(np.sum(v * (LAM * x**2 / 2 + eps * log_rho)))
                 + h * float(np.sum(vt * (LAM * x**2 / 2 + eps * log_t)))
                 - LAM / 2 * plan.cost
             )
-            assert hwi_terms(rho, target, S, LAM, eps).T2 == t2
+            assert got == pytest.approx(written_out, rel=1e-12)
 
     def test_eps_window_enforced(self, minimizer_target):
         target = minimizer_target
