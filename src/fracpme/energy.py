@@ -21,7 +21,7 @@ EPS_TERM_FLOOR = 1e-12
 def _eps_log_gradient(v: np.ndarray, h: float, eps: float) -> np.ndarray:
     """Centered difference of eps log rho on {rho > floor} (zero where a
     stencil leaves that set), for the grid values v of a density."""
-    mask = v > EPS_TERM_FLOOR * float(np.max(v))
+    mask = v > EPS_TERM_FLOOR * float(v.max())
     logv = np.where(mask, np.log(np.maximum(v, LOG_FLOOR)), 0.0)
     grad = np.zeros_like(v)
     ok = mask[2:] & mask[:-2] & mask[1:-1]
@@ -37,19 +37,27 @@ def _entropy_density(v: np.ndarray) -> np.ndarray:
 def potential_xi(rho: GridDensity, s: float, lam: float, eps: float = 0.0) -> np.ndarray:
     """Spatial derivative dxi of the driving potential xi = (-Dxx)^{-s} rho
     + lam x^2/2 (+ eps log rho) at the cell centers; the velocity field of
-    the flow is -dxi."""
+    the flow is -dxi. rho keeps it, read-only, for each (s, lam, eps) in
+    rho.kept, so dissipation, hwi_terms and remainder_R share one array."""
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     require_normalized(rho)
-    dxi = riesz_gradient(rho, s) + lam * rho.grid.centers
-    if eps > 0:
-        dxi += _eps_log_gradient(rho.values, rho.grid.h, eps)
-    return dxi
+
+    def build():
+        dxi = riesz_gradient(rho, s) + lam * rho.grid.centers
+        if eps > 0:
+            dxi += _eps_log_gradient(rho.values, rho.grid.h, eps)
+        return dxi
+
+    return keep(rho.kept, ("potential_xi", s, lam, eps), build)
 
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Interaction, confinement and entropy parts of the free energy."""
+    """Interaction, confinement and entropy parts of the free energy.
+
+    boltzmann is h sum rho log rho at eps > 0. At eps = 0 it is not summed
+    and holds 0.0, so total is the interaction plus the confinement."""
 
     interaction: float
     confinement: float
@@ -93,11 +101,12 @@ def energy(
 
     The one definition of the free energy: each part is the array kernel of
     this module (interaction, confinement, boltzmann) that the stepper also
-    takes on its windows. For s >= 1/2 the interaction kernel does not decay
-    and the value carries the domain truncation; differences of energies
-    remain meaningful. rho keeps its breakdown for each (s, lam, eps) in
-    rho.kept, so a target measured against many densities is integrated
-    once.
+    takes on its windows. As in the stepper, the entropy part is summed only
+    at eps > 0 (see EnergyBreakdown). For s >= 1/2 the interaction kernel
+    does not decay and the value carries the domain truncation; differences
+    of energies remain meaningful. rho keeps its breakdown for each
+    (s, lam, eps) in rho.kept, so a target measured against many densities
+    is integrated once.
     """
     if check_mass:
         require_normalized(rho)
@@ -105,7 +114,8 @@ def energy(
     def build():
         v, h = rho.values, rho.grid.h
         inter = interaction(v, riesz_potential(rho, s), h)
-        return EnergyBreakdown(inter, confinement(v, rho.x**2, h, lam), boltzmann(v, h), eps)
+        entropy = boltzmann(v, h) if eps > 0 else 0.0
+        return EnergyBreakdown(inter, confinement(v, rho.x**2, h, lam), entropy, eps)
 
     return keep(rho.kept, ("energy", s, lam, eps), build)
 
@@ -138,8 +148,8 @@ def remainder_R(rho: GridDensity, s: float, lam: float) -> float:
     ws = workspace(g, s)
     c_plus = ws.kernel.c_plus
     vd = v * d
-    t1 = float(np.sum(vd * d * kept_field(rho, s, "hessian")))
-    t2 = float(np.sum(vd * ws.apply("hessian", vd)))
+    t1 = float((vd * d * kept_field(rho, s, "hessian")).sum())
+    t2 = float((vd * ws.apply("hessian", vd)).sum())
     val = c_plus * g.h * (t1 - t2)
     scale = max(1.0, c_plus * g.h * (abs(t1) + abs(t2)))
     if val < -1e-10 * scale:
@@ -155,9 +165,9 @@ def virial_check(rho: GridDensity, s: float) -> tuple[float, float]:
     """
     h = rho.grid.h
     grad = riesz_gradient(rho, s)
-    lhs = -2.0 * h * float(np.sum(rho.values * rho.x * grad))
+    lhs = -2.0 * h * float((rho.values * rho.x * grad).sum())
     if s == 0.5:
         return lhs, riesz_constant(s).c_plus * rho.mass**2
     pot = riesz_potential(rho, s)
-    rhs = (1 - 2 * s) * h * float(np.sum(rho.values * pot))
+    rhs = (1 - 2 * s) * h * float((rho.values * pot).sum())
     return lhs, rhs

@@ -32,6 +32,9 @@ LYAPUNOV_SLACK = 1e-10
 CLAMP_BUDGET = 1e-12
 STALL_TOL = 1e-10
 MAX_HALVINGS = 20
+# the snapshot clock takes a time within SNAPSHOT_SLACK of a snapshot time (or
+# of t_end) as that time, so snapshot times must lie more than twice it apart
+SNAPSHOT_SLACK = 1e-12
 
 DIAGNOSTIC_KEYS = ("E", "E_eps", "I", "I_eps", "W2", "L2", "L1", "mass", "m2", "min_rho")
 
@@ -76,8 +79,11 @@ class SolverConfig:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
         if self.t_end <= 0:
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
-        if self.snapshot_every <= 0:
-            raise ValueError(f"snapshot_every must be > 0, got {self.snapshot_every}")
+        if not self.snapshot_every >= 2 * SNAPSHOT_SLACK:
+            raise ValueError(
+                f"snapshot_every must be at least {2 * SNAPSHOT_SLACK:g}, twice the snapshot "
+                f"clock's slack, got {self.snapshot_every}"
+            )
         if self.init is not None:
             # compare centers, not Grid fields: a CSV round trip can move x_max by an ulp
             on = self.init.grid
@@ -553,7 +559,7 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
         mass = h * float(v.sum())
         stats.max_mass_drift = max(stats.max_mass_drift, abs(mass - mass0))
 
-        if t >= next_snap - 1e-12 or t >= cfg.t_end - 1e-12:
+        if t >= next_snap - SNAPSHOT_SLACK or t >= cfg.t_end - SNAPSHOT_SLACK:
             stats.max_fft_drift = max(stats.max_fft_drift, stepper.fft_drift(state, t))
             snap = GridDensity(cfg.grid, v)
             times.append(t)
@@ -569,10 +575,10 @@ def integrate(cfg: SolverConfig, target: GridDensity) -> Trajectory:
             diag["mass"].append(mass)
             diag["m2"].append(h * float((stepper.xx * v).sum()))
             diag["min_rho"].append(float(v.min()))
-            while next_snap <= t + 1e-12:
+            while next_snap <= t + SNAPSHOT_SLACK:
                 next_snap += cfg.snapshot_every
 
-        if t >= cfg.t_end - 1e-12:
+        if t >= cfg.t_end - SNAPSHOT_SLACK:
             break
 
         rates = state.rates

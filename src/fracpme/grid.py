@@ -7,6 +7,7 @@ moments computed here are the single source of truth for that convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -28,6 +29,11 @@ class Grid:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"grid needs n >= 2 cells, got {self.n}")
+        # an infinite bound, or a width that overflows, passes x_max > x_min and makes h inf or NaN
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ValueError(
+                f"grid bounds and their width must be finite, got x_min={self.x_min}, x_max={self.x_max}"
+            )
         if not self.x_max > self.x_min:
             raise ValueError("grid needs x_max > x_min")
 
@@ -57,9 +63,11 @@ class GridDensity:
     """Nonnegative density (per unit length) at the cell centers of a Grid.
 
     Values are frozen after construction; the cached mass is exactly
-    h * sum(values) under numpy's fixed summation order. `kept` holds what
-    other modules derive from the values, each stored by `keep`: computed
-    once, read-only if an array, and kept for as long as the density lives.
+    h * sum(values) under numpy's fixed summation order. The values are
+    checked by one min and one max reduction: a NaN, an infinity or a
+    negative value is rejected, and -0.0 is kept. `kept` holds what other
+    modules derive from the values, each stored by `keep`: computed once,
+    read-only if an array, and kept for as long as the density lives.
     """
 
     __slots__ = ("grid", "values", "mass", "kept")
@@ -68,13 +76,14 @@ class GridDensity:
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n,):
             raise ValueError(f"expected {grid.n} values, got shape {values.shape}")
-        if not (np.isfinite(values).all() and np.all(values >= 0.0)):
+        # min is NaN if any value is; a comparison with NaN is False
+        if not (values.min() >= 0.0 and values.max() < math.inf):
             raise ValueError("density values must be finite and nonnegative")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mass", grid.h * float(np.sum(values)))
+        object.__setattr__(self, "mass", grid.h * float(values.sum()))
         object.__setattr__(self, "kept", {})
 
     def __setattr__(self, name, value):
@@ -134,8 +143,8 @@ def moment(rho: GridDensity, k: int) -> float:
     if k not in (0, 1, 2):
         raise ValueError(f"moment order must be 0, 1 or 2, got {k}")
     if k == 0:
-        return rho.grid.h * float(np.sum(rho.values))
-    return rho.grid.h * float(np.sum(rho.x**k * rho.values))
+        return rho.grid.h * float(rho.values.sum())
+    return rho.grid.h * float((rho.x**k * rho.values).sum())
 
 
 class QuantileFn:
@@ -168,10 +177,19 @@ class QuantileFn:
         return np.interp(x, self.edges, self.cum)
 
     def __call__(self, q):
+        """The lower quantile at the nodes q, of the shape of q.
+
+        A node in cell j sits at edge j plus (q - cum[j]) over the cell's
+        density, or at edge j if the cell holds no mass. Only an end cell can
+        hold nodes and no mass (an empty interior cell has a zero CDF step),
+        yet the mask is taken on every call: a plain divide where no end cell
+        needs it gives the same floats faster, but raised the peak memory of
+        `verify` by 0.07 MiB (2-vCPU VM, benchmark medians).
+        """
         q = np.asarray(q, dtype=float)
         nodes = q.ravel()
         order = None
-        if not np.all(nodes[1:] >= nodes[:-1]):  # a NaN compares False and sorts last
+        if not (nodes[1:] >= nodes[:-1]).all():  # a NaN compares False and sorts last
             order = np.argsort(nodes)
             nodes = nodes[order]
         # the first cell also takes q <= 0, the last q above the total and NaN
@@ -185,7 +203,7 @@ class QuantileFn:
         np.divide(x, dens, out=x, where=pos)
         x[~pos] = 0.0
         x += np.repeat(self.edges[:-1], runs)
-        np.clip(x, self.edges[0], self.edges[-1], out=x)
+        x.clip(self.edges[0], self.edges[-1], out=x)
         if order is not None:
             x[order] = x.copy()
         return x.reshape(q.shape)[()]

@@ -457,11 +457,11 @@ def regularity_warning(rho: GridDensity, s: float) -> None:
     """
     alpha = min(1.0, max(1.0 - 2.0 * s, 0.0) + 0.05)
     v = rho.values
-    rng = float(np.max(v) - np.min(v))
+    rng = float(v.max() - v.min())
     if rng == 0.0:
         return
     h = rho.grid.h
-    quotient = float(np.max(np.abs(np.diff(v)))) / h**alpha
+    quotient = float(np.abs(np.diff(v)).max()) / h**alpha
     jump = rng / h**alpha
     if quotient >= 0.5 * jump:
         warnings.warn(
@@ -485,12 +485,12 @@ def _neg_sobolev_from(u: np.ndarray, pot: np.ndarray, grid: Grid, s: float) -> f
     """neg_sobolev_norm of u given pot, the Riesz potential of u: the
     quadratic form h sum u pot, its check and its s >= 1/2 warning."""
     h = grid.h
-    norm1 = h * float(np.sum(np.abs(u)))
+    norm1 = h * float(np.abs(u).sum())
     if s >= 0.5:
-        mean_free = abs(h * float(np.sum(u)))
+        mean_free = abs(h * float(u.sum()))
         if mean_free > 1e-8 * (1.0 + norm1):
             warnings.warn("neg_sobolev_norm at s >= 1/2 expects a zero-mass input", stacklevel=3)
-    val = h * float(np.sum(u * pot))
+    val = h * float((u * pot).sum())
     kscale = max(1.0, abs(riesz_constant(s).c))
     if val < -1e-8 * norm1**2 * kscale:
         raise NegativeBeyondTolerance(

@@ -52,7 +52,7 @@ def w2(rho1: GridDensity, rho2: GridDensity) -> float:
     diff = cdf_quantile(rho1)(q)
     diff -= q2
     diff *= diff
-    return float(np.sqrt(np.sum(diff) / m))
+    return float(np.sqrt(diff.sum() / m))
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,8 @@ def monotone_map(rho1: GridDensity, rho2: GridDensity) -> TransportPlan1D:
         warnings.warn("monotone_map: source support is disconnected", stacklevel=2)
     f1 = cdf_quantile(rho1)
     f2 = cdf_quantile(rho2)
-    theta = f2(np.clip(f1.cdf(rho1.x), 0.0, 1.0))
-    cost = rho1.grid.h * float(np.sum(rho1.values * (rho1.x - theta) ** 2))
+    theta = f2(f1.cdf(rho1.x).clip(0.0, 1.0))
+    cost = rho1.grid.h * float((rho1.values * (rho1.x - theta) ** 2).sum())
     return TransportPlan1D(theta=theta, cost=cost)
 
 
@@ -114,7 +114,7 @@ def _pv_map_term(rho: GridDensity, theta: np.ndarray, s: float) -> float:
     kernel is barely integrable.
     """
     phi = theta - rho.x
-    return rho.grid.h * float(np.sum(phi * rho.values * kept_field(rho, s, "gradient")))
+    return rho.grid.h * float((phi * rho.values * kept_field(rho, s, "gradient")).sum())
 
 
 def hwi_terms(
@@ -147,18 +147,18 @@ def hwi_terms(
     dxi = energy_mod.potential_xi(rho, s, lam, eps)
     i_eps = energy_mod.dissipation(rho, s, lam, eps)
     w2_cost = np.sqrt(plan.cost)
-    cross = h * float(np.sum(v * dxi * (x - theta)))
+    cross = h * float((v * dxi * (x - theta)).sum())
     t1 = np.sqrt(i_eps) * w2_cost - cross
 
     bd_rho = energy_mod.energy(rho, s, lam, eps)
     bd_target = energy_mod.energy(rho_target, s, lam, eps)
     if eps == 0.0:
         integrand = lam * (x * (x - theta) - x**2 / 2 + theta**2 / 2 - (x - theta) ** 2 / 2)
-        t2 = h * float(np.sum(v * integrand))
+        t2 = h * float((v * integrand).sum())
     else:
         dlog = energy_mod._eps_log_gradient(v, h, eps)
         t2 = (
-            -h * float(np.sum(v * (dlog + lam * x) * (theta - x)))
+            -h * float((v * (dlog + lam * x) * (theta - x)).sum())
             - (bd_rho.confinement + eps * bd_rho.boltzmann)
             + (bd_target.confinement + eps * bd_target.boltzmann)
             - lam / 2 * plan.cost
@@ -235,11 +235,11 @@ def gns_ratio(rho: GridDensity, s: float) -> float:
     if not s < 0.5:
         raise ParameterOrder(f"gns ratio requires s < 1/2, got {s}")
     h = rho.grid.h
-    lhs = h * float(np.sum(rho.values * riesz_potential(rho, s)))
+    lhs = h * float((rho.values * riesz_potential(rho, s)).sum())
     if lhs <= 0:
         raise DegenerateDenominator(f"interaction integral {lhs!r} <= 0 at s < 1/2")
     grad = riesz_gradient(rho, s)
-    grad_term = h * float(np.sum(rho.values * grad**2))
+    grad_term = h * float((rho.values * grad**2).sum())
     theta = gns_theta(s)
     return float(rho.mass ** (2 - 3 * theta) * grad_term**theta / lhs)
 
@@ -276,10 +276,10 @@ def interp_inequality(
     sigmas = interp_sigmas(s, alpha, r)
     u = np.asarray(u, dtype=float)
     h = grid.h
-    lhs = float(np.sqrt(h * np.sum(u * u)))
+    lhs = float(np.sqrt(h * (u * u).sum()))
     if nsn is None:
         nsn = neg_sobolev_norm(u, grid, s)
     hol = holder_seminorm(u, grid, alpha)
-    l1 = h * float(np.sum(np.abs(u)))
+    l1 = h * float(np.abs(u).sum())
     rhs = nsn ** sigmas[0] * hol ** sigmas[1] * l1 ** sigmas[2]
     return lhs, float(rhs), sigmas

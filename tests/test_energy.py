@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fracpme import energy as energy_module
 from fracpme.energy import (
     boltzmann,
     dissipation,
@@ -45,6 +46,15 @@ class TestPotentialXi:
         with pytest.raises(ValueError):
             potential_xi(steady_pair[1], S, LAM, -1e-3)
 
+    def test_kept_once_per_parameters(self, grid1024):
+        rho = random_density(DensitySpec(seed=12), grid1024)
+        dxi = potential_xi(rho, S, LAM)
+        assert potential_xi(rho, S, LAM, 0.0) is dxi
+        assert not dxi.flags.writeable
+        with_eps = potential_xi(rho, S, LAM, 1e-2)
+        assert with_eps is not dxi and potential_xi(rho, S, LAM, 1e-2) is with_eps
+        assert dissipation(rho, S, LAM) == float((rho.values * dxi**2).sum()) * grid1024.h
+
 
 class TestEnergy:
     def test_matches_steady_energy(self, steady_pair):
@@ -83,6 +93,23 @@ class TestEnergy:
         expect = e0.confinement + LAM / 2 * (a**2 + 2 * a * moment(rho, 1)) * rho.mass
         assert abs(e1.confinement - expect) <= 1e-10
         assert abs(e1.interaction - e0.interaction) <= 1e-10
+
+    def test_entropy_not_summed_at_eps_zero(self, grid1024, monkeypatch):
+        rho = random_density(DensitySpec(seed=13), grid1024)
+
+        def entropy_kernel(v, h):
+            raise AssertionError("entropy summed at eps = 0")
+
+        monkeypatch.setattr(energy_module, "boltzmann", entropy_kernel)
+        bd = energy(rho, S, LAM, 0.0)
+        monkeypatch.undo()
+        assert bd.boltzmann == 0.0
+        assert bd.total == bd.interaction + bd.confinement + 0.0 * boltzmann(rho.values, grid1024.h)
+
+    def test_entropy_part_is_the_kernel_at_eps(self, grid1024):
+        rho = random_density(DensitySpec(seed=13), grid1024)
+        bd = energy(rho, S, LAM, 1e-2)
+        assert bd.boltzmann == boltzmann(rho.values, grid1024.h)
 
     def test_entropy_term_enters_with_eps(self, steady_pair):
         _, target = steady_pair

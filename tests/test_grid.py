@@ -42,12 +42,25 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(1.0, -1.0, 16)
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize(
+        "bounds", [(-np.inf, 1.0), (-1.0, np.inf), (-np.inf, np.inf), (np.nan, 1.0), (-1e308, 1e308)]
+    )
+    def test_bounds_must_be_finite(self, bounds):
+        # an infinite bound or width passed x_max > x_min and made h and the centers inf or NaN
+        with pytest.raises(ValueError, match="grid bounds and their width must be finite"):
+            Grid(*bounds, 16)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf, -1e-300])
     def test_density_values_must_be_finite(self, bad):
         vals = np.ones(8)
         vals[3] = bad
         with pytest.raises(ValueError, match="finite and nonnegative"):
             GridDensity(Grid(-2.0, 2.0, 8), vals)
+
+    def test_negative_zero_is_a_density_value(self):
+        vals = np.array([-0.0, 1.0, 0.0, 2.0, -0.0, 1.0, 0.0, -0.0])
+        rho = GridDensity(Grid(-2.0, 2.0, 8), vals)
+        assert rho.values.tobytes() == vals.tobytes()
 
     def test_keep_builds_once_and_returns_the_kept_object(self):
         rho = GridDensity(Grid(-2.0, 2.0, 8), np.ones(8))

@@ -87,6 +87,30 @@ class TestExitCodes:
         assert "--samples" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "steady"])
+    def test_infinite_xmax_is_named(self, tmp_path, capsys, command):
+        # an infinite bound made every center NaN and stopped on the density check's message
+        args = [command, "--s", "0.25", "--xmax", "inf", "--out-dir", str(tmp_path)]
+        assert main(args) == 2
+        assert "grid bounds and their width must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("every", ["1e-300", "1e-12"])
+    def test_snapshot_spacing_below_the_clock_slack_is_config_error(self, tmp_path, every):
+        # at --t-end 5e-11, 1e-12 wrote 46 of 51 rows; 1e-300 did not end at all
+        args = ["simulate", "--s", "0.25", "--grid-n", "64", "--t-end", "0.01", "--snapshot-every", every]
+        res = run_cli([*args, "--out-dir", str(tmp_path)], timeout=60)
+        assert res.returncode == 2
+        assert f"snapshot_every must be at least {2 * evolve.SNAPSHOT_SLACK:g}" in res.stderr
+        assert not any(tmp_path.iterdir())
+
+    def test_snapshot_spacing_at_the_floor_writes_every_row(self, tmp_path):
+        every = 2 * evolve.SNAPSHOT_SLACK
+        args = ["simulate", "--s", "0.25", "--grid-n", "64", "--t-end", repr(25 * every)]
+        assert main([*args, "--snapshot-every", repr(every), "--out-dir", str(tmp_path)]) == 0
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert len(rows) == 1 + 26
+
 
 def test_first_violating_seed_is_reported_even_if_zero(monkeypatch):
     samples = list(harness.fuzz_corpus(0, 3, Grid.symmetric(4.0, 256)))
