@@ -8,6 +8,7 @@ moments computed here are the single source of truth for that convention.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import NotNormalized, ZeroMass
 
 NORMALIZED_TOL = 1e-10
+MIN_CELL_WIDTH = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,12 @@ class Grid:
             )
         if not self.x_max > self.x_min:
             raise ValueError("grid needs x_max > x_min")
+        # the stepper divides by h**2, which is subnormal below MIN_CELL_WIDTH and 0 further down
+        if not self.h >= MIN_CELL_WIDTH:
+            raise ValueError(
+                f"grid cell width (x_max - x_min)/n must be at least {MIN_CELL_WIDTH:.6g}, so that its"
+                f" square is a normal float; got x_min={self.x_min}, x_max={self.x_max}, n={self.n}"
+            )
 
     @classmethod
     def symmetric(cls, half_width: float, n: int) -> "Grid":
@@ -247,7 +255,7 @@ def holder_seminorm(u: np.ndarray, grid: Grid, alpha: float) -> float:
     spread = float(us.max() - us.min())
     best = 0.0
     pad = np.concatenate((us, np.full(size - 1, us[-1])))
-    shifted = np.lib.stride_tricks.sliding_window_view(pad, size)  # row m: pad[m : m + size]
+    shifted = np.ndarray((size, size), buffer=pad, strides=(pad.itemsize,) * 2)  # row m: pad[m : m + size]
     buf = np.empty((min(HOLDER_BLOCK, size - 1), size))  # the differences of one block of lags
     for m0 in range(1, size, HOLDER_BLOCK):
         m1 = min(m0 + HOLDER_BLOCK, size)

@@ -7,7 +7,7 @@ support, at least that constant elsewhere)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma, inf, isfinite, log
+from math import gamma, inf, isfinite, log, pi, sqrt
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import (
     NotConverged,
     OutOfRange,
     OutsideSupport,
+    ZeroMass,
 )
 from .grid import Grid, GridDensity
 from .riesz import riesz_potential, workspace
@@ -41,7 +42,9 @@ class BarenblattProfile:
 
     def evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return self.K * np.maximum(self.R**2 - (x - self.x0) ** 2, 0.0) ** (1 - self.s)
+        # a square that overflows lies outside the support, where the clamp gives the exact 0
+        with np.errstate(over="ignore"):
+            return self.K * np.maximum(self.R**2 - (x - self.x0) ** 2, 0.0) ** (1 - self.s)
 
     def sample(self, grid: Grid) -> GridDensity:
         return GridDensity(grid, self.evaluate(grid.centers))
@@ -53,9 +56,12 @@ def prefactor(s: float, lam: float) -> float:
 
 
 def mass_of_radius(s: float, lam: float, R: float) -> float:
-    """Total mass of the profile with support radius R."""
-    coef = 2 ** (2 * s) * np.sqrt(np.pi) * gamma(1.5) * lam / ((3 - 2 * s) * gamma(1.5 - s) ** 2)
-    return float(coef * R ** (3 - 2 * s))
+    """Total mass of the profile with support radius R, inf where it overflows."""
+    coef = 2 ** (2 * s) * sqrt(pi) * gamma(1.5) * lam / ((3 - 2 * s) * gamma(1.5 - s) ** 2)
+    try:
+        return float(coef * R ** (3 - 2 * s))
+    except OverflowError:  # a float power raises where a product gives inf
+        return inf
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -84,7 +90,9 @@ def barenblatt(
 
     Returns the closed-form profile and its exact evaluation at the cell
     centers of `grid` (default: [-4, 4] with 1024 cells). The sampled grid
-    mass differs from M by the midpoint-rule error at the profile edge.
+    mass differs from M by the midpoint-rule error at the profile edge. A
+    radius whose square or mass overflows is OutOfRange, and a profile that
+    puts no mass on the grid is ZeroMass.
     """
     if not 0.0 < s < 1.0:
         raise OutOfRange(f"s must be in (0, 1), got {s}")
@@ -100,10 +108,16 @@ def barenblatt(
         _require_positive("radius", radius)
         R = float(radius)
         M = mass_of_radius(s, lam, R)
+    if not (M < inf and R * R < inf):
+        raise OutOfRange(f"radius {R} is too large: R**2 or the mass overflows")
     profile = BarenblattProfile(s=s, lam=lam, R=R, M=M, K=prefactor(s, lam), x0=x0)
     if grid is None:
         grid = Grid.symmetric(4.0, 1024)
-    return profile, profile.sample(grid)
+    dens = profile.sample(grid)
+    if not dens.mass > 0:
+        support = f"[{x0 - R}, {x0 + R}]"
+        raise ZeroMass(f"the profile on {support} has no mass on the grid [{grid.x_min}, {grid.x_max}]")
+    return profile, dens
 
 
 def c_star(p: BarenblattProfile) -> float:

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from fracpme.errors import NotNormalized, ZeroMass
 from fracpme.grid import (
     HOLDER_BLOCK,
+    MIN_CELL_WIDTH,
     DensitySpec,
     Grid,
     GridDensity,
@@ -49,6 +52,14 @@ class TestGrid:
         # an infinite bound or width passed x_max > x_min and made h and the centers inf or NaN
         with pytest.raises(ValueError, match="grid bounds and their width must be finite"):
             Grid(*bounds, 16)
+
+    def test_cell_width_squares_to_a_normal_float(self):
+        # a width of 1e-300 over 64 cells squared to 0, and the stepper divided by it
+        n = 64
+        assert Grid(0.0, n * MIN_CELL_WIDTH, n).h ** 2 >= sys.float_info.min
+        for x_max in (math.nextafter(n * MIN_CELL_WIDTH, 0.0), 1e-300):
+            with pytest.raises(ValueError, match=re.escape(f"x_min=0.0, x_max={x_max}, n={n}")):
+                Grid(0.0, x_max, n)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf, -1e-300])
     def test_density_values_must_be_finite(self, bad):

@@ -1,5 +1,8 @@
 import json
+import math
 import re
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +98,24 @@ class TestExitCodes:
         assert "grid bounds and their width must be finite" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("simulate --s 0.25 --xmax 1e-300 --grid-n 64 --t-end 0.2", "x_min=-1e-300, x_max=1e-300, n=64"),
+            ("steady --s 0.25 --radius 1e300", "radius 1e+300 is too large"),
+            ("steady --s 0.25 --x0 1e300", "has no mass on the grid [-4.0, 4.0]"),
+        ],
+        ids=["h-squared-underflows", "radius-overflows", "x0-far-off-the-grid"],
+    )
+    def test_overflow_or_underflow_is_refused(self, tmp_path, capsys, line, message):
+        # h**2 was 0 in the stepper (ZeroDivisionError), R ** (3 - 2s) raised OverflowError, and
+        # (x - x0)**2 overflowed with a RuntimeWarning into an all-zero profile.csv reported as M = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*line.split(), "--out-dir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("every", ["1e-300", "1e-12"])
     def test_snapshot_spacing_below_the_clock_slack_is_config_error(self, tmp_path, every):
         # at --t-end 5e-11, 1e-12 wrote 46 of 51 rows; 1e-300 did not end at all
@@ -110,6 +131,68 @@ class TestExitCodes:
         assert main([*args, "--snapshot-every", repr(every), "--out-dir", str(tmp_path)]) == 0
         rows = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert len(rows) == 1 + 26
+
+
+WRITER_PAYLOADS = {
+    "empty-dict": {},
+    "empty-list": [],
+    "empty-at-depth": {"a": {}, "b": [], "c": {"d": {}, "e": [[], {}]}},
+    "empty-row-among-rows": {"rows": [{"x": 1}, {}, {"x": 2}]},
+    "non-finite": {"nan": math.nan, "inf": math.inf, "-inf": -math.inf},
+    "negative-zero": {"z": -0.0, "rows": [{"z": -0.0}, {"z": 0.0}]},
+    "bool-and-int": {"t": True, "f": False, "i": -7, "big": 10**30, "rows": [{"b": True, "i": 3}] * 3},
+    "none": {"n": None, "list": [None, 1, None]},
+    "quotes": {'say "hi"': 'a "quoted" \\ value'},
+    "newlines": {"k\nk": "line\nbreak", "rows": [{"s": "\n"}, {"s": "\r\n"}]},
+    "non-ascii": {"ρ_∞": "naïve 中文", "rows": [{"é": "ü"}]},
+    "row-boundary-in-strings": {"rows": [{"s": "},\n      {", "t": "},\n    {"} for _ in range(40)]},
+    "rows-over-several-chunks": {"a": {"rows": [{"i": i, "x": i / 7} for i in range(3 * harness.JSON_CHUNK_ROWS + 3)]}},
+    "mixed-lists": [1, [2, [3, {"a": [4, {"b": ()}]}]], ({"c": 5},), "end"],
+    "scalar": 0.1,
+    "non-string-keys": {2: "int", 1.5: {"x": [1]}, True: None},
+}
+
+
+class TestWriteJson:
+    """_write_json writes json.dump(payload, indent=2, sort_keys=True) plus a newline, byte for byte."""
+
+    @pytest.mark.parametrize("payload", WRITER_PAYLOADS.values(), ids=WRITER_PAYLOADS.keys())
+    def test_bytes_equal_json_dumps(self, tmp_path, payload):
+        harness._write_json(tmp_path / "x.json", payload)
+        assert (tmp_path / "x.json").read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+    def test_every_file_the_commands_write_is_json_dumps_of_itself(self, sim_dir, tmp_path):
+        fit = tmp_path / "fit.json"
+        assert main(["verify", "--samples", "3", "--out", str(tmp_path / "report.json")]) == 0
+        assert main(["steady", "--s", "0.25", "--out-dir", str(tmp_path)]) == 0
+        argv = ["decay-fit", "--traj", str(sim_dir / "trajectory.csv"), "--quantity", "W2", "--window", "0.2:1.0"]
+        assert main([*argv, "--out", str(fit)]) == 0
+        files = [tmp_path / "report.json", tmp_path / "steady.json", fit]
+        files += [sim_dir / "stats.json", sim_dir / "manifest.json"]
+        for path in files:
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+
+    def test_peak_memory_is_no_more_than_json_dump(self, tmp_path):
+        # a verify report's shape: eight suites of 200 rows; the writer holds one chunk of text at a time
+        rows = [{"seed": k, "margin": k / 3, "lhs": k / 7, "rhs": k / 11, "pass": True} for k in range(200)]
+        report = {"suites": {f"suite{j}": {"pass": True, "samples": rows} for j in range(8)}}
+
+        def peak(write):
+            tracemalloc.start()
+            try:
+                write()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def dump():
+            with open(tmp_path / "dump.json", "w", encoding="utf-8") as f:
+                json.dump(report, f, indent=2, sort_keys=True)
+
+        writer = peak(lambda: harness._write_json(tmp_path / "writer.json", report))
+        assert writer <= peak(dump)
+        assert writer < (tmp_path / "writer.json").stat().st_size / 4
 
 
 def test_first_violating_seed_is_reported_even_if_zero(monkeypatch):

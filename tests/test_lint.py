@@ -251,3 +251,65 @@ def test_check_sees_a_hand_kept_value(tmp_path):
         encoding="utf-8",
     )
     assert hand_kept_values(src) == ["sample.py:2 kept", "sample.py:3 _cache", "sample.py:4 _cache", "sample.py:7 kept"]
+
+
+JSON_WRITER = ("harness.py", "_write_json")
+JSON_WRITES = ("dump", "dumps", "JSONEncoder")
+
+
+def json_writes(path: Path) -> list[str]:
+    """json.dump, json.dumps and JSONEncoder, by attribute or imported from
+    json, anywhere but in harness's _write_json, the one JSON writer."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules, imported = {"json"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "json"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+            imported |= {alias.asname or alias.name for alias in node.names if alias.name in JSON_WRITES}
+    writer = {
+        id(node)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) == JSON_WRITER
+        for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in writer:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in JSON_WRITES:
+            base = node.value
+            while isinstance(base, ast.Attribute):  # json.encoder.JSONEncoder
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                found.append((node.lineno, node.col_offset, f"{path.name}:{node.lineno} {node.attr}"))
+        elif isinstance(node, ast.Name) and node.id in imported:
+            found.append((node.lineno, node.col_offset, f"{path.name}:{node.lineno} {node.id}"))
+    return [entry for _, _, entry in sorted(found)]
+
+
+def test_only_the_writer_encodes_json():
+    assert any(p.name == JSON_WRITER[0] for p in SOURCES)
+    assert [entry for path in SOURCES for entry in json_writes(path)] == []
+
+
+def test_check_sees_a_second_json_writer(tmp_path):
+    body = (
+        "import json\n"
+        "import json as js\n"
+        "import pickle\n"
+        "from json import dumps as to_text, loads\n"
+        "def _write_json(path, payload):\n"
+        "    return json.JSONEncoder(indent=2).encode(payload), json.dump(payload, path)\n"
+        "def other(x, f):\n"
+        "    return json.dumps(x), js.dump(x, f), to_text(x), loads('1'), json.loads('2'), pickle.dump(x, f)\n"
+        "class Encoder(json.encoder.JSONEncoder):\n"
+        "    pass\n"
+    )
+    (tmp_path / "harness.py").write_text(body, encoding="utf-8")
+    (tmp_path / "sample.py").write_text(body, encoding="utf-8")
+    other = ["8 dumps", "8 dump", "8 to_text", "9 JSONEncoder"]
+    assert json_writes(tmp_path / "harness.py") == [f"harness.py:{entry}" for entry in other]
+    assert json_writes(tmp_path / "sample.py") == ["sample.py:6 JSONEncoder", "sample.py:6 dump"] + [
+        f"sample.py:{entry}" for entry in other
+    ]

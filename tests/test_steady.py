@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,7 +7,7 @@ from scipy.linalg import solve_toeplitz
 from scipy.special import gamma
 
 from fracpme import steady
-from fracpme.errors import EmptySupport, NonContiguousSupport, NonPositive, OutOfRange, OutsideSupport
+from fracpme.errors import EmptySupport, NonContiguousSupport, NonPositive, OutOfRange, OutsideSupport, ZeroMass
 from fracpme.grid import Grid, GridDensity, normalize
 from fracpme.riesz import potential_weights, riesz_potential
 from fracpme.steady import (
@@ -72,6 +74,25 @@ class TestMassRadius:
             barenblatt(S, LAM)
         with pytest.raises(ValueError):
             barenblatt(S, LAM, mass=1.0, radius=1.0)
+
+    @pytest.mark.parametrize("s, kwargs", [(S, {"radius": 1e300}), (S, {"radius": 1e130}), (0.9, {"mass": 1e300})])
+    def test_overflowing_radius_is_out_of_range(self, s, kwargs):
+        # R ** (3 - 2s) raised OverflowError; at s = 0.9 the mass is finite but R**2 is not
+        with pytest.raises(OutOfRange, match="radius .* is too large"):
+            barenblatt(s, LAM, **kwargs)
+
+    def test_mass_of_radius_is_inf_where_it_overflows(self):
+        assert mass_of_radius(S, LAM, 1e300) == np.inf
+        assert mass_of_radius(S, LAM, 1e120) < np.inf
+
+    @pytest.mark.parametrize("kwargs", [{"x0": 1e300}, {"x0": 9.0}, {"radius": 1e-3}])
+    def test_no_mass_on_the_grid_is_refused(self, kwargs):
+        # x0 = 1e300 squared to inf with a RuntimeWarning and gave an all-zero profile with M = 1
+        kwargs = {"mass": 1.0, **kwargs} if "radius" not in kwargs else kwargs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroMass, match="has no mass on the grid"):
+                barenblatt(S, LAM, grid=Grid.symmetric(4.0, 64), **kwargs)
 
 
 class TestProfile:
